@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
 
-from .asb import DENSE_SOLVE_LIMIT, SplitProblem
+from .asb import SplitProblem
 from .functionals import prox_indicator_point, prox_l1, prox_quadratic, prox_weighted_l21
-from .linops import GridSpec, gradient_operator, interior_gradient_operator
+from .linops import GridSpec, gradient_operator, interior_gradient_operator, spd_factor
 
 __all__ = [
     "TvInstance",
@@ -136,8 +136,7 @@ def build_tv_problem(inst: TvInstance, lam: float = 1.0,
     else:
         n_blocks = L.codomain_dim // 2
         f = prox_weighted_l21(np.full(n_blocks, inst.mu), block_size=2)
-    subsolver = "closed_form" if L.domain_dim <= DENSE_SOLVE_LIMIT else "conjugate_gradient"
-    return SplitProblem(g=g, f=f, L=L, lam=lam, u_subsolver=subsolver)
+    return SplitProblem(g=g, f=f, L=L, lam=lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +197,9 @@ def forward_model(grid: GridSpec, conductivity, boundary_data) -> LeastGradientI
     """Solve the discrete conductivity equation and record |J| nodewise.
 
     Minimizes the sigma-weighted Dirichlet energy of the interior
-    gradient subject to the given boundary values (a dense direct solve
-    at desk scale), then sets ``|J| = sigma ||grad u_true||`` per block.
+    gradient subject to the given boundary values (one sparse SPD solve
+    on the free nodes, assembled from the operator's CSR matrix), then
+    sets ``|J| = sigma ||grad u_true||`` per block.
     """
     sigma = np.asarray(conductivity, dtype=float)
     if sigma.shape[0] != grid.n_nodes:
@@ -213,29 +213,15 @@ def forward_model(grid: GridSpec, conductivity, boundary_data) -> LeastGradientI
 
     L = interior_gradient_operator(grid)
     w_blocks = _block_weights(grid, sigma)
-    w_comp = np.repeat(w_blocks, grid.ndim)
     free = ~mask
-    n_free = int(free.sum())
-
-    def k_apply(v):
-        return L.adjoint_apply(w_comp * L.apply(v))
-
     anchor_ext = np.zeros(grid.n_nodes)
     anchor_ext[mask] = boundary_data
-    rhs = -k_apply(anchor_ext)[free]
 
-    k_ff = np.empty((n_free, n_free))
-    e = np.zeros(grid.n_nodes)
-    free_idx = np.flatnonzero(free)
-    for col, i in enumerate(free_idx):
-        e[i] = 1.0
-        k_ff[:, col] = k_apply(e)[free]
-        e[i] = 0.0
-    k_ff = 0.5 * (k_ff + k_ff.T)
-    try:
-        u_free = scipy.linalg.solve(k_ff, rhs, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("conductivity system is singular") from exc
+    # K = L^T W L with W the per-component conductivity; solve K_ff u_f = -K_fb u_b
+    l_free = L.matrix[:, np.flatnonzero(free)]
+    w_comp = sp.diags(np.repeat(w_blocks, grid.ndim))
+    rhs = -(l_free.T @ (w_comp @ (L.matrix @ anchor_ext)))
+    u_free = spd_factor(l_free.T @ w_comp @ l_free, what="conductivity system").solve(rhs)
 
     u_true = anchor_ext.copy()
     u_true[free] = u_free
@@ -255,8 +241,7 @@ def build_least_gradient_problem(inst: LeastGradientInstance, lam: float = 1.0) 
     g = prox_indicator_point(anchor, mask)
     f = prox_weighted_l21(inst.j_magnitude, block_size=grid.ndim)
     L = interior_gradient_operator(grid)
-    subsolver = "closed_form" if grid.n_nodes <= DENSE_SOLVE_LIMIT else "conjugate_gradient"
-    return SplitProblem(g=g, f=f, L=L, lam=lam, u_subsolver=subsolver)
+    return SplitProblem(g=g, f=f, L=L, lam=lam)
 
 
 def two_phase_conductivity(grid: GridSpec, background: float = 1.0,

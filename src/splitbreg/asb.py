@@ -7,10 +7,11 @@ For ``min g(u) + f(L u)`` with penalty ``lam``, each sweep performs
     3. update:  b = b + L u - d
 
 Shipped problems restrict g to quadratic / point-indicator / zero, so
-the u-step is a symmetric positive-definite linear system: solved by a
-cached Cholesky factorization at desk scale and by warm-started
-conjugate gradients above it.  That keeps the exact algorithm exact,
-which the runtime equivalence instrumentation depends on.
+the u-step is a sparse symmetric positive-definite linear system in
+``L^T L``, factorized once per solver with ``splu`` (see
+:func:`splitbreg.linops.spd_factor`) and solved directly at every
+sweep.  That keeps the exact algorithm exact, which the runtime
+equivalence instrumentation depends on.
 
 The same machinery exposes the two dual-side resolvents, so the
 Douglas-Rachford recursion on the dual problem can be run as an
@@ -36,12 +37,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
 
 from .diagnostics import IterateRecord, RunTrace
 from .drs import NonFiniteIterateError, ResolventPair, StoppingRule
 from .functionals import ErrorSchedule, ProxFunctional, dual_resolvent
-from .linops import LinearMap, cg_solve
+from .linops import LinearMap, spd_factor
 
 __all__ = [
     "SplitProblem",
@@ -57,23 +58,17 @@ __all__ = [
     "run_drs",
 ]
 
-# Direct factorization is the default below this many unknowns.
-DENSE_SOLVE_LIMIT = 2000
-
 _U_STEP_LABELS = ("quadratic", "indicator_point", "zero")
 
 
 @dataclass(frozen=True, eq=False)
 class SplitProblem:
-    """Problem data ``(g, f, L)`` plus the penalty and u-step strategy."""
+    """Problem data ``(g, f, L)`` plus the penalty."""
 
     g: ProxFunctional
     f: ProxFunctional
     L: LinearMap
     lam: float = 1.0
-    u_subsolver: str = "closed_form"
-    cg_tol: float = 1e-12
-    cg_max_iter: int = 10_000
 
     def __post_init__(self):
         if self.L.domain_dim != self.g.dim:
@@ -82,8 +77,6 @@ class SplitProblem:
             raise ValueError(f"f lives on dim {self.f.dim}, L codomain is {self.L.codomain_dim}")
         if not self.lam > 0:
             raise ValueError("lambda must be positive")
-        if self.u_subsolver not in ("closed_form", "conjugate_gradient"):
-            raise ValueError("u_subsolver must be 'closed_form' or 'conjugate_gradient'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +110,10 @@ def setzer_view(state: AsbState, lam: float) -> SetzerView:
 class _UStepSolver:
     """Minimizes ``g(u) + (lam/2) ||L u + c||^2`` for the supported g.
 
-    One instance per run: the normal matrix (or its free-coordinate
-    restriction) is factorized once, and the conjugate-gradient path
-    warm-starts from the previous solution.
+    One instance per run: the sparse normal matrix ``L^T L`` (restricted
+    to the free coordinates for the point indicator, plus ``(rho/lam) I``
+    for the quadratic) is factorized once with :func:`spd_factor`, and
+    every solve reuses the factor.
     """
 
     def __init__(self, problem: SplitProblem, lam: Optional[float] = None):
@@ -129,132 +123,53 @@ class _UStepSolver:
                 f"u-step needs g in {_U_STEP_LABELS}, got {g.label!r}: "
                 "only these make the subproblem an SPD linear solve"
             )
-        self.problem = problem
         self.L = L
         self.lam = problem.lam if lam is None else float(lam)
         self.mode = g.label
-        self.dim = L.domain_dim
-        self._warm = None
+        a = L.matrix
+        self._factor = None
 
-        self.rho = 0.0
-        self.target = None
-        self.mask = None
-        self.anchor_ext = None
         if self.mode == "quadratic":
             self.rho = float(g.params["scale"])
             self.target = np.asarray(g.params["target"], dtype=float)
+            system = a.T @ a + (self.rho / self.lam) * sp.identity(L.domain_dim)
         elif self.mode == "indicator_point":
-            self.mask = np.asarray(g.params["mask"], dtype=bool)
-            a_ext = np.zeros(self.dim)
-            a_ext[self.mask] = np.asarray(g.params["anchor"], dtype=float)[self.mask]
-            self.anchor_ext = a_ext
-        self.free = None if self.mask is None else ~self.mask
-
-        if problem.u_subsolver == "closed_form":
-            self._prepare_direct()
+            mask = np.asarray(g.params["mask"], dtype=bool)
+            self.anchor_ext = np.zeros(L.domain_dim)
+            self.anchor_ext[mask] = np.asarray(g.params["anchor"], dtype=float)[mask]
+            self.free = ~mask
+            if not np.any(self.free):
+                return  # fully constrained: no system to solve
+            a_free = a[:, np.flatnonzero(self.free)]
+            system = a_free.T @ a_free
+            self._anchor_term = a_free.T @ (a @ self.anchor_ext)
         else:
-            self._prepare_cg()
-
-    # -- direct path --------------------------------------------------
-
-    def _dense_normal(self) -> np.ndarray:
-        n = self.dim
-        L = self.L
-        m = np.empty((n, n))
-        e = np.zeros(n)
-        for i in range(n):
-            e[i] = 1.0
-            m[:, i] = L.adjoint_apply(L.apply(e))
-            e[i] = 0.0
-        return 0.5 * (m + m.T)
-
-    def _prepare_direct(self):
-        ltl = self._dense_normal()
-        if self.mode == "quadratic":
-            system = ltl + (self.rho / self.lam) * np.eye(self.dim)
-            self._anchor_term = None
-        elif self.mode == "indicator_point":
-            free = self.free
-            if not np.any(free):
-                # fully constrained: no system to solve
-                self._factor = None
-                self._anchor_term = None
-                return
-            system = ltl[np.ix_(free, free)]
-            self._anchor_term = (ltl @ self.anchor_ext)[free]
-        else:
-            system = ltl
-            self._anchor_term = None
+            system = a.T @ a
         try:
-            self._factor = scipy.linalg.cho_factor(system)
-        except np.linalg.LinAlgError as exc:
+            self._factor = spd_factor(system, what="u-step normal system")
+        except ValueError as exc:
             raise ValueError(
-                "u-step normal system is singular: the normal operator L*L "
+                f"{exc}: the normal operator L*L "
                 "(restricted to free coordinates, plus any quadratic curvature) "
                 "must be invertible for this subproblem to have a unique "
-                f"minimizer (operator flags: injective={self.L.injective}, "
-                f"normal_surjective={self.L.normal_surjective})"
+                f"minimizer (operator flags: injective={L.injective}, "
+                f"normal_surjective={L.normal_surjective})"
             ) from exc
-
-    # -- conjugate-gradient path ---------------------------------------
-
-    def _prepare_cg(self):
-        L, lam, rho = self.L, self.lam, self.rho
-        if self.mode == "indicator_point":
-            free = self.free
-            dim = self.dim
-
-            def matvec(vf):
-                v = np.zeros(dim)
-                v[free] = vf
-                return L.adjoint_apply(L.apply(v))[free]
-
-            self._cg_matvec = matvec
-            self._cg_anchor_img = L.adjoint_apply(L.apply(self.anchor_ext))[free]
-        elif self.mode == "quadratic":
-            self._cg_matvec = lambda v: (rho / lam) * v + L.adjoint_apply(L.apply(v))
-            self._cg_anchor_img = None
-        else:
-            self._cg_matvec = lambda v: L.adjoint_apply(L.apply(v))
-            self._cg_anchor_img = None
-
-    # -- public solve ---------------------------------------------------
 
     def solve(self, b: np.ndarray, d: np.ndarray) -> np.ndarray:
         return self.solve_c(b - d)
 
     def solve_c(self, c: np.ndarray) -> np.ndarray:
         """argmin_u g(u) + (lam/2) ||L u + c||^2."""
-        L, lam = self.L, self.lam
-        neg_ltc = -L.adjoint_apply(c)
+        neg_ltc = -self.L.adjoint_apply(c)
         if self.mode == "quadratic":
-            rhs = (self.rho / lam) * self.target + neg_ltc
-            return self._solve_system(rhs)
+            return self._factor.solve((self.rho / self.lam) * self.target + neg_ltc)
         if self.mode == "indicator_point":
             u = self.anchor_ext.copy()
-            if not np.any(self.free):
-                return u  # fully constrained
-            anchor_term = self._anchor_term if self._is_direct() else self._cg_anchor_img
-            u[self.free] = self._solve_system(neg_ltc[self.free] - anchor_term)
+            if self._factor is not None:
+                u[self.free] = self._factor.solve(neg_ltc[self.free] - self._anchor_term)
             return u
-        return self._solve_system(neg_ltc)
-
-    def _is_direct(self) -> bool:
-        return self.problem.u_subsolver == "closed_form"
-
-    def _solve_system(self, rhs: np.ndarray) -> np.ndarray:
-        if self._is_direct():
-            return scipy.linalg.cho_solve(self._factor, rhs)
-        prob = self.problem
-        x, res, its = cg_solve(self._cg_matvec, rhs, x0=self._warm,
-                               tol=prob.cg_tol, max_iter=prob.cg_max_iter)
-        if res > prob.cg_tol * max(1.0, float(np.linalg.norm(rhs))):
-            raise RuntimeError(
-                f"conjugate-gradient u-step failed to converge: residual {res:.3e} "
-                f"after {its} iterations (tol {prob.cg_tol:g})"
-            )
-        self._warm = x
-        return x
+        return self._factor.solve(neg_ltc)
 
 
 def asb_u_step(problem: SplitProblem, state: AsbState) -> np.ndarray:

@@ -3,7 +3,8 @@
 Loads a problem from a JSON config, runs the requested solver, and
 writes ``trace.csv`` (17-significant-digit columns, byte-stable for a
 fixed config and seed), ``certificates.json``, and ``summary.txt``.
-Exit status is 0 exactly when every emitted certificate passes.
+Exit status is 0 when every emitted certificate passes, 1 when one
+fails, 2 for a malformed config and 3 when the solver fails.
 
 ``--compare`` runs both recursions from the mapped initialization and
 certifies their lockstep agreement instead of a single solver.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -27,8 +29,8 @@ from .asb import (SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents
 from .diagnostics import (Certificate, RunTrace, certificates_to_json, dual_certificate,
                           duality_gap, equivalence_report, primal_recovery_check)
 from .drs import StoppingRule, inclusion_defect
-from .functionals import (functional_from_label, geometric_schedule, harmonic_schedule,
-                          prox_l1, prox_quadratic, zero_schedule)
+from .functionals import (FUNCTIONAL_LABELS, functional_from_label, geometric_schedule,
+                          harmonic_schedule, prox_l1, prox_quadratic, zero_schedule)
 from .linops import identity_operator, load_matrix_csv, matrix_operator
 from .oracles import (interior_stationarity_defect, soft_threshold_optimum,
                       taut_string_denoise, taut_string_dirichlet, tv_dual_solve)
@@ -85,7 +87,13 @@ class SummaryRow:
 
 
 def parse_config(payload: dict) -> RunConfig:
-    """Validate the config document; unknown keys are rejected."""
+    """Validate the config document; unknown keys are rejected.
+
+    Every key's type and range is checked here, so a config that passes
+    can only fail later in the solver (exit 3), never on its own shape.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
     allowed_top = {"problem", "solver", "params", "outputs"}
     for key in payload:
         if key not in allowed_top:
@@ -96,28 +104,93 @@ def parse_config(payload: dict) -> RunConfig:
     solver = payload.get("solver", "asb")
     if solver not in SOLVERS:
         raise ConfigError(f"key 'solver' must be one of {SOLVERS}, got {solver!r}")
-    params = dict(payload.get("params", {}))
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("key 'params' must be an object")
+    params = dict(params)
     allowed = _COMMON_KEYS | _PROBLEM_KEYS[problem]
     for key in params:
         if key not in allowed:
             raise ConfigError(f"unknown params key {key!r} for problem {problem!r}")
-    lam = float(params.get("lambda", 1.0))
-    if not lam > 0:
-        raise ConfigError(f"key 'lambda' must be positive, got {lam}")
-    max_iter = int(params.get("max_iter", 100_000))
-    if max_iter < 0:
-        raise ConfigError(f"key 'max_iter' must be >= 0, got {max_iter}")
-    tol = params.get("tol", 1e-9)
-    if tol is not None and float(tol) < 0:
-        raise ConfigError(f"key 'tol' must be nonnegative or null, got {tol}")
-    sched = params.get("schedule")
-    if sched is not None:
-        _parse_schedule(sched, bool(params.get("allow_nonsummable", False)))
-    outputs = tuple(payload.get("outputs", OUTPUT_KINDS))
+    _check_params(problem, params)
+    outputs = payload.get("outputs", OUTPUT_KINDS)
+    if not isinstance(outputs, (list, tuple)):
+        raise ConfigError("key 'outputs' must be a list")
     for out in outputs:
         if out not in OUTPUT_KINDS:
             raise ConfigError(f"unknown output kind {out!r}")
-    return RunConfig(problem=problem, solver=solver, params=params, outputs=outputs)
+    return RunConfig(problem=problem, solver=solver, params=params, outputs=tuple(outputs))
+
+
+def _number(key: str, v, low: float, *, strict: bool = False, integer: bool = False) -> None:
+    """A finite number ``>= low`` (``> low`` if strict), integral if asked."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"key {key!r} must be a finite number, got {v!r}")
+    if integer and v != int(v):
+        raise ConfigError(f"key {key!r} must be an integer, got {v!r}")
+    if v < low or (strict and v == low):
+        raise ConfigError(f"key {key!r} must be {'>' if strict else '>='} {low:g}, got {v!r}")
+
+
+def _optional(p: dict, key: str, low: float, *, nullable: bool = False, **kind) -> None:
+    if key in p and not (nullable and p[key] is None):
+        _number(key, p[key], low, **kind)
+
+
+def _check_params(problem: str, p: dict) -> None:
+    _optional(p, "lambda", 0.0, strict=True)
+    _optional(p, "debug_drs_lambda", 0.0, strict=True, nullable=True)
+    _optional(p, "tol", 0.0, nullable=True)
+    _optional(p, "max_iter", 0, integer=True)
+    _optional(p, "seed", 0, integer=True)
+    _optional(p, "n", 1, integer=True)
+    _optional(p, "mu", 0.0)
+    _optional(p, "noise_sigma", 0.0, nullable=True)
+    _optional(p, "inclusion", 0.0, strict=True)
+    if not isinstance(p.get("allow_nonsummable", False), bool):
+        raise ConfigError("key 'allow_nonsummable' must be true or false")
+    if p.get("schedule") is not None:
+        _parse_schedule(p["schedule"], p.get("allow_nonsummable", False))
+    if "y" in p:
+        y = p["y"]
+        if not isinstance(y, list) or not y:
+            raise ConfigError("key 'y' must be a non-empty list of numbers")
+        for v in y:
+            _number("y", v, -math.inf)
+
+    if problem in ("tv1d", "tv2d", "least_gradient"):
+        ndims = {"tv1d": (1,), "tv2d": (2,), "least_gradient": (1, 2)}[problem]
+        shape = p.get("grid_shape", [32] if problem == "tv1d" else [16, 16])
+        if not isinstance(shape, list) or len(shape) not in ndims:
+            raise ConfigError(f"key 'grid_shape' must be a list of {' or '.join(map(str, ndims))} "
+                              f"node counts for {problem!r}, got {shape!r}")
+        for n in shape:
+            _number("grid_shape", n, 2, integer=True)
+        spacing = p.get("spacing", 1.0)
+        for h in (spacing if isinstance(spacing, list) else [spacing]):
+            _number("spacing", h, 0.0, strict=True)
+        if isinstance(spacing, list) and len(spacing) != len(shape):
+            raise ConfigError("key 'spacing' must give one value per grid axis")
+        if p.get("boundary", "dirichlet") not in ("dirichlet", "free"):
+            raise ConfigError("key 'boundary' must be 'dirichlet' or 'free'")
+        kind = p.get("conductivity", "linear")
+        if kind not in ("linear", "two_phase"):
+            raise ConfigError("key 'conductivity' must be 'linear' or 'two_phase'")
+        if kind == "two_phase" and len(shape) != 2:
+            raise ConfigError("key 'conductivity': two-phase instances need a 2-D grid_shape")
+        _optional(p, "axis", 0, integer=True)
+        if p.get("axis", 0) >= len(shape):
+            raise ConfigError(f"key 'axis' must name one of the {len(shape)} grid axes")
+
+    if problem == "custom_matrix":
+        if not isinstance(p.get("matrix_csv"), str):
+            raise ConfigError("custom_matrix requires key 'matrix_csv' (a CSV file path)")
+        for side in ("g", "f"):
+            spec = p.get(side, {"label": "quadratic" if side == "g" else "l1"})
+            label = spec.get("label") if isinstance(spec, dict) else None
+            if not isinstance(label, str) or label not in FUNCTIONAL_LABELS:
+                raise ConfigError(f"key {side!r} must be an object with a 'label' "
+                                  f"in {sorted(FUNCTIONAL_LABELS)}")
 
 
 def _parse_schedule(spec: dict, allow_nonsummable: bool):
@@ -127,18 +200,25 @@ def _parse_schedule(spec: dict, allow_nonsummable: bool):
     extra = set(spec) - {"type", "ratio", "scale"}
     if extra:
         raise ConfigError(f"unknown schedule keys {sorted(extra)}")
-    if kind == "geometric":
-        return geometric_schedule(float(spec.get("ratio", 0.5)), float(spec.get("scale", 1.0)))
-    if kind == "zero":
-        return zero_schedule()
-    if kind == "harmonic":
-        if not allow_nonsummable:
-            raise ConfigError(
-                "key 'schedule': harmonic magnitudes are not summable; "
-                "set 'allow_nonsummable' to run this negative control anyway"
-            )
-        return harmonic_schedule(float(spec.get("scale", 1.0)))
-    raise ConfigError(f"unknown schedule type {kind!r}")
+    _optional(spec, "ratio", 0.0)
+    _optional(spec, "scale", 0.0)
+    if kind == "harmonic" and not allow_nonsummable:
+        raise ConfigError(
+            "key 'schedule': harmonic magnitudes are not summable; "
+            "set 'allow_nonsummable' to run this negative control anyway"
+        )
+    makers = {
+        "geometric": lambda: geometric_schedule(float(spec.get("ratio", 0.5)),
+                                                float(spec.get("scale", 1.0))),
+        "zero": zero_schedule,
+        "harmonic": lambda: harmonic_schedule(float(spec.get("scale", 1.0))),
+    }
+    if not isinstance(kind, str) or kind not in makers:
+        raise ConfigError(f"unknown schedule type {kind!r}")
+    try:
+        return makers[kind]()
+    except ValueError as exc:  # e.g. a geometric ratio outside [0, 1)
+        raise ConfigError(f"key 'schedule': {exc}") from exc
 
 
 def _build_problem(config: RunConfig):
@@ -214,11 +294,7 @@ def _build_problem(config: RunConfig):
         return problem, f"least_gradient_{kind}_{shape_id}", oracle
 
     # custom_matrix
-    try:
-        entries = load_matrix_csv(p["matrix_csv"])
-    except KeyError:
-        raise ConfigError("custom_matrix requires key 'matrix_csv'")
-    L = matrix_operator(entries)
+    L = matrix_operator(load_matrix_csv(p["matrix_csv"]))
     g_spec = dict(p.get("g", {"label": "quadratic"}))
     f_spec = dict(p.get("f", {"label": "l1"}))
     g = functional_from_label(g_spec.pop("label"), L.domain_dim, g_spec)
@@ -383,17 +459,16 @@ def main(argv=None) -> int:
 
     try:
         payload = json.loads(Path(args.config).read_text())
-        if args.solver:
-            payload["solver"] = args.solver
-        params = payload.setdefault("params", {})
-        if args.seed is not None:
-            params["seed"] = args.seed
-        if args.max_iter is not None:
-            params["max_iter"] = args.max_iter
-        if args.tol is not None:
-            params["tol"] = args.tol
+        # overrides apply to an object; parse_config rejects anything else
+        if isinstance(payload, dict) and isinstance(payload.setdefault("params", {}), dict):
+            if args.solver:
+                payload["solver"] = args.solver
+            for key, value in (("seed", args.seed), ("max_iter", args.max_iter),
+                               ("tol", args.tol)):
+                if value is not None:
+                    payload["params"][key] = value
         config = parse_config(payload)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError, JSON and decoding errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,7 @@ __all__ = [
     "zero_functional",
     "dual_resolvent",
     "functional_from_label",
+    "FUNCTIONAL_LABELS",
     "geometric_schedule",
     "harmonic_schedule",
     "zero_schedule",
@@ -210,7 +211,7 @@ def zero_functional(dim: int) -> ProxFunctional:
     )
 
 
-_LABELS = {"l1", "weighted_l21", "quadratic", "indicator_point", "zero"}
+FUNCTIONAL_LABELS = {"l1", "weighted_l21", "quadratic", "indicator_point", "zero"}
 
 
 def functional_from_label(label: str, dim: int, params: dict) -> ProxFunctional:
@@ -232,7 +233,7 @@ def functional_from_label(label: str, dim: int, params: dict) -> ProxFunctional:
         anchor = as_vector(params["anchor"], dim=dim)
         mask = params.get("mask")
         return prox_indicator_point(anchor, None if mask is None else np.asarray(mask, dtype=bool))
-    raise ValueError(f"unknown functional label {label!r}; expected one of {sorted(_LABELS)}")
+    raise ValueError(f"unknown functional label {label!r}; expected one of {sorted(FUNCTIONAL_LABELS)}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: finite-difference stencils, shrinkage, taut string.
+"""Hot numeric kernels: shrinkage and the taut-string walk.
 
 Every kernel has two interchangeable implementations: a loop version
 compiled with numba's ``@njit`` and a vectorized pure-numpy fallback.
@@ -6,10 +6,9 @@ The active path is chosen at import time; set the environment variable
 ``SPLITBREG_NUMBA=0`` to force the numpy fallback (the fallback is also
 used automatically when numba is not importable).
 
-All kernels take and return C-contiguous float64 arrays.  2D grids are
-passed flattened in row-major order together with their shape; gradient
-outputs interleave the per-node difference components so that each
-node's gradient occupies a contiguous block.
+All kernels take and return C-contiguous float64 arrays.  The
+finite-difference stencils are not kernels: they are sparse matrices
+assembled in :mod:`splitbreg.linops`.
 """
 
 import os
@@ -20,14 +19,6 @@ __all__ = [
     "NUMBA_ENABLED",
     "soft_threshold",
     "block_shrink",
-    "grad_dirichlet_1d",
-    "neg_div_dirichlet_1d",
-    "grad_interior_1d",
-    "neg_div_interior_1d",
-    "grad_dirichlet_2d",
-    "neg_div_dirichlet_2d",
-    "grad_interior_2d",
-    "neg_div_interior_2d",
     "taut_string_slopes",
     "NUMPY_IMPLS",
     "LOOP_IMPLS",
@@ -70,96 +61,6 @@ def _block_shrink_loops(y, thresh, block_size):
         else:
             for j in range(block_size):
                 out[base + j] = 0.0
-    return out
-
-
-def _grad_dirichlet_1d_loops(u, h):
-    n = u.shape[0]
-    out = np.empty(n)
-    for i in range(n - 1):
-        out[i] = (u[i + 1] - u[i]) / h
-    out[n - 1] = -u[n - 1] / h
-    return out
-
-
-def _neg_div_dirichlet_1d_loops(v, h):
-    n = v.shape[0]
-    out = np.empty(n)
-    out[0] = -v[0] / h
-    for j in range(1, n):
-        out[j] = (v[j - 1] - v[j]) / h
-    return out
-
-
-def _grad_interior_1d_loops(u, h):
-    n = u.shape[0]
-    out = np.empty(n - 1)
-    for i in range(n - 1):
-        out[i] = (u[i + 1] - u[i]) / h
-    return out
-
-
-def _neg_div_interior_1d_loops(v, h):
-    m = v.shape[0]
-    out = np.empty(m + 1)
-    out[0] = -v[0] / h
-    for j in range(1, m):
-        out[j] = (v[j - 1] - v[j]) / h
-    out[m] = v[m - 1] / h
-    return out
-
-
-def _grad_dirichlet_2d_loops(u, n1, n2, h1, h2):
-    out = np.empty(2 * n1 * n2)
-    for i in range(n1):
-        for j in range(n2):
-            idx = i * n2 + j
-            uij = u[idx]
-            d1 = (u[idx + n2] - uij) / h1 if i < n1 - 1 else -uij / h1
-            d2 = (u[idx + 1] - uij) / h2 if j < n2 - 1 else -uij / h2
-            out[2 * idx] = d1
-            out[2 * idx + 1] = d2
-    return out
-
-
-def _neg_div_dirichlet_2d_loops(v, n1, n2, h1, h2):
-    out = np.empty(n1 * n2)
-    for a in range(n1):
-        for b in range(n2):
-            idx = a * n2 + b
-            acc = -v[2 * idx] / h1 - v[2 * idx + 1] / h2
-            if a > 0:
-                acc += v[2 * (idx - n2)] / h1
-            if b > 0:
-                acc += v[2 * (idx - 1) + 1] / h2
-            out[idx] = acc
-    return out
-
-
-def _grad_interior_2d_loops(u, n1, n2, h1, h2):
-    m2 = n2 - 1
-    out = np.empty(2 * (n1 - 1) * m2)
-    for i in range(n1 - 1):
-        for j in range(m2):
-            idx = i * n2 + j
-            k = i * m2 + j
-            out[2 * k] = (u[idx + n2] - u[idx]) / h1
-            out[2 * k + 1] = (u[idx + 1] - u[idx]) / h2
-    return out
-
-
-def _neg_div_interior_2d_loops(v, n1, n2, h1, h2):
-    m2 = n2 - 1
-    out = np.zeros(n1 * n2)
-    for i in range(n1 - 1):
-        for j in range(m2):
-            idx = i * n2 + j
-            k = i * m2 + j
-            d1 = v[2 * k] / h1
-            d2 = v[2 * k + 1] / h2
-            out[idx] -= d1 + d2
-            out[idx + n2] += d1
-            out[idx + 1] += d2
     return out
 
 
@@ -230,73 +131,6 @@ def _block_shrink_numpy(y, thresh, block_size):
     return (blocks * scale[:, None]).reshape(-1)
 
 
-def _grad_dirichlet_1d_numpy(u, h):
-    out = np.empty_like(u)
-    out[:-1] = (u[1:] - u[:-1]) / h
-    out[-1] = -u[-1] / h
-    return out
-
-
-def _neg_div_dirichlet_1d_numpy(v, h):
-    out = np.empty_like(v)
-    out[0] = -v[0] / h
-    out[1:] = (v[:-1] - v[1:]) / h
-    return out
-
-
-def _grad_interior_1d_numpy(u, h):
-    return (u[1:] - u[:-1]) / h
-
-
-def _neg_div_interior_1d_numpy(v, h):
-    m = v.shape[0]
-    out = np.empty(m + 1)
-    out[0] = -v[0] / h
-    out[1:m] = (v[:-1] - v[1:]) / h
-    out[m] = v[m - 1] / h
-    return out
-
-
-def _grad_dirichlet_2d_numpy(u, n1, n2, h1, h2):
-    g = u.reshape(n1, n2)
-    d1 = np.empty((n1, n2))
-    d1[:-1, :] = (g[1:, :] - g[:-1, :]) / h1
-    d1[-1, :] = -g[-1, :] / h1
-    d2 = np.empty((n1, n2))
-    d2[:, :-1] = (g[:, 1:] - g[:, :-1]) / h2
-    d2[:, -1] = -g[:, -1] / h2
-    return np.stack([d1.reshape(-1), d2.reshape(-1)], axis=1).reshape(-1)
-
-def _neg_div_dirichlet_2d_numpy(v, n1, n2, h1, h2):
-    w = v.reshape(n1 * n2, 2)
-    v1 = w[:, 0].reshape(n1, n2)
-    v2 = w[:, 1].reshape(n1, n2)
-    out = -v1 / h1 - v2 / h2
-    out[1:, :] += v1[:-1, :] / h1
-    out[:, 1:] += v2[:, :-1] / h2
-    return out.reshape(-1)
-
-
-def _grad_interior_2d_numpy(u, n1, n2, h1, h2):
-    g = u.reshape(n1, n2)
-    d1 = (g[1:, :-1] - g[:-1, :-1]) / h1
-    d2 = (g[:-1, 1:] - g[:-1, :-1]) / h2
-    return np.stack([d1.reshape(-1), d2.reshape(-1)], axis=1).reshape(-1)
-
-
-def _neg_div_interior_2d_numpy(v, n1, n2, h1, h2):
-    m2 = n2 - 1
-    w = v.reshape((n1 - 1) * m2, 2)
-    v1 = (w[:, 0] / h1).reshape(n1 - 1, m2)
-    v2 = (w[:, 1] / h2).reshape(n1 - 1, m2)
-    # accumulation order per node mirrors the loop path (bit-identical)
-    out = np.zeros((n1, n2))
-    out[1:, :m2] += v1
-    out[: n1 - 1, 1 : m2 + 1] += v2
-    out[: n1 - 1, :m2] -= v1 + v2
-    return out.reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # path selection
 # ---------------------------------------------------------------------------
@@ -304,28 +138,12 @@ def _neg_div_interior_2d_numpy(v, n1, n2, h1, h2):
 LOOP_IMPLS = {
     "soft_threshold": _soft_threshold_loops,
     "block_shrink": _block_shrink_loops,
-    "grad_dirichlet_1d": _grad_dirichlet_1d_loops,
-    "neg_div_dirichlet_1d": _neg_div_dirichlet_1d_loops,
-    "grad_interior_1d": _grad_interior_1d_loops,
-    "neg_div_interior_1d": _neg_div_interior_1d_loops,
-    "grad_dirichlet_2d": _grad_dirichlet_2d_loops,
-    "neg_div_dirichlet_2d": _neg_div_dirichlet_2d_loops,
-    "grad_interior_2d": _grad_interior_2d_loops,
-    "neg_div_interior_2d": _neg_div_interior_2d_loops,
     "taut_string_slopes": _taut_string_slopes_loops,
 }
 
 NUMPY_IMPLS = {
     "soft_threshold": _soft_threshold_numpy,
     "block_shrink": _block_shrink_numpy,
-    "grad_dirichlet_1d": _grad_dirichlet_1d_numpy,
-    "neg_div_dirichlet_1d": _neg_div_dirichlet_1d_numpy,
-    "grad_interior_1d": _grad_interior_1d_numpy,
-    "neg_div_interior_1d": _neg_div_interior_1d_numpy,
-    "grad_dirichlet_2d": _grad_dirichlet_2d_numpy,
-    "neg_div_dirichlet_2d": _neg_div_dirichlet_2d_numpy,
-    "grad_interior_2d": _grad_interior_2d_numpy,
-    "neg_div_interior_2d": _neg_div_interior_2d_numpy,
     # the taut string walk is inherently sequential; the fallback runs the
     # same loop uncompiled
     "taut_string_slopes": _taut_string_slopes_loops,
@@ -345,12 +163,4 @@ else:
 
 soft_threshold = _ACTIVE["soft_threshold"]
 block_shrink = _ACTIVE["block_shrink"]
-grad_dirichlet_1d = _ACTIVE["grad_dirichlet_1d"]
-neg_div_dirichlet_1d = _ACTIVE["neg_div_dirichlet_1d"]
-grad_interior_1d = _ACTIVE["grad_interior_1d"]
-neg_div_interior_1d = _ACTIVE["neg_div_interior_1d"]
-grad_dirichlet_2d = _ACTIVE["grad_dirichlet_2d"]
-neg_div_dirichlet_2d = _ACTIVE["neg_div_dirichlet_2d"]
-grad_interior_2d = _ACTIVE["grad_interior_2d"]
-neg_div_interior_2d = _ACTIVE["neg_div_interior_2d"]
 taut_string_slopes = _ACTIVE["taut_string_slopes"]

@@ -1,12 +1,15 @@
 """Vectors, inner products, and linear operators with exact adjoints.
 
 Vectors are plain 1-D float64 numpy arrays; :func:`as_vector` validates
-them on construction (finite entries, expected length).  Operators are
-:class:`LinearMap` records bundling ``apply`` and ``adjoint_apply``
-closures with structural metadata.  The adjoint of every shipped
-operator is derived from the forward stencil itself, so the adjoint
-identity ``<L u, v> == <u, L* v>`` holds to machine precision rather
-than only up to discretization error.
+them on construction (finite entries, expected length).  Every shipped
+operator is a :class:`LinearMap` around one ``scipy.sparse`` CSR matrix:
+``apply`` multiplies by it and ``adjoint_apply`` by its cached CSR
+transpose, so the adjoint identity ``<L u, v> == <u, L* v>`` holds to
+machine precision rather than only up to discretization error.  The
+gradient stencils are assembled from 1-D difference matrices with
+``sp.kron``.  :func:`spd_factor` is the one sparse factorization used
+for symmetric positive-definite solves (the u-step and the forward
+model).
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from . import kernels
+import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU, splu
 
 __all__ = [
     "as_vector",
@@ -30,7 +33,7 @@ __all__ = [
     "gradient_operator",
     "interior_gradient_operator",
     "check_adjoint",
-    "cg_solve",
+    "spd_factor",
     "load_matrix_csv",
     "load_vector_csv",
 ]
@@ -110,6 +113,7 @@ class LinearMap:
     codomain_dim: int
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
+    matrix: sp.csr_matrix
     injective: Optional[bool] = None
     normal_surjective: Optional[bool] = None
 
@@ -119,41 +123,58 @@ class AdjointReport:
     max_relative_defect: float
 
 
+def _csr_map(a, injective: Optional[bool], normal_surjective: Optional[bool]) -> LinearMap:
+    """LinearMap around a CSR matrix; the adjoint applies its cached transpose."""
+    a = sp.csr_matrix(a, dtype=float)
+    at = a.T.tocsr()
+    m, n = a.shape
+    return LinearMap(
+        domain_dim=n,
+        codomain_dim=m,
+        apply=lambda v: a @ v,
+        adjoint_apply=lambda v: at @ v,
+        matrix=a,
+        injective=injective,
+        normal_surjective=normal_surjective,
+    )
+
+
 def identity_operator(dim: int) -> LinearMap:
     dim = int(dim)
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return LinearMap(
-        domain_dim=dim,
-        codomain_dim=dim,
-        apply=lambda v: np.array(v, dtype=float, copy=True),
-        adjoint_apply=lambda v: np.array(v, dtype=float, copy=True),
-        injective=True,
-        normal_surjective=True,
-    )
+    return _csr_map(sp.identity(dim), injective=True, normal_surjective=True)
 
 
 def matrix_operator(entries) -> LinearMap:
-    """Dense-matrix operator; the adjoint is the exact transpose."""
+    """Operator from a dense entry array; the adjoint is the exact transpose."""
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("matrix entries must form a non-empty rectangular 2-D array")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     m, n = a.shape
-    at = np.ascontiguousarray(a.T)
     injective = None
     if max(m, n) <= _RANK_FLAG_LIMIT:
         injective = bool(np.linalg.matrix_rank(a) == n)
-    return LinearMap(
-        domain_dim=n,
-        codomain_dim=m,
-        apply=lambda v: a @ np.asarray(v, dtype=float),
-        adjoint_apply=lambda v: at @ np.asarray(v, dtype=float),
-        injective=injective,
-        # in finite dimensions L*L is surjective iff L is injective
-        normal_surjective=injective,
-    )
+    # in finite dimensions L*L is surjective iff L is injective
+    return _csr_map(a, injective=injective, normal_surjective=injective)
+
+
+def _forward_difference(n: int, h: float, ghost: bool) -> sp.csr_matrix:
+    """1-D forward differences: n x n with a zero ghost past the end, else (n-1) x n."""
+    rows = n if ghost else n - 1
+    return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(rows, n), format="csr")
+
+
+def _interleave(components) -> sp.csr_matrix:
+    """Stack per-axis difference matrices with each node's components adjacent.
+
+    Row ``k`` of component ``c`` becomes row ``ndim * k + c``.
+    """
+    stacked = sp.vstack(components, format="csr")
+    ndim, rows = len(components), components[0].shape[0]
+    return stacked[np.arange(ndim * rows).reshape(ndim, rows).T.reshape(-1)]
 
 
 def gradient_operator(grid: GridSpec) -> LinearMap:
@@ -167,26 +188,12 @@ def gradient_operator(grid: GridSpec) -> LinearMap:
     interleaved, giving contiguous blocks of size ``grid.ndim``.
     """
     if grid.ndim == 1:
-        (n,) = grid.shape
-        (h,) = grid.spacing
-        return LinearMap(
-            domain_dim=n,
-            codomain_dim=n,
-            apply=lambda u: kernels.grad_dirichlet_1d(np.ascontiguousarray(u, dtype=float), h),
-            adjoint_apply=lambda v: kernels.neg_div_dirichlet_1d(np.ascontiguousarray(v, dtype=float), h),
-            injective=True,
-            normal_surjective=True,
-        )
-    n1, n2 = grid.shape
-    h1, h2 = grid.spacing
-    return LinearMap(
-        domain_dim=n1 * n2,
-        codomain_dim=2 * n1 * n2,
-        apply=lambda u: kernels.grad_dirichlet_2d(np.ascontiguousarray(u, dtype=float), n1, n2, h1, h2),
-        adjoint_apply=lambda v: kernels.neg_div_dirichlet_2d(np.ascontiguousarray(v, dtype=float), n1, n2, h1, h2),
-        injective=True,
-        normal_surjective=True,
-    )
+        a = _forward_difference(grid.shape[0], grid.spacing[0], ghost=True)
+    else:
+        (n1, n2), (h1, h2) = grid.shape, grid.spacing
+        a = _interleave([sp.kron(_forward_difference(n1, h1, ghost=True), sp.identity(n2)),
+                         sp.kron(sp.identity(n1), _forward_difference(n2, h2, ghost=True))])
+    return _csr_map(a, injective=True, normal_surjective=True)
 
 
 def interior_gradient_operator(grid: GridSpec) -> LinearMap:
@@ -200,26 +207,13 @@ def interior_gradient_operator(grid: GridSpec) -> LinearMap:
     by a zero extension.
     """
     if grid.ndim == 1:
-        (n,) = grid.shape
-        (h,) = grid.spacing
-        return LinearMap(
-            domain_dim=n,
-            codomain_dim=n - 1,
-            apply=lambda u: kernels.grad_interior_1d(np.ascontiguousarray(u, dtype=float), h),
-            adjoint_apply=lambda v: kernels.neg_div_interior_1d(np.ascontiguousarray(v, dtype=float), h),
-            injective=False,
-            normal_surjective=False,
-        )
-    n1, n2 = grid.shape
-    h1, h2 = grid.spacing
-    return LinearMap(
-        domain_dim=n1 * n2,
-        codomain_dim=2 * (n1 - 1) * (n2 - 1),
-        apply=lambda u: kernels.grad_interior_2d(np.ascontiguousarray(u, dtype=float), n1, n2, h1, h2),
-        adjoint_apply=lambda v: kernels.neg_div_interior_2d(np.ascontiguousarray(v, dtype=float), n1, n2, h1, h2),
-        injective=False,
-        normal_surjective=False,
-    )
+        a = _forward_difference(grid.shape[0], grid.spacing[0], ghost=False)
+    else:
+        (n1, n2), (h1, h2) = grid.shape, grid.spacing
+        # the cell-origin nodes drop the last index along each axis
+        a = _interleave([sp.kron(_forward_difference(n1, h1, ghost=False), sp.eye(n2 - 1, n2)),
+                         sp.kron(sp.eye(n1 - 1, n1), _forward_difference(n2, h2, ghost=False))])
+    return _csr_map(a, injective=False, normal_surjective=False)
 
 
 def check_adjoint(L: LinearMap, trials: int = 50, seed: int = 0) -> AdjointReport:
@@ -241,33 +235,29 @@ def check_adjoint(L: LinearMap, trials: int = 50, seed: int = 0) -> AdjointRepor
     return AdjointReport(max_relative_defect=worst)
 
 
-def cg_solve(matvec, rhs, x0=None, tol: float = 1e-12, max_iter: int = 10000):
-    """Conjugate gradients for an SPD system given as a matvec closure.
+def spd_factor(system, what: str = "system") -> SuperLU:
+    """Sparse LU of a symmetric positive-definite matrix, pivoting on the diagonal.
 
-    Returns ``(x, residual_norm, iterations)``; the caller decides
-    whether the residual is acceptable.  Stops when
-    ``||r|| <= tol * max(1, ||rhs||)``.
+    The fill-reducing ordering is symmetric and no off-diagonal pivot is
+    taken, so the factor is a Cholesky-like ``P A P^T = L U``.  A
+    semidefinite matrix can still factor without error and return
+    solutions of size ~1e15, so every pivot must exceed
+    ``n * eps * max pivot``; otherwise, as on an exactly singular
+    matrix, ``ValueError("<what> is singular ...")`` is raised.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float, copy=True)
-    r = rhs - matvec(x)
-    thresh = tol * max(1.0, float(np.linalg.norm(rhs)))
-    rs = float(np.dot(r, r))
-    if np.sqrt(rs) <= thresh:
-        return x, float(np.sqrt(rs)), 0
-    p = r.copy()
-    k = 0
-    for k in range(1, max_iter + 1):
-        ap = matvec(p)
-        alpha = rs / float(np.dot(p, ap))
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.dot(r, r))
-        if np.sqrt(rs_new) <= thresh:
-            return x, float(np.sqrt(rs_new)), k
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, float(np.sqrt(rs)), k
+    system = sp.csc_matrix(system, dtype=float)
+    n = system.shape[0]
+    try:
+        lu = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise ValueError(f"{what} is singular ({exc})") from exc
+    pivots = lu.U.diagonal()
+    floor = n * np.finfo(float).eps * float(np.max(pivots, initial=0.0))
+    if not np.all(pivots > floor):
+        raise ValueError(f"{what} is singular: smallest pivot {float(np.min(pivots)):.3e}, "
+                         f"floor {floor:.3e}")
+    return lu
 
 
 def load_matrix_csv(path) -> np.ndarray:

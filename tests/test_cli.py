@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitbreg.cli import ConfigError, compare_solvers, main, parse_config, run
+from splitbreg.cli import (_COMMON_KEYS, _PROBLEM_KEYS, PROBLEMS, ConfigError, compare_solvers,
+                           main, parse_config, run)
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -179,3 +182,77 @@ def test_least_gradient_via_cli(tmp_path):
     code = run(parse_config(payload), tmp_path / "out")
     assert code == 0
     assert sum(c["passed"] for c in _certs(tmp_path / "out")) == 4
+
+
+def _singular_custom_matrix(tmp_path):
+    mpath = tmp_path / "singular.csv"
+    mpath.write_text("1,0\n0,0\n")
+    # g = 0 with a rank-deficient L: the u-step has no unique minimizer
+    return {"problem": "custom_matrix",
+            "params": {"matrix_csv": str(mpath), "g": {"label": "zero"}, "max_iter": 10}}
+
+
+@pytest.mark.parametrize("code,payload", [
+    (0, LASSO_Y3),
+    (1, {"problem": "lasso", "params": {"y": [3.0], "tol": None, "max_iter": 3}}),
+    (2, {"problem": "lasso", "params": {"lambda": -1}}),
+    (3, _singular_custom_matrix),
+], ids=["certified", "certificate_failed", "config_error", "solver_failure"])
+def test_main_exit_status_contract(tmp_path, capsys, code, payload):
+    if callable(payload):
+        payload = payload(tmp_path)
+    cfg = _write_config(tmp_path, payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    prefix = {2: "config error: ", 3: "run failed: "}.get(code)
+    assert err.startswith(prefix) if prefix else err == ""
+
+
+@pytest.mark.parametrize("payload", [
+    {"problem": "lasso", "params": {"max_iter": "abc"}},
+    {"problem": "lasso", "params": {"lambda": "x"}},
+    [{"problem": "lasso"}],
+    {"problem": "custom_matrix", "params": {}},
+    {"problem": "tv1d", "params": {"grid_shape": [1]}},
+    {"problem": "tv1d", "params": {"grid_shape": [8, 8]}},
+    {"problem": "tv2d", "params": {"grid_shape": "16x16"}},
+    {"problem": "lasso", "params": {"max_iter": 2.5}},
+    {"problem": "lasso", "params": {"tol": -1.0}},
+    {"problem": "lasso", "params": {"y": []}},
+    {"problem": "lasso", "params": "none"},
+    {"problem": "least_gradient", "params": {"grid_shape": [8], "conductivity": "two_phase"}},
+    {"problem": "least_gradient", "params": {"axis": 2}},
+    {"problem": "custom_matrix", "params": {"matrix_csv": "m.csv", "g": {"label": ["zero"]}}},
+    {"problem": "lasso", "solver": "asb_approx",
+     "params": {"schedule": {"type": "geometric", "ratio": 1.5}}},
+    {"problem": "lasso", "params": {"schedule": {"type": ["zero"]}}},
+], ids=["max_iter_str", "lambda_str", "top_level_list", "missing_matrix_csv", "grid_1_node",
+        "tv1d_2d_grid", "grid_str", "max_iter_float", "tol_negative", "y_empty", "params_str",
+        "two_phase_1d", "axis_out_of_range", "label_list", "ratio_out_of_range",
+        "schedule_type_list"])
+def test_main_rejects_malformed_config(tmp_path, capsys, payload):
+    cfg = _write_config(tmp_path, payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+_PARAM_KEYS = sorted(_COMMON_KEYS.union(*_PROBLEM_KEYS.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=st.sampled_from(PROBLEMS),
+       params=st.dictionaries(st.sampled_from(_PARAM_KEYS), _JSON, max_size=4),
+       top=_JSON)
+def test_parse_config_raises_only_config_errors(problem, params, top):
+    # anything else would escape main() as a traceback with the wrong exit code
+    for payload in ({"problem": problem, "params": params}, top):
+        try:
+            parse_config(payload)
+        except ConfigError:
+            pass

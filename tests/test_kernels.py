@@ -1,9 +1,122 @@
-"""Kernel path equivalence and stencil correctness."""
+"""Kernel path equivalence and stencil correctness.
+
+The finite-difference stencils are no longer kernels: they are the CSR
+matrices of ``gradient_operator`` / ``interior_gradient_operator``.
+Under their former kernel names they are still checked entry by entry
+against loop forms of the stencil (kept below as the reference) and
+against the operator's own matrix.
+"""
 
 import numpy as np
 import pytest
 
 from splitbreg import kernels
+from splitbreg.linops import GridSpec, gradient_operator, interior_gradient_operator
+
+
+def _grad_dirichlet_1d(u, h):
+    n = u.shape[0]
+    out = np.empty(n)
+    for i in range(n - 1):
+        out[i] = (u[i + 1] - u[i]) / h
+    out[n - 1] = -u[n - 1] / h
+    return out
+
+
+def _neg_div_dirichlet_1d(v, h):
+    n = v.shape[0]
+    out = np.empty(n)
+    out[0] = -v[0] / h
+    for j in range(1, n):
+        out[j] = (v[j - 1] - v[j]) / h
+    return out
+
+
+def _grad_interior_1d(u, h):
+    return np.array([(u[i + 1] - u[i]) / h for i in range(u.shape[0] - 1)])
+
+
+def _neg_div_interior_1d(v, h):
+    m = v.shape[0]
+    out = np.empty(m + 1)
+    out[0] = -v[0] / h
+    for j in range(1, m):
+        out[j] = (v[j - 1] - v[j]) / h
+    out[m] = v[m - 1] / h
+    return out
+
+
+def _grad_dirichlet_2d(u, n1, n2, h1, h2):
+    out = np.empty(2 * n1 * n2)
+    for i in range(n1):
+        for j in range(n2):
+            idx = i * n2 + j
+            out[2 * idx] = (u[idx + n2] - u[idx]) / h1 if i < n1 - 1 else -u[idx] / h1
+            out[2 * idx + 1] = (u[idx + 1] - u[idx]) / h2 if j < n2 - 1 else -u[idx] / h2
+    return out
+
+
+def _neg_div_dirichlet_2d(v, n1, n2, h1, h2):
+    out = np.empty(n1 * n2)
+    for a in range(n1):
+        for b in range(n2):
+            idx = a * n2 + b
+            acc = -v[2 * idx] / h1 - v[2 * idx + 1] / h2
+            if a > 0:
+                acc += v[2 * (idx - n2)] / h1
+            if b > 0:
+                acc += v[2 * (idx - 1) + 1] / h2
+            out[idx] = acc
+    return out
+
+
+def _grad_interior_2d(u, n1, n2, h1, h2):
+    m2 = n2 - 1
+    out = np.empty(2 * (n1 - 1) * m2)
+    for i in range(n1 - 1):
+        for j in range(m2):
+            idx, k = i * n2 + j, i * m2 + j
+            out[2 * k] = (u[idx + n2] - u[idx]) / h1
+            out[2 * k + 1] = (u[idx + 1] - u[idx]) / h2
+    return out
+
+
+def _neg_div_interior_2d(v, n1, n2, h1, h2):
+    m2 = n2 - 1
+    out = np.zeros(n1 * n2)
+    for i in range(n1 - 1):
+        for j in range(m2):
+            idx, k = i * n2 + j, i * m2 + j
+            d1, d2 = v[2 * k] / h1, v[2 * k + 1] / h2
+            out[idx] -= d1 + d2
+            out[idx + n2] += d1
+            out[idx + 1] += d2
+    return out
+
+
+# name -> (loop stencil, operator factory, grid, adjoint side?)
+_GRID_1D, _GRID_2D = GridSpec((17,), 0.7), GridSpec((5, 7), (0.5, 0.25))
+_STENCILS = {
+    "grad_dirichlet_1d": (_grad_dirichlet_1d, gradient_operator, _GRID_1D, False),
+    "neg_div_dirichlet_1d": (_neg_div_dirichlet_1d, gradient_operator, _GRID_1D, True),
+    "grad_interior_1d": (_grad_interior_1d, interior_gradient_operator, _GRID_1D, False),
+    "neg_div_interior_1d": (_neg_div_interior_1d, interior_gradient_operator, _GRID_1D, True),
+    "grad_dirichlet_2d": (_grad_dirichlet_2d, gradient_operator, _GRID_2D, False),
+    "neg_div_dirichlet_2d": (_neg_div_dirichlet_2d, gradient_operator, _GRID_2D, True),
+    "grad_interior_2d": (_grad_interior_2d, interior_gradient_operator, _GRID_2D, False),
+    "neg_div_interior_2d": (_neg_div_interior_2d, interior_gradient_operator, _GRID_2D, True),
+}
+
+
+def _stencil_outputs(name, rng):
+    """(operator output, loop stencil output, dense matrix product) on one random input."""
+    loop, make, grid, adjoint = _STENCILS[name]
+    L = make(grid)
+    x = rng.standard_normal(L.codomain_dim if adjoint else L.domain_dim)
+    dense = L.matrix.toarray()
+    args = (*grid.shape, *grid.spacing) if grid.ndim == 2 else grid.spacing
+    op = L.adjoint_apply if adjoint else L.apply
+    return op(x), loop(x, *args), (dense.T if adjoint else dense) @ x
 
 
 def _args_for(name, rng):
@@ -11,19 +124,6 @@ def _args_for(name, rng):
         return (rng.standard_normal(64), np.abs(rng.standard_normal(64)))
     if name == "block_shrink":
         return (rng.standard_normal(64), np.abs(rng.standard_normal(32)), 2)
-    if name.endswith("_1d"):
-        u = rng.standard_normal(17)
-        if name == "neg_div_interior_1d":
-            u = rng.standard_normal(16)
-        return (u, 0.7)
-    if name == "grad_dirichlet_2d":
-        return (rng.standard_normal(5 * 7), 5, 7, 0.5, 0.25)
-    if name == "neg_div_dirichlet_2d":
-        return (rng.standard_normal(2 * 5 * 7), 5, 7, 0.5, 0.25)
-    if name == "grad_interior_2d":
-        return (rng.standard_normal(5 * 7), 5, 7, 0.5, 0.25)
-    if name == "neg_div_interior_2d":
-        return (rng.standard_normal(2 * 4 * 6), 5, 7, 0.5, 0.25)
     if name == "taut_string_slopes":
         y = rng.standard_normal(40)
         r = np.concatenate([[0.0], np.cumsum(y)])
@@ -34,59 +134,63 @@ def _args_for(name, rng):
     raise AssertionError(name)
 
 
-@pytest.mark.parametrize("name", sorted(kernels.LOOP_IMPLS))
+@pytest.mark.parametrize("name", sorted(kernels.LOOP_IMPLS) + sorted(_STENCILS))
 def test_loop_and_numpy_paths_agree(name):
     rng = np.random.default_rng(11)
+    if name in _STENCILS:
+        # the loop stencil against the vectorized path, a sparse matvec
+        out, loop_out, _ = _stencil_outputs(name, rng)
+        assert np.allclose(out, loop_out, rtol=1e-14, atol=1e-14)
+        return
     args = _args_for(name, rng)
     out_loop = kernels.LOOP_IMPLS[name](*args)
     out_np = kernels.NUMPY_IMPLS[name](*args)
     assert np.array_equal(out_loop, out_np)
 
 
-@pytest.mark.parametrize("name", sorted(kernels.LOOP_IMPLS))
+@pytest.mark.parametrize("name", sorted(kernels.LOOP_IMPLS) + sorted(_STENCILS))
 def test_active_path_matches_numpy(name):
+    rng = np.random.default_rng(7)
+    if name in _STENCILS:
+        # the apply/adjoint fields the solvers call match the matrix the
+        # u-step factorizes, multiplied out densely
+        out, _, dense_out = _stencil_outputs(name, rng)
+        assert np.allclose(out, dense_out, rtol=1e-14, atol=1e-14)
+        return
     # covers the compiled functions when numba is enabled; trivially true
     # under SPLITBREG_NUMBA=0
-    rng = np.random.default_rng(7)
     args = _args_for(name, rng)
     active = getattr(kernels, name)
     assert np.array_equal(active(*args), kernels.NUMPY_IMPLS[name](*args))
 
 
-def _dense(fn, args, n_in, n_out):
-    m = np.zeros((n_out, n_in))
-    e = np.zeros(n_in)
-    for i in range(n_in):
-        e[i] = 1.0
-        m[:, i] = fn(e, *args)
-        e[i] = 0.0
-    return m
-
-
 def test_grad_dirichlet_1d_stencil():
     # forward differences with a zero ghost past the last node
     u = np.array([1.0, 2.0, 4.0])
-    assert np.array_equal(kernels.grad_dirichlet_1d(u, 1.0), [1.0, 2.0, -4.0])
+    assert np.array_equal(gradient_operator(GridSpec((3,), 1.0)).apply(u), [1.0, 2.0, -4.0])
 
 
 def test_adjoints_are_exact_transposes():
     cases = [
-        (kernels.grad_dirichlet_1d, kernels.neg_div_dirichlet_1d, (0.3,), 9, 9),
-        (kernels.grad_interior_1d, kernels.neg_div_interior_1d, (0.3,), 9, 8),
-        (kernels.grad_dirichlet_2d, kernels.neg_div_dirichlet_2d, (4, 5, 0.5, 0.25), 20, 40),
-        (kernels.grad_interior_2d, kernels.neg_div_interior_2d, (4, 5, 0.5, 0.25), 20, 24),
+        (gradient_operator, GridSpec((9,), 0.3), 9, 9),
+        (interior_gradient_operator, GridSpec((9,), 0.3), 9, 8),
+        (gradient_operator, GridSpec((4, 5), (0.5, 0.25)), 20, 40),
+        (interior_gradient_operator, GridSpec((4, 5), (0.5, 0.25)), 20, 24),
     ]
-    for fwd, adj, args, n_in, n_out in cases:
-        a = _dense(fwd, args, n_in, n_out)
-        at = _dense(adj, args, n_out, n_in)
-        assert np.allclose(a.T, at, atol=1e-14)
+    for make, grid, n_in, n_out in cases:
+        L = make(grid)
+        a = np.column_stack([L.apply(e) for e in np.eye(n_in)])
+        at = np.column_stack([L.adjoint_apply(e) for e in np.eye(n_out)])
+        assert a.shape == (n_out, n_in)
+        assert np.array_equal(a.T, at)
 
 
 def test_grad_interior_2d_on_linear_field():
     n1, n2 = 4, 6
     xs = np.linspace(0.0, 1.0, n1)
     field = np.outer(xs, np.ones(n2)).reshape(-1)
-    out = kernels.grad_interior_2d(field, n1, n2, 1.0, 1.0).reshape(-1, 2)
+    L = interior_gradient_operator(GridSpec((n1, n2), 1.0))
+    out = L.apply(field).reshape(-1, 2)
     slope = xs[1] - xs[0]
     assert np.allclose(out[:, 0], slope, atol=1e-15)
     assert np.allclose(out[:, 1], 0.0, atol=1e-15)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitbreg import linops
-from splitbreg.linops import (GridSpec, LinearMap, as_vector, check_adjoint, cg_solve,
+from splitbreg.linops import (GridSpec, LinearMap, as_vector, check_adjoint,
                               gradient_operator, identity_operator,
                               interior_gradient_operator, inner, load_matrix_csv,
-                              load_vector_csv, matrix_operator)
+                              load_vector_csv, matrix_operator, spd_factor)
 
 
 def test_inner_examples():
@@ -78,7 +81,8 @@ def test_check_adjoint_flags_wrong_adjoint():
     flipped = a.T.copy()
     flipped[0, 1] = -flipped[0, 1]
     bad = LinearMap(domain_dim=2, codomain_dim=2,
-                    apply=lambda v: a @ v, adjoint_apply=lambda v: flipped @ v)
+                    apply=lambda v: a @ v, adjoint_apply=lambda v: flipped @ v,
+                    matrix=sp.csr_matrix(a))
     report = check_adjoint(bad, trials=50, seed=0)
     assert report.max_relative_defect > 1e-6
     assert check_adjoint(identity_operator(4), trials=20, seed=1).max_relative_defect == 0.0
@@ -141,15 +145,18 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(load_vector_csv(vpath), v)
 
 
-def test_cg_solve_matches_dense():
+def test_spd_factor_solves_and_rejects_singular():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((12, 12))
     spd = a @ a.T + 12 * np.eye(12)
     rhs = rng.standard_normal(12)
-    x, res, its = cg_solve(lambda v: spd @ v, rhs, tol=1e-13)
-    assert res <= 1e-13 * max(1.0, np.linalg.norm(rhs))
-    assert np.allclose(x, np.linalg.solve(spd, rhs), atol=1e-9)
-    assert its <= 12 + 2
+    x = spd_factor(sp.csr_matrix(spd)).solve(rhs)
+    assert np.allclose(x, np.linalg.solve(spd, rhs), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="gram system is singular"):
+        spd_factor(sp.csr_matrix(np.diag([1.0, 0.0])), what="gram system")
+    psd = a[:, :5] @ a[:, :5].T  # rank 5 of 12: factors without error, fails the pivot floor
+    with pytest.raises(ValueError, match="singular"):
+        spd_factor(sp.csr_matrix(psd))
 
 
 def test_operator_catalogue_adjoint_budget():
@@ -171,3 +178,28 @@ def test_rank_flags_skipped_for_large_matrices():
     big[:3, :3] = np.eye(3)
     L = matrix_operator(big)
     assert L.injective is None and L.normal_surjective is None
+
+
+_SHAPES = st.one_of(st.tuples(st.integers(2, 40)),
+                    st.tuples(st.integers(2, 12), st.integers(2, 12)))
+_SPACING = st.floats(0.05, 20.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=_SHAPES, h=st.tuples(_SPACING, _SPACING), interior=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_grid_operators_adjoint_exact(shape, h, interior, seed):
+    grid = GridSpec(shape, h[: len(shape)])
+    make = interior_gradient_operator if interior else gradient_operator
+    L = make(grid)
+    assert L.matrix.shape == (L.codomain_dim, L.domain_dim)
+    assert check_adjoint(L, trials=10, seed=seed).max_relative_defect <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 15), n=st.integers(1, 15), seed=st.integers(0, 2**16))
+def test_matrix_and_identity_adjoint_exact(m, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
+    for L in (matrix_operator(a), identity_operator(n)):
+        assert check_adjoint(L, trials=10, seed=seed).max_relative_defect <= 1e-12
