@@ -14,10 +14,14 @@ sweep.  That keeps the exact algorithm exact, which the runtime
 equivalence instrumentation depends on.
 
 The same machinery exposes the two dual-side resolvents, so the
-Douglas-Rachford recursion on the dual problem can be run as an
-independent twin; under the correspondence ``x = lam (b + d)``,
-``p = lam b`` the two runs must agree to roundoff, and every trace
-records the observed drift (``setzer_defects``).
+Douglas-Rachford recursion on the dual problem runs from the same
+solver.  Under the correspondence ``x = lam (b + d)``, ``p = lam b``
+the two recursions agree to roundoff.  Each form is one step function
+(the ASB sweep, the dual DRS step) under one driver loop; every trace
+records the drift of a per-step shadow of the other form
+(``setzer_defects``), and exact runs advance a full twin of the other
+form in lockstep for 200 iterations, on the shared factor, whose
+mismatch (``RunTrace.twin_defect``) certifies the correspondence.
 
 The approximate variant perturbs each subproblem result by a vector of
 scheduled norm: the u-step error is measured (and injected) in the
@@ -191,116 +195,195 @@ def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
     return w / n
 
 
-def _run_asb(problem: SplitProblem, init: AsbState, stop: StoppingRule,
-             schedule: Optional[ErrorSchedule], rng: Optional[np.random.Generator],
-             record_stride: int, kind: str) -> RunTrace:
-    lam = problem.lam
-    L, f, g = problem.L, problem.f, problem.g
-    usolver = _UStepSolver(problem)
+_TWIN_ITERATIONS = 200  # lockstep window of an exact run's twin
 
-    b = np.array(init.b, dtype=float, copy=True)
-    d = np.array(init.d, dtype=float, copy=True)
-    x_sh = lam * (b + d)
-    p_sh = lam * b
-    records = [IterateRecord(k=0, u=None, d=d.copy(), b=b.copy(), x=x_sh.copy(), p=p_sh.copy())]
 
-    residuals, energies, defects, x_incs, walls = [], [], [], [], []
-    alphas, betas = [], []
-    x_prev = lam * (b + d)
-    p_prev = lam * b
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """What one iteration of either recursion reports to the driver."""
+
+    finite: tuple  # (name, vector) pairs that must be finite, in check order
+    u: np.ndarray
+    residual: float
+    energy: float
+    defect: float
+    alpha: float = 0.0
+    beta: float = 0.0
+
+
+class _Recursion:
+    """One solver form's (b, d) and (x, p), from ``x0 = lam (b0 + d0)``, ``p0 = lam b0``.
+
+    Steps rebind these to fresh arrays, so records may keep references.
+    """
+
     energy_basis = "iterate"
-    converged = False
-    k = 0
 
-    for k in range(1, stop.max_iter + 1):
-        t0 = time.perf_counter()
-        u = usolver.solve(b, d)
-        if not np.all(np.isfinite(u)):
-            raise NonFiniteIterateError(k, "u")
-        Lu = L.apply(u)
-        Lu_exact = Lu
+    def __init__(self, problem: SplitProblem, usolver: _UStepSolver, init: AsbState):
+        self.problem, self.usolver = problem, usolver
+        self.b = np.array(init.b, dtype=float, copy=True)
+        self.d = np.array(init.d, dtype=float, copy=True)
+        self.x = problem.lam * (self.b + self.d)
+        self.p = problem.lam * self.b
 
-        a_k = float(schedule.alpha(k)) if schedule is not None else 0.0
-        alpha_actual = 0.0
+
+class _AsbSweep(_Recursion):
+    """The alternating sweep; ``x``/``p`` are the mapped view of (b, d).
+
+    A shadow advances the dual recursion through the resolvent
+    identities; its distance to the mapped view is the Setzer defect.
+    """
+
+    def __init__(self, problem, usolver, init, schedule: Optional[ErrorSchedule] = None,
+                 rng: Optional[np.random.Generator] = None):
+        super().__init__(problem, usolver, init)
+        self.schedule, self.rng = schedule, rng
+        self.x_sh, self.p_sh = self.x, self.p
+
+    def step(self, k: int) -> _Step:
+        lam, L, f, g = self.problem.lam, self.problem.L, self.problem.f, self.problem.g
+        b, d = self.b, self.d
+        u = u_exact = self.usolver.solve(b, d)
+        Lu = Lu_exact = L.apply(u)
+
+        a_k = float(self.schedule.alpha(k)) if self.schedule is not None else 0.0
+        alpha = 0.0
         if a_k > 0.0:
-            if problem.L.injective:
-                w = _unit_perturbation(rng, L.domain_dim)
+            if L.injective:
+                w = _unit_perturbation(self.rng, L.domain_dim)
                 img = L.apply(w)
                 u = u + w * (a_k / float(np.linalg.norm(img)))
                 Lu = L.apply(u)
             else:
-                e = _unit_perturbation(rng, L.codomain_dim) * a_k
-                Lu = Lu + e
-                energy_basis = "unperturbed"
-            alpha_actual = float(np.linalg.norm(Lu - Lu_exact))
+                Lu = Lu + _unit_perturbation(self.rng, L.codomain_dim) * a_k
+                self.energy_basis = "unperturbed"
+            alpha = float(np.linalg.norm(Lu - Lu_exact))
 
-        residuals.append(float(np.linalg.norm(d - Lu)))
-
+        residual = float(np.linalg.norm(d - Lu))
         d_new = f.prox(b + Lu, 1.0 / lam)
-        b_k = float(schedule.beta(k)) if schedule is not None else 0.0
-        beta_actual = 0.0
+        b_k = float(self.schedule.beta(k)) if self.schedule is not None else 0.0
+        beta = 0.0
         if b_k > 0.0:
-            d_new = d_new + _unit_perturbation(rng, f.dim) * b_k
-            beta_actual = b_k
-        if not np.all(np.isfinite(d_new)):
-            raise NonFiniteIterateError(k, "d")
+            d_new = d_new + _unit_perturbation(self.rng, f.dim) * b_k
+            beta = b_k
         b_new = b + Lu - d_new
-        if not np.all(np.isfinite(b_new)):
-            raise NonFiniteIterateError(k, "b")
 
-        # shadow Douglas-Rachford recursion through the resolvent identities
-        ja_val = lam * (b + Lu - d)
-        x_sh = ja_val + x_sh - p_sh
-        p_sh = lam * (b + Lu - d_new)
+        self.x_sh = lam * (b + Lu - d) + self.x_sh - self.p_sh
+        self.p_sh = lam * (b + Lu - d_new)
+        self.b, self.d = b_new, d_new
+        self.x, self.p = lam * (b_new + d_new), lam * b_new
+        defect = max(float(np.linalg.norm(self.x_sh - self.x)),
+                     float(np.linalg.norm(self.p_sh - self.p)))
+        energy = g.value(u) + f.value(Lu if self.energy_basis == "iterate" else Lu_exact)
+        return _Step(finite=(("u", u_exact), ("d", d_new), ("b", b_new)), u=u,
+                     residual=residual, energy=energy, defect=defect, alpha=alpha, beta=beta)
 
-        b, d = b_new, d_new
-        x_k = lam * (b + d)
-        p_k = lam * b
-        defects.append(max(float(np.linalg.norm(x_sh - x_k)),
-                           float(np.linalg.norm(p_sh - p_k))))
 
-        if energy_basis == "iterate":
-            energies.append(g.value(u) + f.value(Lu))
-        else:
-            energies.append(g.value(u) + f.value(Lu_exact))
-        alphas.append(alpha_actual)
-        betas.append(beta_actual)
+class _DrsStep(_Recursion):
+    """The dual Douglas-Rachford step: ``JA`` is one u-solve, ``JB`` the Moreau resolvent.
 
-        x_inc = float(np.linalg.norm(x_k - x_prev))
-        p_inc = float(np.linalg.norm(p_k - p_prev))
+    A shadow sweep advances (b, d) from the same ``L u``; its mapped
+    distance to (x, p) is the Setzer defect.
+    """
+
+    def step(self, k: int) -> _Step:
+        lam, L, f, g = self.problem.lam, self.problem.L, self.problem.f, self.problem.g
+        x, p = self.x, self.p
+        y = 2.0 * p - x
+        u = self.usolver.solve_c(y / lam)
+        Lu = L.apply(u)
+        x_new = x + (y + lam * Lu) - p
+        p_new = dual_resolvent(f, x_new, lam)
+
+        residual = float(np.linalg.norm(self.d - Lu))
+        d_sh = f.prox(self.b + Lu, 1.0 / lam)
+        b_sh = self.b + Lu - d_sh
+        self.x, self.p, self.b, self.d = x_new, p_new, b_sh, d_sh
+        defect = max(float(np.linalg.norm(x_new - lam * (b_sh + d_sh))),
+                     float(np.linalg.norm(p_new - lam * b_sh)))
+        return _Step(finite=(("u", u), ("x", x_new), ("p", p_new)), u=u,
+                     residual=residual, energy=g.value(u) + f.value(Lu), defect=defect)
+
+
+def _advance(rec: _Recursion, k: int) -> _Step:
+    step = rec.step(k)
+    for what, v in step.finite:
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteIterateError(k, what)
+    return step
+
+
+def _record(rec: _Recursion, k: int, u: Optional[np.ndarray]) -> IterateRecord:
+    return IterateRecord(k=k, u=u, d=rec.d, b=rec.b, x=rec.x, p=rec.p)
+
+
+def _mismatch(a: _Recursion, b: _Recursion) -> float:
+    # an ASB sweep's (x, p) is lam (b + d), lam b, computed as the mapping does
+    return max(float(np.linalg.norm(a.x - b.x)), float(np.linalg.norm(a.p - b.p)))
+
+
+def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, kind: str,
+           twin: Optional[_Recursion] = None) -> RunTrace:
+    """The one iteration loop: series, snapshots, finiteness checks, stopping.
+
+    A ``twin`` of the other solver form, from the same start, advances
+    in lockstep for the first ``_TWIN_ITERATIONS`` iterations; the trace
+    keeps their worst mapped mismatch over those iterates, k = 0 included.
+    """
+    stop = stop or StoppingRule()
+    records = [_record(run, 0, None)]
+    residuals, energies, defects, x_incs, walls, alphas, betas = ([] for _ in range(7))
+    twin_defect = None if twin is None else _mismatch(run, twin)
+    converged = False
+    k = 0
+    u = None
+
+    for k in range(1, stop.max_iter + 1):
+        t0 = time.perf_counter()
+        x_prev, p_prev = run.x, run.p
+        step = _advance(run, k)
+        u = step.u
+        residuals.append(step.residual)
+        energies.append(step.energy)
+        defects.append(step.defect)
+        alphas.append(step.alpha)
+        betas.append(step.beta)
+        x_inc = float(np.linalg.norm(run.x - x_prev))
+        p_inc = float(np.linalg.norm(run.p - p_prev))
         x_incs.append(x_inc)
         walls.append(time.perf_counter() - t0)
 
+        if twin is not None and k <= _TWIN_ITERATIONS:
+            _advance(twin, k)
+            twin_defect = max(twin_defect, _mismatch(run, twin))
         if record_stride and k % record_stride == 0:
-            records.append(IterateRecord(k=k, u=u.copy(), d=d.copy(), b=b.copy(),
-                                         x=x_k, p=p_k))
-        fired = stop.fired(x_inc, p_inc, float(np.linalg.norm(x_prev)))
-        x_prev, p_prev = x_k, p_k
-        if fired:
+            records.append(_record(run, k, u))
+        if stop.fired(x_inc, p_inc, float(np.linalg.norm(x_prev))):
             converged = True
             break
 
     if records[-1].k != k:
-        records.append(IterateRecord(k=k, u=u.copy(), d=d.copy(), b=b.copy(),
-                                     x=x_prev, p=p_prev))
+        records.append(_record(run, k, u))
 
     return RunTrace(
-        kind=kind, lam=lam, iterates=records,
+        kind=kind, lam=run.problem.lam, iterates=records,
         residuals=np.array(residuals), energies=np.array(energies),
         setzer_defects=np.array(defects), x_increments=np.array(x_incs),
         wall_times=np.array(walls), alpha_injected=np.array(alphas),
         beta_injected=np.array(betas), converged=converged, n_iter=k,
-        stride=record_stride, energy_basis=energy_basis,
+        stride=record_stride, energy_basis=run.energy_basis,
+        twin_defect=twin_defect,
+        twin_iterates=0 if twin is None else min(k, _TWIN_ITERATIONS) + 1,
     )
 
 
 def asb_iterate(problem: SplitProblem, init: Optional[AsbState] = None,
                 stop: Optional[StoppingRule] = None, record_stride: int = 1) -> RunTrace:
-    """Run the exact three-step sweep until the stopping rule fires."""
+    """Run the exact three-step sweep, with a lockstep DRS twin, until the rule fires."""
     init = init if init is not None else initial_state(problem)
-    stop = stop or StoppingRule()
-    return _run_asb(problem, init, stop, schedule=None, rng=None,
-                    record_stride=record_stride, kind="asb")
+    usolver = _UStepSolver(problem)
+    return _drive(_AsbSweep(problem, usolver, init), stop, record_stride, "asb",
+                  twin=_DrsStep(problem, usolver, init))
 
 
 def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
@@ -316,13 +399,13 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     unperturbed u and the trace says so).  The d-step result is
     displaced by ``beta_k`` in place.  Injected magnitudes are recorded;
     zero entries skip injection entirely, so a zero schedule reproduces
-    the exact trace bit for bit.
+    the exact trace bit for bit.  No twin runs: the correspondence is an
+    exact-mode property.
     """
     init = init if init is not None else initial_state(problem)
-    stop = stop or StoppingRule()
-    rng = np.random.default_rng(seed)
-    return _run_asb(problem, init, stop, schedule=schedule, rng=rng,
-                    record_stride=record_stride, kind="asb_approx")
+    sweep = _AsbSweep(problem, _UStepSolver(problem), init, schedule=schedule,
+                      rng=np.random.default_rng(seed))
+    return _drive(sweep, stop, record_stride, "asb_approx")
 
 
 def dual_resolvents(problem: SplitProblem, lam: Optional[float] = None) -> ResolventPair:
@@ -352,76 +435,16 @@ def dual_resolvents(problem: SplitProblem, lam: Optional[float] = None) -> Resol
 
 
 def run_drs(problem: SplitProblem, init: Optional[AsbState] = None,
-            stop: Optional[StoppingRule] = None, record_stride: int = 1,
-            lam_override: Optional[float] = None) -> RunTrace:
-    """Douglas-Rachford twin run on the dual problem, fully instrumented.
+            stop: Optional[StoppingRule] = None, record_stride: int = 1) -> RunTrace:
+    """Douglas-Rachford run on the dual problem, fully instrumented.
 
     Starts from ``x0 = lam (b0 + d0)``, ``p0 = lam b0`` and advances the
     dual recursion; alongside it reconstructs the corresponding
     splitting variables, so the trace carries the same residual, energy,
     and drift columns as the alternating sweep and can be compared to it
-    iterate by iterate.
+    iterate by iterate.  An alternating-sweep twin runs in lockstep.
     """
     init = init if init is not None else initial_state(problem)
-    stop = stop or StoppingRule()
-    lam = problem.lam if lam_override is None else float(lam_override)
-    L, f, g = problem.L, problem.f, problem.g
-    usolver = _UStepSolver(problem, lam)
-
-    b_sh = np.array(init.b, dtype=float, copy=True)
-    d_sh = np.array(init.d, dtype=float, copy=True)
-    x = lam * (b_sh + d_sh)
-    p = lam * b_sh
-    records = [IterateRecord(k=0, u=None, d=d_sh.copy(), b=b_sh.copy(), x=x.copy(), p=p.copy())]
-
-    residuals, energies, defects, x_incs, walls = [], [], [], [], []
-    converged = False
-    k = 0
-    u = None
-
-    for k in range(1, stop.max_iter + 1):
-        t0 = time.perf_counter()
-        y = 2.0 * p - x
-        u = usolver.solve_c(y / lam)
-        if not np.all(np.isfinite(u)):
-            raise NonFiniteIterateError(k, "u")
-        Lu = L.apply(u)
-        x_new = x + (y + lam * Lu) - p
-        if not np.all(np.isfinite(x_new)):
-            raise NonFiniteIterateError(k, "x")
-        p_new = dual_resolvent(f, x_new, lam)
-        if not np.all(np.isfinite(p_new)):
-            raise NonFiniteIterateError(k, "p")
-
-        residuals.append(float(np.linalg.norm(d_sh - Lu)))
-        d_sh = f.prox(b_sh + Lu, 1.0 / lam)
-        b_sh = b_sh + Lu - d_sh
-        defects.append(max(float(np.linalg.norm(x_new - lam * (b_sh + d_sh))),
-                           float(np.linalg.norm(p_new - lam * b_sh))))
-        energies.append(g.value(u) + f.value(Lu))
-
-        x_inc = float(np.linalg.norm(x_new - x))
-        p_inc = float(np.linalg.norm(p_new - p))
-        x_incs.append(x_inc)
-        walls.append(time.perf_counter() - t0)
-        fired = stop.fired(x_inc, p_inc, float(np.linalg.norm(x)))
-        x, p = x_new, p_new
-        if record_stride and k % record_stride == 0:
-            records.append(IterateRecord(k=k, u=u.copy(), d=d_sh.copy(), b=b_sh.copy(),
-                                         x=x.copy(), p=p.copy()))
-        if fired:
-            converged = True
-            break
-
-    if records[-1].k != k:
-        records.append(IterateRecord(k=k, u=u.copy(), d=d_sh.copy(), b=b_sh.copy(),
-                                     x=x.copy(), p=p.copy()))
-
-    zeros = np.zeros(len(residuals))
-    return RunTrace(
-        kind="drs", lam=lam, iterates=records,
-        residuals=np.array(residuals), energies=np.array(energies),
-        setzer_defects=np.array(defects), x_increments=np.array(x_incs),
-        wall_times=np.array(walls), alpha_injected=zeros, beta_injected=zeros.copy(),
-        converged=converged, n_iter=k, stride=record_stride,
-    )
+    usolver = _UStepSolver(problem)
+    return _drive(_DrsStep(problem, usolver, init), stop, record_stride, "drs",
+                  twin=_AsbSweep(problem, usolver, init))

@@ -6,8 +6,10 @@ fixed config and seed), ``certificates.json``, and ``summary.txt``.
 Exit status is 0 when every emitted certificate passes, 1 when one
 fails, 2 for a malformed config and 3 when the solver fails.
 
-``--compare`` runs both recursions from the mapped initialization and
-certifies their lockstep agreement instead of a single solver.
+The equivalence certificate of an exact run comes from the lockstep
+twin the solver carries (see :func:`splitbreg.asb.asb_iterate`).
+``--compare`` instead runs both recursions in full from the mapped
+initialization, writes both traces and certifies their agreement.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .applications import (build_least_gradient_problem, build_tv_problem,
 from .asb import (SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents,
                   initial_state, run_drs)
 from .diagnostics import (Certificate, RunTrace, certificates_to_json, dual_certificate,
-                          duality_gap, equivalence_report, primal_recovery_check)
+                          duality_gap, equivalence_report, lockstep_certificate,
+                          primal_recovery_check)
 from .drs import StoppingRule, inclusion_defect
 from .functionals import (FUNCTIONAL_LABELS, functional_from_label, geometric_schedule,
                           harmonic_schedule, prox_l1, prox_quadratic, zero_schedule)
@@ -42,8 +45,7 @@ PROBLEMS = ("lasso", "tv1d", "tv2d", "least_gradient", "custom_matrix")
 SOLVERS = ("asb", "drs", "asb_approx")
 OUTPUT_KINDS = ("trace_csv", "certificates_json", "summary")
 
-_COMMON_KEYS = {"lambda", "tol", "max_iter", "seed", "schedule",
-                "allow_nonsummable", "debug_drs_lambda"}
+_COMMON_KEYS = {"lambda", "tol", "max_iter", "seed", "schedule", "allow_nonsummable"}
 _PROBLEM_KEYS = {
     "lasso": {"n", "y", "mu"},
     "tv1d": {"grid_shape", "spacing", "noise_sigma", "boundary", "mu"},
@@ -139,7 +141,6 @@ def _optional(p: dict, key: str, low: float, *, nullable: bool = False, **kind) 
 
 def _check_params(problem: str, p: dict) -> None:
     _optional(p, "lambda", 0.0, strict=True)
-    _optional(p, "debug_drs_lambda", 0.0, strict=True, nullable=True)
     _optional(p, "tol", 0.0, nullable=True)
     _optional(p, "max_iter", 0, integer=True)
     _optional(p, "seed", 0, integer=True)
@@ -326,8 +327,7 @@ def write_trace_csv(path, trace: RunTrace) -> None:
             )
 
 
-def _certificates_for_run(config: RunConfig, problem: SplitProblem, trace: RunTrace,
-                          oracle) -> list:
+def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> list:
     final = trace.final
     lam = problem.lam
     certs = [dual_certificate(problem, final.b, final.d, tol=1e-7)]
@@ -351,21 +351,9 @@ def _certificates_for_run(config: RunConfig, problem: SplitProblem, trace: RunTr
         "inclusion", inclusion_defect(pair, final.x, final.p, lam), 1e-7,
         details="resolvent residuals of the optimality inclusion at (x, p)"))
 
-    if config.solver != "asb_approx":
-        k_cmp = min(trace.n_iter, 200)
-        certs.append(_equivalence_certificate(config, problem, k_cmp))
+    if trace.twin_defect is not None:  # exact runs; approximate runs carry no twin
+        certs.append(lockstep_certificate(trace, tol=1e-9))
     return certs
-
-
-def _equivalence_certificate(config: RunConfig, problem: SplitProblem, n_iters: int,
-                             tol: float = 1e-9) -> Certificate:
-    stop = StoppingRule(tol=None, max_iter=n_iters)
-    init = initial_state(problem)
-    trace_a = asb_iterate(problem, init=init, stop=stop, record_stride=1)
-    lam_dbg = config.params.get("debug_drs_lambda")
-    trace_d = run_drs(problem, init=init, stop=stop, record_stride=1,
-                      lam_override=None if lam_dbg is None else float(lam_dbg))
-    return equivalence_report(trace_a, trace_d, problem.lam, tol=tol)
 
 
 def run(config: RunConfig, out_dir) -> int:
@@ -374,19 +362,20 @@ def run(config: RunConfig, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     problem, instance_id, oracle = _build_problem(config)
     stop = _stopping(config)
+    # the certificates read only the final iterate: snapshot k=0 and the last
     t0 = time.perf_counter()
     if config.solver == "asb":
-        trace = asb_iterate(problem, stop=stop)
+        trace = asb_iterate(problem, stop=stop, record_stride=0)
     elif config.solver == "drs":
-        trace = run_drs(problem, stop=stop)
+        trace = run_drs(problem, stop=stop, record_stride=0)
     else:
         schedule = _parse_schedule(config.params.get("schedule", {"type": "geometric", "ratio": 0.5}),
                                    bool(config.params.get("allow_nonsummable", False)))
         trace = asb_iterate_approx(problem, schedule, stop=stop,
-                                   seed=int(config.params.get("seed", 0)))
+                                   seed=int(config.params.get("seed", 0)), record_stride=0)
     wall = time.perf_counter() - t0
 
-    certs = _certificates_for_run(config, problem, trace, oracle)
+    certs = _certificates_for_run(problem, trace, oracle)
     gap = duality_gap(problem, trace.final.u, problem.lam * trace.final.b)
     row = SummaryRow(
         instance_id=f"{instance_id}_{config.solver}",
@@ -412,9 +401,7 @@ def compare_solvers(config: RunConfig, out_dir) -> int:
     init = initial_state(problem)
     t0 = time.perf_counter()
     trace_a = asb_iterate(problem, init=init, stop=stop, record_stride=1)
-    lam_dbg = config.params.get("debug_drs_lambda")
-    trace_d = run_drs(problem, init=init, stop=stop, record_stride=1,
-                      lam_override=None if lam_dbg is None else float(lam_dbg))
+    trace_d = run_drs(problem, init=init, stop=stop, record_stride=1)
     wall = time.perf_counter() - t0
     cert = equivalence_report(trace_a, trace_d, problem.lam, tol=1e-9)
     row = SummaryRow(

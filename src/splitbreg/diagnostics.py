@@ -28,6 +28,7 @@ __all__ = [
     "dual_certificate",
     "primal_recovery_check",
     "equivalence_report",
+    "lockstep_certificate",
     "summability_report",
     "weak_duality_probe",
     "certificates_to_json",
@@ -54,7 +55,10 @@ class RunTrace:
     refers to the pair ``(d^j, u^{j+1})`` for residuals and to the
     iterate produced by iteration ``j+1`` for energies.  ``iterates``
     holds the k=0 initialization plus snapshots every ``stride``
-    iterations (and always the final one).
+    iterations (and always the final one).  Exact runs also carry
+    ``twin_defect``, the worst mismatch under ``x = lam (b + d)``,
+    ``p = lam b`` against a lockstep twin of the other solver form over
+    its first ``twin_iterates`` iterates (k = 0 included).
     """
 
     kind: str
@@ -71,6 +75,8 @@ class RunTrace:
     n_iter: int
     stride: int = 1
     energy_basis: str = "iterate"
+    twin_defect: Optional[float] = None
+    twin_iterates: int = 0
 
     def __post_init__(self):
         for name in ("residuals", "energies", "setzer_defects", "x_increments", "wall_times"):
@@ -186,9 +192,24 @@ def equivalence_report(asb_trace: RunTrace, drs_trace: RunTrace, lam: float,
         dx = float(np.linalg.norm(rd.x - lam * (ra.b + ra.d)))
         dp = float(np.linalg.norm(rd.p - lam * ra.b))
         defect = max(defect, dx, dp)
+    return _equivalence(defect, len(asb_trace.iterates), tol)
+
+
+def lockstep_certificate(trace: RunTrace, tol: float = 1e-9) -> Certificate:
+    """The equivalence certificate of an exact run, from its lockstep twin.
+
+    Equal to :func:`equivalence_report` on the run and a separate run of
+    the other solver form over the same iterates, without the rerun.
+    """
+    if trace.twin_defect is None:
+        raise ValueError(f"a {trace.kind!r} trace carries no lockstep twin")
+    return _equivalence(trace.twin_defect, trace.twin_iterates, tol)
+
+
+def _equivalence(defect: float, n_iterates: int, tol: float) -> Certificate:
     return Certificate.from_defect(
         "equivalence", defect, tol,
-        details=f"max mapped-sequence mismatch over {len(asb_trace.iterates)} iterates",
+        details=f"max mapped-sequence mismatch over {n_iterates} iterates",
     )
 
 

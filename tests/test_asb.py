@@ -3,6 +3,7 @@ import pytest
 
 import splitbreg as sb
 from splitbreg.asb import _UStepSolver
+from splitbreg.diagnostics import lockstep_certificate
 from splitbreg.functionals import (geometric_schedule, harmonic_schedule, prox_l1,
                                    prox_quadratic, zero_functional, zero_schedule)
 from splitbreg.linops import (GridSpec, identity_operator, interior_gradient_operator,
@@ -285,3 +286,31 @@ def test_dual_resolvents_are_firmly_nonexpansive(lasso_problem, tv1d_problem):
                 y = 3.0 * rng.standard_normal(pair.dim)
                 dj = J(x, lam) - J(y, lam)
                 assert float(np.dot(dj, dj)) <= float(np.dot(dj, x - y)) + 1e-10
+
+
+@pytest.mark.parametrize("stop", [
+    sb.StoppingRule(tol=None, max_iter=0),
+    sb.StoppingRule(tol=None, max_iter=60),
+    sb.StoppingRule(tol=None, max_iter=230),
+    sb.StoppingRule(tol=1e-8, max_iter=20_000),
+], ids=["max_iter_0", "max_iter_60", "past_window", "stopped_by_rule"])
+@pytest.mark.parametrize("solver", [sb.asb_iterate, sb.run_drs], ids=["asb", "drs"])
+@pytest.mark.parametrize("name", ["lasso_problem", "tv1d_problem", "lg_two_phase_problem"])
+def test_lockstep_certificate_matches_rerun(request, name, solver, stop):
+    # the twin's certificate is the one a separate run of both forms over
+    # the first min(n_iter, 200) iterations gives, bit for bit
+    prob = request.getfixturevalue(name)
+    trace = solver(prob, stop=stop, record_stride=0)
+    window = sb.StoppingRule(tol=None, max_iter=min(trace.n_iter, 200))
+    expected = sb.equivalence_report(sb.asb_iterate(prob, stop=window, record_stride=1),
+                                     sb.run_drs(prob, stop=window, record_stride=1), prob.lam)
+    assert lockstep_certificate(trace) == expected
+    assert trace.twin_iterates == min(trace.n_iter, 200) + 1
+
+
+def test_approximate_run_carries_no_twin(tv1d_problem):
+    trace = sb.asb_iterate_approx(tv1d_problem, zero_schedule(),
+                                  stop=sb.StoppingRule(tol=None, max_iter=5))
+    assert trace.twin_defect is None and trace.twin_iterates == 0
+    with pytest.raises(ValueError, match="no lockstep twin"):
+        lockstep_certificate(trace)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitbreg.asb
 from splitbreg.cli import (_COMMON_KEYS, _PROBLEM_KEYS, PROBLEMS, ConfigError, compare_solvers,
                            main, parse_config, run)
 
@@ -103,12 +104,19 @@ def test_compare_mode_zero_iterations(tmp_path):
     assert _certs(tmp_path / "out")[0]["defect"] == 0.0
 
 
-def test_compare_mode_lambda_mismatch_fails(tmp_path):
-    payload = {"problem": "lasso",
-               "params": {"y": [3.0], "max_iter": 50, "debug_drs_lambda": 2.0}}
-    code = compare_solvers(parse_config(payload), tmp_path / "out")
-    assert code == 1
-    assert not _certs(tmp_path / "out")[0]["passed"]
+def test_compare_mode_lambda_mismatch_fails(tmp_path, monkeypatch):
+    # a slightly wrong dual resolvent on the DRS side only: the alternating
+    # sweep never calls it, so both the compare run and the lockstep twin
+    # of a plain run must catch the mismatch
+    exact = splitbreg.asb.dual_resolvent
+    monkeypatch.setattr(splitbreg.asb, "dual_resolvent",
+                        lambda F, x, lam: exact(F, x, lam) + 1e-6)
+    payload = {"problem": "lasso", "params": {"y": [3.0], "max_iter": 50}}
+    assert compare_solvers(parse_config(payload), tmp_path / "cmp") == 1
+    assert [c["passed"] for c in _certs(tmp_path / "cmp")] == [False]
+    assert run(parse_config(payload), tmp_path / "run") == 1
+    equivalence = [c for c in _certs(tmp_path / "run") if c["kind"] == "equivalence"]
+    assert len(equivalence) == 1 and not equivalence[0]["passed"]
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
@@ -227,10 +235,11 @@ def test_main_exit_status_contract(tmp_path, capsys, code, payload):
     {"problem": "lasso", "solver": "asb_approx",
      "params": {"schedule": {"type": "geometric", "ratio": 1.5}}},
     {"problem": "lasso", "params": {"schedule": {"type": ["zero"]}}},
+    {"problem": "lasso", "params": {"debug_drs_lambda": 2.0}},
 ], ids=["max_iter_str", "lambda_str", "top_level_list", "missing_matrix_csv", "grid_1_node",
         "tv1d_2d_grid", "grid_str", "max_iter_float", "tol_negative", "y_empty", "params_str",
         "two_phase_1d", "axis_out_of_range", "label_list", "ratio_out_of_range",
-        "schedule_type_list"])
+        "schedule_type_list", "debug_drs_lambda"])
 def test_main_rejects_malformed_config(tmp_path, capsys, payload):
     cfg = _write_config(tmp_path, payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -97,7 +98,8 @@ def test_equivalence_report_paths(lasso_problem):
     td = sb.run_drs(lasso_problem, init=init, stop=stop)
     assert equivalence_report(ta, td, lasso_problem.lam).passed
 
-    td_wrong = sb.run_drs(lasso_problem, init=init, stop=stop, lam_override=2.0)
+    # the dual recursion run at a different penalty from the same start
+    td_wrong = sb.run_drs(dataclasses.replace(lasso_problem, lam=2.0), init=init, stop=stop)
     assert not equivalence_report(ta, td_wrong, lasso_problem.lam).passed
 
     short = sb.asb_iterate(lasso_problem, init=init, stop=sb.StoppingRule(tol=None, max_iter=10))

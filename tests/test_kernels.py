@@ -1,10 +1,12 @@
-"""Kernel path equivalence and stencil correctness.
+"""Kernels and stencils against loop references.
 
-The finite-difference stencils are no longer kernels: they are the CSR
-matrices of ``gradient_operator`` / ``interior_gradient_operator``.
-Under their former kernel names they are still checked entry by entry
-against loop forms of the stencil (kept below as the reference) and
-against the operator's own matrix.
+Each kernel has one implementation.  The shrinkage kernels are checked
+against loop forms kept below as the reference; the taut-string walk is
+itself a loop and is checked against the tube it must stay in.  The
+finite-difference stencils are the CSR matrices of
+``gradient_operator`` / ``interior_gradient_operator``; under their
+former kernel names they are checked entry by entry against loop forms
+of the stencil and against the operator's own matrix.
 """
 
 import numpy as np
@@ -12,6 +14,52 @@ import pytest
 
 from splitbreg import kernels
 from splitbreg.linops import GridSpec, gradient_operator, interior_gradient_operator
+
+
+def _soft_threshold_loop(x, thresh):
+    out = np.empty_like(x)
+    for i in range(x.shape[0]):
+        a = abs(x[i]) - thresh[i]
+        if a > 0.0:
+            out[i] = a if x[i] > 0.0 else -a
+        else:
+            out[i] = 0.0
+    return out
+
+
+def _block_shrink_loop(y, thresh, block_size):
+    n_blocks = y.shape[0] // block_size
+    out = np.empty_like(y)
+    for b in range(n_blocks):
+        s = 0.0
+        base = b * block_size
+        for j in range(block_size):
+            s += y[base + j] * y[base + j]
+        nrm = np.sqrt(s)
+        if nrm > thresh[b]:
+            scale = 1.0 - thresh[b] / nrm
+            for j in range(block_size):
+                out[base + j] = y[base + j] * scale
+        else:
+            for j in range(block_size):
+                out[base + j] = 0.0
+    return out
+
+
+def _taut_string_in_tube(lo, hi):
+    """The walk's string stays in the tube and ends at the pinned endpoint."""
+    slopes = kernels.taut_string_slopes(lo, hi)
+    string = lo[0] + np.concatenate([[0.0], np.cumsum(slopes)])
+    return (np.all(string >= lo - 1e-12) and np.all(string <= hi + 1e-12)
+            and abs(string[-1] - lo[-1]) <= 1e-12)
+
+
+# kernel name -> loop reference (the taut string has no second form)
+_KERNEL_LOOPS = {
+    "soft_threshold": _soft_threshold_loop,
+    "block_shrink": _block_shrink_loop,
+    "taut_string_slopes": None,
+}
 
 
 def _grad_dirichlet_1d(u, h):
@@ -125,16 +173,35 @@ def _args_for(name, rng):
     if name == "block_shrink":
         return (rng.standard_normal(64), np.abs(rng.standard_normal(32)), 2)
     if name == "taut_string_slopes":
-        y = rng.standard_normal(40)
-        r = np.concatenate([[0.0], np.cumsum(y)])
-        lo, hi = r - 0.3, r + 0.3
-        lo[0] = hi[0] = r[0]
-        lo[-1] = hi[-1] = r[-1]
-        return (lo, hi)
+        return _tube(rng.standard_normal(40), 0.3)
     raise AssertionError(name)
 
 
-@pytest.mark.parametrize("name", sorted(kernels.LOOP_IMPLS) + sorted(_STENCILS))
+def _tube(y, width):
+    r = np.concatenate([[0.0], np.cumsum(y)])
+    lo, hi = r - width, r + width
+    lo[0] = hi[0] = r[0]
+    lo[-1] = hi[-1] = r[-1]
+    return (lo, hi)
+
+
+def _edge_args(name):
+    """Inputs on the kernels' case boundaries: zeros, ties, zero thresholds."""
+    if name == "soft_threshold":
+        x = np.array([0.0, -0.0, 1.5, -1.5, 2.0, -2.0, 0.25, -3.0, 1e-300])
+        t = np.array([0.0, 0.0, 1.5, 1.5, 0.0, 0.0, 1.0, 2.5, 0.0])
+        return [(x, t)]
+    if name == "block_shrink":
+        y = np.array([0.0, 0.0, 3.0, 4.0, -3.0, 4.0, 1.0, -1.0, 0.0, 2.0, 0.0, 0.0])
+        return [(y, np.array([0.0, 5.0, 1.0, 0.5, 0.0, 1.0]), 2),
+                (y, np.array([0.0, 5.0, 2.0, 1.0]), 3),
+                (y, np.abs(y), 1)]
+    # a zero-width tube pins the string to its centre line; width 0.5 on
+    # a single step leaves only the pinned endpoints
+    return [_tube(np.array([1.0, -2.0, 0.5, 0.5, 3.0]), 0.0), _tube(np.array([2.0]), 0.5)]
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_LOOPS) + sorted(_STENCILS))
 def test_loop_and_numpy_paths_agree(name):
     rng = np.random.default_rng(11)
     if name in _STENCILS:
@@ -143,12 +210,13 @@ def test_loop_and_numpy_paths_agree(name):
         assert np.allclose(out, loop_out, rtol=1e-14, atol=1e-14)
         return
     args = _args_for(name, rng)
-    out_loop = kernels.LOOP_IMPLS[name](*args)
-    out_np = kernels.NUMPY_IMPLS[name](*args)
-    assert np.array_equal(out_loop, out_np)
+    if _KERNEL_LOOPS[name] is None:
+        assert _taut_string_in_tube(*args)
+        return
+    assert np.array_equal(_KERNEL_LOOPS[name](*args), getattr(kernels, name)(*args))
 
 
-@pytest.mark.parametrize("name", sorted(kernels.LOOP_IMPLS) + sorted(_STENCILS))
+@pytest.mark.parametrize("name", sorted(_KERNEL_LOOPS) + sorted(_STENCILS))
 def test_active_path_matches_numpy(name):
     rng = np.random.default_rng(7)
     if name in _STENCILS:
@@ -157,11 +225,12 @@ def test_active_path_matches_numpy(name):
         out, _, dense_out = _stencil_outputs(name, rng)
         assert np.allclose(out, dense_out, rtol=1e-14, atol=1e-14)
         return
-    # covers the compiled functions when numba is enabled; trivially true
-    # under SPLITBREG_NUMBA=0
-    args = _args_for(name, rng)
-    active = getattr(kernels, name)
-    assert np.array_equal(active(*args), kernels.NUMPY_IMPLS[name](*args))
+    # the one kernel path on its case boundaries
+    for args in _edge_args(name):
+        if _KERNEL_LOOPS[name] is None:
+            assert _taut_string_in_tube(*args)
+        else:
+            assert np.array_equal(_KERNEL_LOOPS[name](*args), getattr(kernels, name)(*args))
 
 
 def test_grad_dirichlet_1d_stencil():
