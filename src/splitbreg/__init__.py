@@ -15,8 +15,8 @@ from .asb import (AsbState, SetzerView, SplitProblem, asb_d_step, asb_iterate,
 from .diagnostics import (Certificate, RunTrace, dual_certificate, duality_gap,
                           equivalence_report, primal_recovery_check, summability_report,
                           weak_duality_probe)
-from .drs import (DrsState, ResolventPair, StoppingRule, drs_iterate, drs_step,
-                  drs_step_inexact, fejer_check, inclusion_defect)
+from .drs import (DrsState, ResolventPair, StoppingRule, drs_iterate, drs_step, fejer_check,
+                  inclusion_defect)
 from .functionals import (ErrorSchedule, ProxFunctional, dual_resolvent, geometric_schedule,
                           harmonic_schedule, prox_indicator_point, prox_l1, prox_quadratic,
                           prox_weighted_l21, zero_functional, zero_schedule)
@@ -31,7 +31,7 @@ __all__ = [
     "SetzerView", "SplitProblem", "StoppingRule", "TvInstance",
     "asb_d_step", "asb_iterate", "asb_iterate_approx", "asb_u_step",
     "build_least_gradient_problem", "build_tv_problem", "check_adjoint",
-    "drs_iterate", "drs_step", "drs_step_inexact", "dual_certificate", "dual_resolvent",
+    "drs_iterate", "drs_step", "dual_certificate", "dual_resolvent",
     "dual_resolvents", "duality_gap", "equivalence_report", "fejer_check", "forward_model",
     "geometric_schedule", "gradient_operator", "harmonic_schedule", "identity_operator",
     "inclusion_defect", "initial_state", "inner", "interior_gradient_operator",

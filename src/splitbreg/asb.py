@@ -36,7 +36,6 @@ verifies concerns the alternating form.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -332,14 +331,13 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     """
     stop = stop or StoppingRule()
     records = [_record(run, 0, None)]
-    residuals, energies, defects, x_incs, walls, alphas, betas = ([] for _ in range(7))
+    residuals, energies, defects, x_incs, alphas, betas = ([] for _ in range(6))
     twin_defect = None if twin is None else _mismatch(run, twin)
     converged = False
     k = 0
     u = None
 
     for k in range(1, stop.max_iter + 1):
-        t0 = time.perf_counter()
         x_prev, p_prev = run.x, run.p
         step = _advance(run, k)
         u = step.u
@@ -351,7 +349,6 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         x_inc = float(np.linalg.norm(run.x - x_prev))
         p_inc = float(np.linalg.norm(run.p - p_prev))
         x_incs.append(x_inc)
-        walls.append(time.perf_counter() - t0)
 
         if twin is not None and k <= _TWIN_ITERATIONS:
             _advance(twin, k)
@@ -366,12 +363,11 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         records.append(_record(run, k, u))
 
     return RunTrace(
-        kind=kind, lam=run.problem.lam, iterates=records,
+        kind=kind, iterates=records,
         residuals=np.array(residuals), energies=np.array(energies),
         setzer_defects=np.array(defects), x_increments=np.array(x_incs),
-        wall_times=np.array(walls), alpha_injected=np.array(alphas),
-        beta_injected=np.array(betas), converged=converged, n_iter=k,
-        stride=record_stride, energy_basis=run.energy_basis,
+        alpha_injected=np.array(alphas), beta_injected=np.array(betas),
+        converged=converged, n_iter=k, energy_basis=run.energy_basis,
         twin_defect=twin_defect,
         twin_iterates=0 if twin is None else min(k, _TWIN_ITERATIONS) + 1,
     )

@@ -1,15 +1,15 @@
 """Batch experiment harness.
 
 Loads a problem from a JSON config, runs the requested solver, and
-writes ``trace.csv`` (17-significant-digit columns, byte-stable for a
-fixed config and seed), ``certificates.json``, and ``summary.txt``.
+always writes ``trace.csv`` (17-significant-digit columns, byte-stable
+for a fixed config and seed), ``certificates.json`` and ``summary.txt``.
 Exit status is 0 when every emitted certificate passes, 1 when one
 fails, 2 for a malformed config and 3 when the solver fails.
 
 The equivalence certificate of an exact run comes from the lockstep
-twin the solver carries (see :func:`splitbreg.asb.asb_iterate`).
-``--compare`` instead runs both recursions in full from the mapped
-initialization, writes both traces and certifies their agreement.
+twin the solver carries (see :func:`splitbreg.asb.asb_iterate`), so no
+solver runs twice.  For both traces of one instance, run it once with
+``--solver asb`` and once with ``--solver drs`` under ``"tol": null``.
 """
 
 from __future__ import annotations
@@ -21,29 +21,29 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from .applications import (build_least_gradient_problem, build_tv_problem,
                            make_least_gradient_instance, make_tv_instance)
-from .asb import (SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents,
-                  initial_state, run_drs)
+from .asb import SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents, run_drs
+# equivalence_report is not called here; perfbench/tracing.py wraps this name
 from .diagnostics import (Certificate, RunTrace, certificates_to_json, dual_certificate,
-                          duality_gap, equivalence_report, lockstep_certificate,
+                          dual_value, duality_gap, equivalence_report, lockstep_certificate,
                           primal_recovery_check)
 from .drs import StoppingRule, inclusion_defect
-from .functionals import (FUNCTIONAL_LABELS, functional_from_label, geometric_schedule,
-                          harmonic_schedule, prox_l1, prox_quadratic, zero_schedule)
+from .functionals import (FUNCTIONAL_LABELS, ErrorSchedule, functional_from_label,
+                          geometric_schedule, harmonic_schedule, prox_l1, prox_quadratic,
+                          zero_schedule)
 from .linops import identity_operator, load_matrix_csv, matrix_operator
 from .oracles import (interior_stationarity_defect, soft_threshold_optimum,
                       taut_string_denoise, taut_string_dirichlet, tv_dual_solve)
 
-__all__ = ["ConfigError", "RunConfig", "SummaryRow", "parse_config", "run",
-           "compare_solvers", "main"]
+__all__ = ["ConfigError", "RunConfig", "SummaryRow", "parse_config", "run", "main"]
 
 PROBLEMS = ("lasso", "tv1d", "tv2d", "least_gradient", "custom_matrix")
 SOLVERS = ("asb", "drs", "asb_approx")
-OUTPUT_KINDS = ("trace_csv", "certificates_json", "summary")
 
 _COMMON_KEYS = {"lambda", "tol", "max_iter", "seed", "schedule", "allow_nonsummable"}
 _PROBLEM_KEYS = {
@@ -64,7 +64,7 @@ class RunConfig:
     problem: str
     solver: str
     params: dict
-    outputs: tuple
+    schedule: Optional[ErrorSchedule] = None  # asb_approx defaults to geometric(0.5)
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def parse_config(payload: dict) -> RunConfig:
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
-    allowed_top = {"problem", "solver", "params", "outputs"}
+    allowed_top = {"problem", "solver", "params"}
     for key in payload:
         if key not in allowed_top:
             raise ConfigError(f"unknown config key {key!r}")
@@ -114,14 +114,10 @@ def parse_config(payload: dict) -> RunConfig:
     for key in params:
         if key not in allowed:
             raise ConfigError(f"unknown params key {key!r} for problem {problem!r}")
-    _check_params(problem, params)
-    outputs = payload.get("outputs", OUTPUT_KINDS)
-    if not isinstance(outputs, (list, tuple)):
-        raise ConfigError("key 'outputs' must be a list")
-    for out in outputs:
-        if out not in OUTPUT_KINDS:
-            raise ConfigError(f"unknown output kind {out!r}")
-    return RunConfig(problem=problem, solver=solver, params=params, outputs=tuple(outputs))
+    schedule = _check_params(problem, params)
+    if solver == "asb_approx" and schedule is None:
+        schedule = geometric_schedule(0.5)
+    return RunConfig(problem=problem, solver=solver, params=params, schedule=schedule)
 
 
 def _number(key: str, v, low: float, *, strict: bool = False, integer: bool = False) -> None:
@@ -139,10 +135,11 @@ def _optional(p: dict, key: str, low: float, *, nullable: bool = False, **kind) 
         _number(key, p[key], low, **kind)
 
 
-def _check_params(problem: str, p: dict) -> None:
+def _check_params(problem: str, p: dict) -> Optional[ErrorSchedule]:
+    """Check every key; return the schedule the config names, if any."""
     _optional(p, "lambda", 0.0, strict=True)
     _optional(p, "tol", 0.0, nullable=True)
-    _optional(p, "max_iter", 0, integer=True)
+    _optional(p, "max_iter", 1, integer=True)
     _optional(p, "seed", 0, integer=True)
     _optional(p, "n", 1, integer=True)
     _optional(p, "mu", 0.0)
@@ -150,8 +147,9 @@ def _check_params(problem: str, p: dict) -> None:
     _optional(p, "inclusion", 0.0, strict=True)
     if not isinstance(p.get("allow_nonsummable", False), bool):
         raise ConfigError("key 'allow_nonsummable' must be true or false")
+    schedule = None
     if p.get("schedule") is not None:
-        _parse_schedule(p["schedule"], p.get("allow_nonsummable", False))
+        schedule = _parse_schedule(p["schedule"], p.get("allow_nonsummable", False))
     if "y" in p:
         y = p["y"]
         if not isinstance(y, list) or not y:
@@ -192,6 +190,7 @@ def _check_params(problem: str, p: dict) -> None:
             if not isinstance(label, str) or label not in FUNCTIONAL_LABELS:
                 raise ConfigError(f"key {side!r} must be an object with a 'label' "
                                   f"in {sorted(FUNCTIONAL_LABELS)}")
+    return schedule
 
 
 def _parse_schedule(spec: dict, allow_nonsummable: bool):
@@ -304,12 +303,6 @@ def _build_problem(config: RunConfig):
     return problem, f"custom_{L.domain_dim}x{L.codomain_dim}", None
 
 
-def _dual_value(problem: SplitProblem, b_hat: np.ndarray) -> float:
-    beta = problem.lam * b_hat
-    return -(problem.g.conjugate_value(-problem.L.adjoint_apply(beta))
-             + problem.f.conjugate_value(beta))
-
-
 def _stopping(config: RunConfig) -> StoppingRule:
     p = config.params
     tol = p.get("tol", 1e-9)
@@ -337,7 +330,7 @@ def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> lis
     else:
         v_star = None
     if v_star is None:
-        v_star = _dual_value(problem, final.b)
+        v_star = dual_value(problem, lam * final.b)
         details_src = "reference value: weak-duality bound at the converged dual point"
     else:
         details_src = "reference value: independent oracle"
@@ -369,9 +362,7 @@ def run(config: RunConfig, out_dir) -> int:
     elif config.solver == "drs":
         trace = run_drs(problem, stop=stop, record_stride=0)
     else:
-        schedule = _parse_schedule(config.params.get("schedule", {"type": "geometric", "ratio": 0.5}),
-                                   bool(config.params.get("allow_nonsummable", False)))
-        trace = asb_iterate_approx(problem, schedule, stop=stop,
+        trace = asb_iterate_approx(problem, config.schedule, stop=stop,
                                    seed=int(config.params.get("seed", 0)), record_stride=0)
     wall = time.perf_counter() - t0
 
@@ -380,52 +371,21 @@ def run(config: RunConfig, out_dir) -> int:
     row = SummaryRow(
         instance_id=f"{instance_id}_{config.solver}",
         iterations=trace.n_iter,
-        final_residual=float(trace.residuals[-1]) if trace.n_iter else 0.0,
-        final_energy=float(trace.energies[-1]) if trace.n_iter else float("nan"),
+        final_residual=float(trace.residuals[-1]),
+        final_energy=float(trace.energies[-1]),
         duality_gap=gap,
         certificates_passed=sum(c.passed for c in certs),
         certificates_total=len(certs),
         wall_time=wall,
     )
-    _emit(config, out, row, certs, {"trace.csv": trace})
+    _emit(out, row, certs, trace)
     return 0 if all(c.passed for c in certs) else 1
 
 
-def compare_solvers(config: RunConfig, out_dir) -> int:
-    """Run both recursions from the mapped initialization; certify agreement."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    problem, instance_id, _oracle = _build_problem(config)
-    n_iters = min(int(config.params.get("max_iter", 200)), 200)
-    stop = StoppingRule(tol=None, max_iter=n_iters)
-    init = initial_state(problem)
-    t0 = time.perf_counter()
-    trace_a = asb_iterate(problem, init=init, stop=stop, record_stride=1)
-    trace_d = run_drs(problem, init=init, stop=stop, record_stride=1)
-    wall = time.perf_counter() - t0
-    cert = equivalence_report(trace_a, trace_d, problem.lam, tol=1e-9)
-    row = SummaryRow(
-        instance_id=f"{instance_id}_compare",
-        iterations=n_iters,
-        final_residual=float(trace_a.residuals[-1]) if n_iters else 0.0,
-        final_energy=float(trace_a.energies[-1]) if n_iters else float("nan"),
-        duality_gap=cert.defect,
-        certificates_passed=int(cert.passed),
-        certificates_total=1,
-        wall_time=wall,
-    )
-    _emit(config, out, row, [cert], {"trace_asb.csv": trace_a, "trace_drs.csv": trace_d})
-    return 0 if cert.passed else 1
-
-
-def _emit(config: RunConfig, out: Path, row: SummaryRow, certs, traces: dict) -> None:
-    if "trace_csv" in config.outputs:
-        for name, trace in traces.items():
-            write_trace_csv(out / name, trace)
-    if "certificates_json" in config.outputs:
-        (out / "certificates.json").write_text(certificates_to_json(certs))
-    if "summary" in config.outputs:
-        (out / "summary.txt").write_text(row.line() + "\n")
+def _emit(out: Path, row: SummaryRow, certs, trace: RunTrace) -> None:
+    write_trace_csv(out / "trace.csv", trace)
+    (out / "certificates.json").write_text(certificates_to_json(certs))
+    (out / "summary.txt").write_text(row.line() + "\n")
     print(row.line())
 
 
@@ -437,8 +397,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--solver", choices=SOLVERS, help="override config solver")
-    parser.add_argument("--compare", action="store_true",
-                        help="run both solvers and certify their equivalence")
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--max-iter", type=int, help="override config max_iter")
     parser.add_argument("--tol", type=float, help="override config tol")
@@ -460,8 +418,6 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.compare:
-            return compare_solvers(config, args.out)
         return run(config, args.out)
     except Exception as exc:  # solver-level failure: report and signal
         print(f"run failed: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ __all__ = [
     "RunTrace",
     "Certificate",
     "SummabilityReport",
+    "dual_value",
     "duality_gap",
     "dual_certificate",
     "primal_recovery_check",
@@ -54,32 +55,29 @@ class RunTrace:
     Scalar series have one entry per iteration performed; entry ``j``
     refers to the pair ``(d^j, u^{j+1})`` for residuals and to the
     iterate produced by iteration ``j+1`` for energies.  ``iterates``
-    holds the k=0 initialization plus snapshots every ``stride``
-    iterations (and always the final one).  Exact runs also carry
+    holds the k=0 initialization plus the snapshots the run asked for
+    (always the final one).  Exact runs also carry
     ``twin_defect``, the worst mismatch under ``x = lam (b + d)``,
     ``p = lam b`` against a lockstep twin of the other solver form over
     its first ``twin_iterates`` iterates (k = 0 included).
     """
 
     kind: str
-    lam: float
     iterates: List[IterateRecord]
     residuals: np.ndarray
     energies: np.ndarray
     setzer_defects: np.ndarray
     x_increments: np.ndarray
-    wall_times: np.ndarray
     alpha_injected: np.ndarray
     beta_injected: np.ndarray
     converged: bool
     n_iter: int
-    stride: int = 1
     energy_basis: str = "iterate"
     twin_defect: Optional[float] = None
     twin_iterates: int = 0
 
     def __post_init__(self):
-        for name in ("residuals", "energies", "setzer_defects", "x_increments", "wall_times"):
+        for name in ("residuals", "energies", "setzer_defects", "x_increments"):
             series = getattr(self, name)
             if len(series) != self.n_iter:
                 raise ValueError(f"{name} must have one entry per iteration")
@@ -87,12 +85,6 @@ class RunTrace:
     @property
     def final(self) -> IterateRecord:
         return self.iterates[-1]
-
-    def x_sequence(self) -> np.ndarray:
-        return np.stack([rec.x for rec in self.iterates])
-
-    def p_sequence(self) -> np.ndarray:
-        return np.stack([rec.p for rec in self.iterates])
 
 
 @dataclass(frozen=True)
@@ -132,15 +124,20 @@ def duality_gap(problem: "SplitProblem", u: np.ndarray, b: np.ndarray) -> float:
     dual iterate sitting on the domain boundary up to roundoff still
     evaluates finite.
     """
+    dual = dual_value(problem, b)
+    u = np.asarray(u, dtype=float)
+    primal = problem.g.value(u) + problem.f.value(problem.L.apply(u))
+    return float(primal - dual)
+
+
+def dual_value(problem: "SplitProblem", beta: np.ndarray) -> float:
+    """Dual objective ``-(g*(-L^T beta) + f*(beta))`` at the dual point ``beta``."""
     g, f, L = problem.g, problem.f, problem.L
     for F, side in ((g, "g"), (f, "f")):
         if F.conjugate_value is None:
             raise ValueError(f"no closed-form conjugate for {side} (label {F.label!r})")
-    u = np.asarray(u, dtype=float)
-    b = np.asarray(b, dtype=float)
-    primal = g.value(u) + f.value(L.apply(u))
-    dual = -(g.conjugate_value(-L.adjoint_apply(b)) + f.conjugate_value(b))
-    return float(primal - dual)
+    beta = np.asarray(beta, dtype=float)
+    return -(g.conjugate_value(-L.adjoint_apply(beta)) + f.conjugate_value(beta))
 
 
 def dual_certificate(problem: "SplitProblem", b_hat: np.ndarray, d_hat: np.ndarray,

@@ -6,8 +6,8 @@ built from the two resolvents and tracks the shadow point ``p = JB(x)``:
     x_next = JA(2 p - x) + x - p
     p_next = JB(x_next)
 
-The inexact variant perturbs the two resolvent evaluations by explicit
-vectors; with zero perturbations it reproduces the exact step bit for
+The same step optionally perturbs the two resolvent evaluations by
+explicit vectors; with zero perturbations it is the exact step, bit for
 bit.  Perturbations are injected here as vectors, not as inexact inner
 solvers: the alternating-splitting layer is responsible for turning
 subproblem tolerances into such vectors.
@@ -26,7 +26,6 @@ __all__ = [
     "StoppingRule",
     "NonFiniteIterateError",
     "drs_step",
-    "drs_step_inexact",
     "drs_iterate",
     "DrsRun",
     "fejer_check",
@@ -89,30 +88,18 @@ def _require_finite(v: np.ndarray, k: int, what: str) -> None:
         raise NonFiniteIterateError(k, what)
 
 
-def drs_step(state: DrsState, pair: ResolventPair, lam: float) -> DrsState:
-    """One exact Douglas-Rachford update."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    k = state.k + 1
-    x_new = state.x + pair.JA(2.0 * state.p - state.x, lam) - state.p
-    _require_finite(x_new, k, "x")
-    p_new = pair.JB(x_new, lam)
-    _require_finite(p_new, k, "p")
-    return DrsState(x=x_new, p=p_new, k=k)
-
-
-def drs_step_inexact(
+def drs_step(
     state: DrsState,
     pair: ResolventPair,
     lam: float,
     alpha_k: Optional[np.ndarray] = None,
     beta_k: Optional[np.ndarray] = None,
 ) -> DrsState:
-    """One perturbed update: beta shifts the JB value, alpha the x update.
+    """One Douglas-Rachford update; beta shifts the JB value, alpha the x update.
 
     The stored ``state.p`` stands in for ``JB(state.x)`` (the exact step
-    maintains that identity), so a zero perturbation reproduces
-    :func:`drs_step` exactly.  The returned ``p`` is the unperturbed
+    maintains that identity).  Without perturbations, or with zero ones,
+    this is the exact update.  The returned ``p`` is the unperturbed
     shadow ``JB(x_new)``.
     """
     if lam <= 0:
@@ -134,7 +121,6 @@ def drs_step_inexact(
 class DrsRun:
     states: List[DrsState]
     x_increments: np.ndarray
-    p_increments: np.ndarray
     converged: bool
 
     @property
@@ -154,7 +140,7 @@ def drs_iterate(
     x0 = np.asarray(x0, dtype=float)
     p0 = np.zeros_like(x0) if p0 is None else np.asarray(p0, dtype=float)
     states = [DrsState(x=x0, p=p0, k=0)]
-    x_incs, p_incs = [], []
+    x_incs = []
     converged = False
     for _ in range(stop.max_iter):
         prev = states[-1]
@@ -163,12 +149,10 @@ def drs_iterate(
         xi = float(np.linalg.norm(nxt.x - prev.x))
         pi = float(np.linalg.norm(nxt.p - prev.p))
         x_incs.append(xi)
-        p_incs.append(pi)
         if stop.fired(xi, pi, float(np.linalg.norm(prev.x))):
             converged = True
             break
-    return DrsRun(states=states, x_increments=np.array(x_incs),
-                  p_increments=np.array(p_incs), converged=converged)
+    return DrsRun(states=states, x_increments=np.array(x_incs), converged=converged)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitbreg.asb
-from splitbreg.cli import (_COMMON_KEYS, _PROBLEM_KEYS, PROBLEMS, ConfigError, compare_solvers,
-                           main, parse_config, run)
+import splitbreg.cli
+from splitbreg.cli import (_COMMON_KEYS, _PROBLEM_KEYS, PROBLEMS, ConfigError, main,
+                           parse_config, run)
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -45,7 +46,7 @@ def test_parse_config_validation():
                   "params": {"schedule": {"type": "harmonic"}, "allow_nonsummable": True}})
     with pytest.raises(ConfigError, match="unknown schedule"):
         parse_config({"problem": "lasso", "params": {"schedule": {"type": "geometric", "rate": 0.5}}})
-    with pytest.raises(ConfigError, match="output"):
+    with pytest.raises(ConfigError, match="unknown config key"):
         parse_config({"problem": "lasso", "outputs": ["plots"]})
 
 
@@ -87,33 +88,14 @@ def test_exit_status_negative_fixture(tmp_path):
     assert code == 1  # far from optimal: certificates must fail
 
 
-def test_compare_mode(tmp_path):
-    payload = {"problem": "tv1d", "params": {"seed": 42, "max_iter": 200}}
-    code = compare_solvers(parse_config(payload), tmp_path / "out")
-    assert code == 0
-    assert (tmp_path / "out" / "trace_asb.csv").exists()
-    assert (tmp_path / "out" / "trace_drs.csv").exists()
-    certs = _certs(tmp_path / "out")
-    assert certs[0]["kind"] == "equivalence" and certs[0]["passed"]
-
-
-def test_compare_mode_zero_iterations(tmp_path):
-    payload = {"problem": "lasso", "params": {"y": [3.0], "max_iter": 0}}
-    code = compare_solvers(parse_config(payload), tmp_path / "out")
-    assert code == 0
-    assert _certs(tmp_path / "out")[0]["defect"] == 0.0
-
-
 def test_compare_mode_lambda_mismatch_fails(tmp_path, monkeypatch):
     # a slightly wrong dual resolvent on the DRS side only: the alternating
-    # sweep never calls it, so both the compare run and the lockstep twin
-    # of a plain run must catch the mismatch
+    # sweep never calls it, so the lockstep twin of a plain run must catch
+    # the mismatch
     exact = splitbreg.asb.dual_resolvent
     monkeypatch.setattr(splitbreg.asb, "dual_resolvent",
                         lambda F, x, lam: exact(F, x, lam) + 1e-6)
     payload = {"problem": "lasso", "params": {"y": [3.0], "max_iter": 50}}
-    assert compare_solvers(parse_config(payload), tmp_path / "cmp") == 1
-    assert [c["passed"] for c in _certs(tmp_path / "cmp")] == [False]
     assert run(parse_config(payload), tmp_path / "run") == 1
     equivalence = [c for c in _certs(tmp_path / "run") if c["kind"] == "equivalence"]
     assert len(equivalence) == 1 and not equivalence[0]["passed"]
@@ -124,6 +106,9 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "lambda" in capsys.readouterr().err
+    good = _write_config(tmp_path, LASSO_Y3, name="good.json")
+    assert main(["--config", str(good), "--max-iter", "0", "--out", str(tmp_path / "out")]) == 2
+    assert "config error: key 'max_iter' must be >= 1" in capsys.readouterr().err
 
 
 def test_main_runs_and_applies_overrides(tmp_path, capsys):
@@ -134,11 +119,6 @@ def test_main_runs_and_applies_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "certificates=4/4" in out
     assert "seed5" in out  # --seed override reached the instance
-
-
-def test_main_compare_flag(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"problem": "lasso", "params": {"y": [3.0], "max_iter": 60}})
-    assert main(["--config", str(cfg), "--compare", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_drs_solver_via_cli(tmp_path):
@@ -159,6 +139,23 @@ def test_asb_approx_solver_via_cli(tmp_path):
     certs = _certs(tmp_path / "out")
     # equivalence is an exact-mode property; approx runs carry 3 certificates
     assert len(certs) == 3 and all(c["passed"] for c in certs)
+
+
+@pytest.mark.parametrize("params", [{}, {"schedule": None},
+                                    {"schedule": {"type": "geometric", "ratio": 0.25}}],
+                         ids=["default", "null", "explicit"])
+def test_approx_schedule_is_built_once(tmp_path, monkeypatch, params):
+    # each build runs a 1e5-term summability check; run reuses the parsed one
+    builds = []
+    build = splitbreg.cli.geometric_schedule
+    monkeypatch.setattr(splitbreg.cli, "geometric_schedule",
+                        lambda *a: builds.append(a) or build(*a))
+    payload = {"problem": "lasso", "solver": "asb_approx",
+               "params": {"y": [3.0], "tol": 1e-12, "max_iter": 5000, **params}}
+    config = parse_config(payload)
+    assert run(config, tmp_path / "out") == 0
+    assert len(builds) == 1
+    assert config.schedule.alpha(1) == builds[0][0]
 
 
 def test_custom_matrix_problem(tmp_path):
@@ -236,10 +233,11 @@ def test_main_exit_status_contract(tmp_path, capsys, code, payload):
      "params": {"schedule": {"type": "geometric", "ratio": 1.5}}},
     {"problem": "lasso", "params": {"schedule": {"type": ["zero"]}}},
     {"problem": "lasso", "params": {"debug_drs_lambda": 2.0}},
+    {"problem": "lasso", "params": {"max_iter": 0}},
 ], ids=["max_iter_str", "lambda_str", "top_level_list", "missing_matrix_csv", "grid_1_node",
         "tv1d_2d_grid", "grid_str", "max_iter_float", "tol_negative", "y_empty", "params_str",
         "two_phase_1d", "axis_out_of_range", "label_list", "ratio_out_of_range",
-        "schedule_type_list", "debug_drs_lambda"])
+        "schedule_type_list", "debug_drs_lambda", "max_iter_0"])
 def test_main_rejects_malformed_config(tmp_path, capsys, payload):
     cfg = _write_config(tmp_path, payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -156,8 +156,8 @@ def test_certificate_passed_definition():
 def test_run_trace_validates_lengths(lasso_problem):
     trace = sb.asb_iterate(lasso_problem, stop=sb.StoppingRule(tol=None, max_iter=5))
     with pytest.raises(ValueError, match="one entry per iteration"):
-        sb.RunTrace(kind="asb", lam=1.0, iterates=trace.iterates,
+        sb.RunTrace(kind="asb", iterates=trace.iterates,
                     residuals=trace.residuals[:-1], energies=trace.energies,
                     setzer_defects=trace.setzer_defects, x_increments=trace.x_increments,
-                    wall_times=trace.wall_times, alpha_injected=trace.alpha_injected,
+                    alpha_injected=trace.alpha_injected,
                     beta_injected=trace.beta_injected, converged=False, n_iter=5)

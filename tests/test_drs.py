@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from splitbreg.drs import (DrsState, NonFiniteIterateError, ResolventPair, StoppingRule,
-                           drs_iterate, drs_step, drs_step_inexact, fejer_check,
-                           inclusion_defect)
+                           drs_iterate, drs_step, fejer_check, inclusion_defect)
 from splitbreg.functionals import prox_l1, prox_quadratic
 from splitbreg.oracles import soft_threshold_optimum
 
@@ -52,7 +51,7 @@ def test_inexact_zero_perturbation_is_bit_identical():
     z = np.zeros(1)
     for _ in range(100):
         exact = drs_step(exact, pair, 1.0)
-        inexact = drs_step_inexact(inexact, pair, 1.0, alpha_k=z, beta_k=z)
+        inexact = drs_step(inexact, pair, 1.0, alpha_k=z, beta_k=z)
         assert np.array_equal(exact.x, inexact.x)
         assert np.array_equal(exact.p, inexact.p)
 
@@ -65,7 +64,7 @@ def test_inexact_summable_perturbations_converge():
         mag = 0.5**k
         a = mag * np.sign(rng.standard_normal(1))
         bvec = mag * np.sign(rng.standard_normal(1))
-        state = drs_step_inexact(state, pair, 1.0, alpha_k=a, beta_k=bvec)
+        state = drs_step(state, pair, 1.0, alpha_k=a, beta_k=bvec)
     assert abs(state.p[0] - 1.0) < 1e-6
 
 
@@ -78,7 +77,7 @@ def test_inexact_constant_perturbation_negative_control():
     for _ in range(300):
         a = 0.1 * np.sign(rng.standard_normal(1))
         bvec = 0.1 * np.sign(rng.standard_normal(1))
-        state = drs_step_inexact(state, pair, 1.0, alpha_k=a, beta_k=bvec)
+        state = drs_step(state, pair, 1.0, alpha_k=a, beta_k=bvec)
     err = abs(state.p[0] - 1.0)
     assert np.isfinite(err)
     assert 1e-4 < err < 1.0
@@ -135,7 +134,7 @@ def test_fejer_check_reports_inexact_violations():
     states = [DrsState(x=np.zeros(1), p=pair.JB(np.zeros(1), 1.0), k=0)]
     for _ in range(50):
         a = 0.5 * rng.standard_normal(1)
-        states.append(drs_step_inexact(states[-1], pair, 1.0, alpha_k=a, beta_k=a))
+        states.append(drs_step(states[-1], pair, 1.0, alpha_k=a, beta_k=a))
     ref = drs_iterate(pair, x0=np.zeros(1), lam=1.0,
                       stop=StoppingRule(tol=None, max_iter=5000))
     report = fejer_check(states, ref.final.x)
@@ -174,4 +173,4 @@ def test_drs_step_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
         drs_step(state, pair, 0.0)
     with pytest.raises(ValueError):
-        drs_step_inexact(state, pair, -1.0)
+        drs_step(state, pair, -1.0, alpha_k=np.zeros(1))
