@@ -9,9 +9,8 @@ and weighted least-gradient applications with independent test oracles.
 from .applications import (LeastGradientInstance, TvInstance, build_least_gradient_problem,
                            build_tv_problem, forward_model, make_least_gradient_instance,
                            make_tv_instance)
-from .asb import (AsbState, SetzerView, SplitProblem, asb_d_step, asb_iterate,
-                  asb_iterate_approx, asb_u_step, dual_resolvents, initial_state, run_drs,
-                  setzer_view)
+from .asb import (AsbState, SplitProblem, asb_iterate, asb_iterate_approx, asb_u_step,
+                  dual_resolvents, initial_state, run_drs)
 from .diagnostics import (Certificate, RunTrace, dual_certificate, duality_gap,
                           equivalence_report, primal_recovery_check, summability_report,
                           weak_duality_probe)
@@ -21,22 +20,22 @@ from .functionals import (ErrorSchedule, ProxFunctional, dual_resolvent, geometr
                           harmonic_schedule, prox_indicator_point, prox_l1, prox_quadratic,
                           prox_weighted_l21, zero_functional, zero_schedule)
 from .linops import (GridSpec, LinearMap, check_adjoint, gradient_operator, identity_operator,
-                     inner, interior_gradient_operator, matrix_operator)
+                     interior_gradient_operator, matrix_operator)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AsbState", "Certificate", "DrsState", "ErrorSchedule", "GridSpec",
     "LeastGradientInstance", "LinearMap", "ProxFunctional", "ResolventPair", "RunTrace",
-    "SetzerView", "SplitProblem", "StoppingRule", "TvInstance",
-    "asb_d_step", "asb_iterate", "asb_iterate_approx", "asb_u_step",
+    "SplitProblem", "StoppingRule", "TvInstance",
+    "asb_iterate", "asb_iterate_approx", "asb_u_step",
     "build_least_gradient_problem", "build_tv_problem", "check_adjoint",
     "drs_iterate", "drs_step", "dual_certificate", "dual_resolvent",
     "dual_resolvents", "duality_gap", "equivalence_report", "fejer_check", "forward_model",
     "geometric_schedule", "gradient_operator", "harmonic_schedule", "identity_operator",
-    "inclusion_defect", "initial_state", "inner", "interior_gradient_operator",
+    "inclusion_defect", "initial_state", "interior_gradient_operator",
     "make_least_gradient_instance", "make_tv_instance", "matrix_operator",
     "prox_indicator_point", "prox_l1", "prox_quadratic", "prox_weighted_l21",
-    "primal_recovery_check", "run_drs", "setzer_view", "summability_report",
+    "primal_recovery_check", "run_drs", "summability_report",
     "weak_duality_probe", "zero_functional", "zero_schedule",
 ]

@@ -11,7 +11,6 @@ All pieces share one discretization, so the forward-model identity
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +32,6 @@ __all__ = [
     "build_least_gradient_problem",
     "two_phase_conductivity",
     "make_least_gradient_instance",
-    "save_grid_csv",
 ]
 
 
@@ -69,20 +67,6 @@ class TvInstance:
     def __post_init__(self):
         if self.noisy_signal.shape[0] != self.grid.n_nodes:
             raise ValueError("signal length must match the grid")
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": {"shape": list(self.grid.shape), "spacing": list(self.grid.spacing)},
-            "noisy_signal": self.noisy_signal.tolist(),
-            "mu": self.mu,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "TvInstance":
-        grid = GridSpec(payload["grid"]["shape"], payload["grid"]["spacing"])
-        return TvInstance(grid=grid, noisy_signal=np.asarray(payload["noisy_signal"], dtype=float),
-                          mu=float(payload["mu"]), seed=int(payload["seed"]))
 
 
 def make_tv_instance(shape=(32,), mu: float = 0.15, seed: int = 42,
@@ -154,35 +138,6 @@ class LeastGradientInstance:
     boundary_data: np.ndarray
     j_magnitude: np.ndarray
     u_true: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": {"shape": list(self.grid.shape), "spacing": list(self.grid.spacing)},
-            "conductivity": self.conductivity.tolist(),
-            "boundary_data": self.boundary_data.tolist(),
-            "j_magnitude": self.j_magnitude.tolist(),
-            "u_true": self.u_true.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "LeastGradientInstance":
-        grid = GridSpec(payload["grid"]["shape"], payload["grid"]["spacing"])
-        return LeastGradientInstance(
-            grid=grid,
-            conductivity=np.asarray(payload["conductivity"], dtype=float),
-            boundary_data=np.asarray(payload["boundary_data"], dtype=float),
-            j_magnitude=np.asarray(payload["j_magnitude"], dtype=float),
-            u_true=np.asarray(payload["u_true"], dtype=float),
-        )
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @staticmethod
-    def load_json(path) -> "LeastGradientInstance":
-        with open(path) as fh:
-            return LeastGradientInstance.from_dict(json.load(fh))
 
 
 def _block_weights(grid: GridSpec, sigma: np.ndarray) -> np.ndarray:
@@ -271,11 +226,3 @@ def make_least_gradient_instance(shape=(16, 16), kind: str = "linear",
     field = linear_field(grid, axis=axis)
     mask = boundary_mask(grid)
     return forward_model(grid, sigma, field[mask])
-
-
-def save_grid_csv(path, values: np.ndarray, grid: GridSpec) -> None:
-    """Export a nodal field as a CSV grid (rows = first axis)."""
-    arr = np.asarray(values, dtype=float).reshape(grid.shape if grid.ndim == 2 else (1, -1))
-    with open(path, "w") as fh:
-        for row in arr:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -50,11 +50,8 @@ from .linops import LinearMap, spd_factor
 __all__ = [
     "SplitProblem",
     "AsbState",
-    "SetzerView",
     "initial_state",
-    "setzer_view",
     "asb_u_step",
-    "asb_d_step",
     "asb_iterate",
     "asb_iterate_approx",
     "dual_resolvents",
@@ -84,16 +81,8 @@ class SplitProblem:
 
 @dataclass(frozen=True, eq=False)
 class AsbState:
-    u: Optional[np.ndarray]
     d: np.ndarray
     b: np.ndarray
-    k: int = 0
-
-
-@dataclass(frozen=True, eq=False)
-class SetzerView:
-    x: np.ndarray
-    p: np.ndarray
 
 
 def initial_state(problem: SplitProblem, b0=None, d0=None) -> AsbState:
@@ -103,11 +92,7 @@ def initial_state(problem: SplitProblem, b0=None, d0=None) -> AsbState:
     d = np.zeros(m) if d0 is None else np.array(d0, dtype=float, copy=True)
     if b.shape != (m,) or d.shape != (m,):
         raise ValueError("b0/d0 must live in the codomain of L")
-    return AsbState(u=None, d=d, b=b, k=0)
-
-
-def setzer_view(state: AsbState, lam: float) -> SetzerView:
-    return SetzerView(x=lam * (state.b + state.d), p=lam * state.b)
+    return AsbState(d=d, b=b)
 
 
 class _UStepSolver:
@@ -119,7 +104,7 @@ class _UStepSolver:
     every solve reuses the factor.
     """
 
-    def __init__(self, problem: SplitProblem, lam: Optional[float] = None):
+    def __init__(self, problem: SplitProblem):
         g, L = problem.g, problem.L
         if g.label not in _U_STEP_LABELS:
             raise ValueError(
@@ -127,7 +112,7 @@ class _UStepSolver:
                 "only these make the subproblem an SPD linear solve"
             )
         self.L = L
-        self.lam = problem.lam if lam is None else float(lam)
+        self.lam = problem.lam
         self.mode = g.label
         a = L.matrix
         self._factor = None
@@ -155,8 +140,7 @@ class _UStepSolver:
                 f"{exc}: the normal operator L*L "
                 "(restricted to free coordinates, plus any quadratic curvature) "
                 "must be invertible for this subproblem to have a unique "
-                f"minimizer (operator flags: injective={L.injective}, "
-                f"normal_surjective={L.normal_surjective})"
+                f"minimizer (operator flag: injective={L.injective})"
             ) from exc
 
     def solve(self, b: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -178,11 +162,6 @@ class _UStepSolver:
 def asb_u_step(problem: SplitProblem, state: AsbState) -> np.ndarray:
     """Minimizer of step 1 at the current (b, d); one-shot entry point."""
     return _UStepSolver(problem).solve(state.b, state.d)
-
-
-def asb_d_step(problem: SplitProblem, state: AsbState, u_new: np.ndarray) -> np.ndarray:
-    """Unique minimizer of step 2: a prox of f at ``b + L u_new``."""
-    return problem.f.prox(state.b + problem.L.apply(u_new), 1.0 / problem.lam)
 
 
 def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -404,16 +383,16 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     return _drive(sweep, stop, record_stride, "asb_approx")
 
 
-def dual_resolvents(problem: SplitProblem, lam: Optional[float] = None) -> ResolventPair:
+def dual_resolvents(problem: SplitProblem) -> ResolventPair:
     """Resolvents of the two dual-side operators, realized through the steps.
 
     The first resolvent is evaluated by one u-subproblem solve
     (``J(y) = y + lam * L u_hat`` with ``u_hat`` minimizing
     ``g(u) + (lam/2)||L u + y/lam||^2``); the second via the Moreau
-    identity on the prox of f.  Both are bound to a fixed ``lam``.
+    identity on the prox of f.  Both are bound to ``problem.lam``.
     """
-    lam = problem.lam if lam is None else float(lam)
-    usolver = _UStepSolver(problem, lam)
+    lam = problem.lam
+    usolver = _UStepSolver(problem)
     L, f = problem.L, problem.f
 
     def JA(y, lam_arg):

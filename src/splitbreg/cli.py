@@ -91,8 +91,8 @@ class SummaryRow:
 def parse_config(payload: dict) -> RunConfig:
     """Validate the config document; unknown keys are rejected.
 
-    Every key's type and range is checked here, so a config that passes
-    can only fail later in the solver (exit 3), never on its own shape.
+    Every key's type and range is checked here; only the custom_matrix
+    CSV is checked later, when :func:`run` loads it (still exit 2).
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
@@ -130,9 +130,18 @@ def _number(key: str, v, low: float, *, strict: bool = False, integer: bool = Fa
         raise ConfigError(f"key {key!r} must be {'>' if strict else '>='} {low:g}, got {v!r}")
 
 
-def _optional(p: dict, key: str, low: float, *, nullable: bool = False, **kind) -> None:
+def _optional(p: dict, key: str, low: float, *, nullable: bool = False, prefix: str = "",
+              **kind) -> None:
     if key in p and not (nullable and p[key] is None):
-        _number(key, p[key], low, **kind)
+        _number(prefix + key, p[key], low, **kind)
+
+
+def _numbers(key: str, v, low: float = -math.inf) -> None:
+    """A non-empty list of finite numbers, each ``>= low``."""
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"key {key!r} must be a non-empty list of numbers")
+    for x in v:
+        _number(key, x, low)
 
 
 def _check_params(problem: str, p: dict) -> Optional[ErrorSchedule]:
@@ -151,11 +160,7 @@ def _check_params(problem: str, p: dict) -> Optional[ErrorSchedule]:
     if p.get("schedule") is not None:
         schedule = _parse_schedule(p["schedule"], p.get("allow_nonsummable", False))
     if "y" in p:
-        y = p["y"]
-        if not isinstance(y, list) or not y:
-            raise ConfigError("key 'y' must be a non-empty list of numbers")
-        for v in y:
-            _number("y", v, -math.inf)
+        _numbers("y", p["y"])
 
     if problem in ("tv1d", "tv2d", "least_gradient"):
         ndims = {"tv1d": (1,), "tv2d": (2,), "least_gradient": (1, 2)}[problem]
@@ -190,7 +195,28 @@ def _check_params(problem: str, p: dict) -> Optional[ErrorSchedule]:
             if not isinstance(label, str) or label not in FUNCTIONAL_LABELS:
                 raise ConfigError(f"key {side!r} must be an object with a 'label' "
                                   f"in {sorted(FUNCTIONAL_LABELS)}")
+            _check_functional(side, label, spec)
     return schedule
+
+
+def _check_functional(side: str, label: str, spec: dict) -> None:
+    """Keys, types and ranges of one custom_matrix functional; lengths need the CSV."""
+    extra = set(spec) - {"label", *FUNCTIONAL_LABELS[label]}
+    if extra:
+        raise ConfigError(f"unknown keys {sorted(extra)} in {side!r} for label {label!r}")
+    required = {"weighted_l21": "block_size", "indicator_point": "anchor"}.get(label)
+    if required is not None and required not in spec:
+        raise ConfigError(f"key {side!r}: label {label!r} requires {required!r}")
+    where = f"{side}."
+    _optional(spec, "weight", 0.0, prefix=where)
+    _optional(spec, "scale", 0.0, strict=True, prefix=where)
+    _optional(spec, "block_size", 1, integer=True, prefix=where)
+    for key, low in (("target", -math.inf), ("anchor", -math.inf), ("weights", 0.0)):
+        if key in spec:
+            _numbers(where + key, spec[key], low)
+    mask = spec.get("mask", [])
+    if not isinstance(mask, list) or not all(isinstance(m, bool) for m in mask):
+        raise ConfigError(f"key '{where}mask' must be a list of true/false values")
 
 
 def _parse_schedule(spec: dict, allow_nonsummable: bool):
@@ -293,13 +319,16 @@ def _build_problem(config: RunConfig):
 
         return problem, f"least_gradient_{kind}_{shape_id}", oracle
 
-    # custom_matrix
-    L = matrix_operator(load_matrix_csv(p["matrix_csv"]))
-    g_spec = dict(p.get("g", {"label": "quadratic"}))
-    f_spec = dict(p.get("f", {"label": "l1"}))
-    g = functional_from_label(g_spec.pop("label"), L.domain_dim, g_spec)
-    f = functional_from_label(f_spec.pop("label"), L.codomain_dim, f_spec)
-    problem = SplitProblem(g=g, f=f, L=L, lam=lam)
+    # custom_matrix: a CSV that is unreadable or does not fit g and f is a config error
+    try:
+        L = matrix_operator(load_matrix_csv(p["matrix_csv"]))
+        g_spec = dict(p.get("g", {"label": "quadratic"}))
+        f_spec = dict(p.get("f", {"label": "l1"}))
+        g = functional_from_label(g_spec.pop("label"), L.domain_dim, g_spec)
+        f = functional_from_label(f_spec.pop("label"), L.codomain_dim, f_spec)
+        problem = SplitProblem(g=g, f=f, L=L, lam=lam)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"custom_matrix: {exc}") from exc
     return problem, f"custom_{L.domain_dim}x{L.codomain_dim}", None
 
 
@@ -419,6 +448,9 @@ def main(argv=None) -> int:
 
     try:
         return run(config, args.out)
+    except ConfigError as exc:  # found only once the custom_matrix CSV is loaded
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # solver-level failure: report and signal
         print(f"run failed: {exc}", file=sys.stderr)
         return 3

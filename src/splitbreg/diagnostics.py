@@ -214,7 +214,6 @@ def _equivalence(defect: float, n_iterates: int, tol: float) -> Certificate:
 class SummabilityReport:
     partial_sums: np.ndarray
     tail_increment: float
-    residual_final: float
 
 
 def summability_report(trace: RunTrace, tail: int = 100) -> SummabilityReport:
@@ -224,8 +223,7 @@ def summability_report(trace: RunTrace, tail: int = 100) -> SummabilityReport:
         raise ValueError("trace has no residuals")
     ps = np.cumsum(r * r)
     tail_increment = float(ps[-1] - ps[-tail - 1]) if ps.size > tail else float(ps[-1])
-    return SummabilityReport(partial_sums=ps, tail_increment=tail_increment,
-                             residual_final=float(r[-1]))
+    return SummabilityReport(partial_sums=ps, tail_increment=tail_increment)
 
 
 def weak_duality_probe(problem: "SplitProblem", n_probes: int = 1000, seed: int = 0) -> float:

@@ -211,7 +211,10 @@ def zero_functional(dim: int) -> ProxFunctional:
     )
 
 
-FUNCTIONAL_LABELS = {"l1", "weighted_l21", "quadratic", "indicator_point", "zero"}
+# catalogue label -> the parameter keys functional_from_label reads for it
+FUNCTIONAL_LABELS = {"l1": ("weight",), "weighted_l21": ("block_size", "weights", "weight"),
+                     "quadratic": ("target", "scale"), "indicator_point": ("anchor", "mask"),
+                     "zero": ()}
 
 
 def functional_from_label(label: str, dim: int, params: dict) -> ProxFunctional:

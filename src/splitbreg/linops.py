@@ -1,4 +1,4 @@
-"""Vectors, inner products, and linear operators with exact adjoints.
+"""Vectors and linear operators with exact adjoints.
 
 Vectors are plain 1-D float64 numpy arrays; :func:`as_vector` validates
 them on construction (finite entries, expected length).  Every shipped
@@ -9,7 +9,7 @@ machine precision rather than only up to discretization error.  The
 gradient stencils are assembled from 1-D difference matrices with
 ``sp.kron``.  :func:`spd_factor` is the one sparse factorization used
 for symmetric positive-definite solves (the u-step and the forward
-model).
+model); :func:`load_matrix_csv` reads the custom_matrix CSV.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from scipy.sparse.linalg import SuperLU, splu
 
 __all__ = [
     "as_vector",
-    "inner",
-    "norm",
     "GridSpec",
     "LinearMap",
     "AdjointReport",
@@ -35,7 +33,6 @@ __all__ = [
     "check_adjoint",
     "spd_factor",
     "load_matrix_csv",
-    "load_vector_csv",
 ]
 
 # Rank computation is cheap enough to classify matrices up to this size.
@@ -52,19 +49,6 @@ def as_vector(data, dim: Optional[int] = None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean inner product, with a dimension check."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
-
-
-def norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
 
 
 @dataclass(frozen=True)
@@ -104,9 +88,9 @@ class GridSpec:
 class LinearMap:
     """Bounded linear operator with an exact adjoint.
 
-    ``injective`` and ``normal_surjective`` (surjectivity of L*L) are
-    tri-state: True/False when known, None when not established.  Code
-    that needs a flag must treat None as "unknown", not as False.
+    ``injective`` is tri-state: True/False when known, None when not
+    established.  Code that needs the flag must treat None as "unknown",
+    not as False.
     """
 
     domain_dim: int
@@ -115,7 +99,6 @@ class LinearMap:
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
     matrix: sp.csr_matrix
     injective: Optional[bool] = None
-    normal_surjective: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -123,7 +106,7 @@ class AdjointReport:
     max_relative_defect: float
 
 
-def _csr_map(a, injective: Optional[bool], normal_surjective: Optional[bool]) -> LinearMap:
+def _csr_map(a, injective: Optional[bool]) -> LinearMap:
     """LinearMap around a CSR matrix; the adjoint applies its cached transpose."""
     a = sp.csr_matrix(a, dtype=float)
     at = a.T.tocsr()
@@ -135,7 +118,6 @@ def _csr_map(a, injective: Optional[bool], normal_surjective: Optional[bool]) ->
         adjoint_apply=lambda v: at @ v,
         matrix=a,
         injective=injective,
-        normal_surjective=normal_surjective,
     )
 
 
@@ -143,7 +125,7 @@ def identity_operator(dim: int) -> LinearMap:
     dim = int(dim)
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return _csr_map(sp.identity(dim), injective=True, normal_surjective=True)
+    return _csr_map(sp.identity(dim), injective=True)
 
 
 def matrix_operator(entries) -> LinearMap:
@@ -157,8 +139,7 @@ def matrix_operator(entries) -> LinearMap:
     injective = None
     if max(m, n) <= _RANK_FLAG_LIMIT:
         injective = bool(np.linalg.matrix_rank(a) == n)
-    # in finite dimensions L*L is surjective iff L is injective
-    return _csr_map(a, injective=injective, normal_surjective=injective)
+    return _csr_map(a, injective=injective)
 
 
 def _forward_difference(n: int, h: float, ghost: bool) -> sp.csr_matrix:
@@ -193,7 +174,7 @@ def gradient_operator(grid: GridSpec) -> LinearMap:
         (n1, n2), (h1, h2) = grid.shape, grid.spacing
         a = _interleave([sp.kron(_forward_difference(n1, h1, ghost=True), sp.identity(n2)),
                          sp.kron(sp.identity(n1), _forward_difference(n2, h2, ghost=True))])
-    return _csr_map(a, injective=True, normal_surjective=True)
+    return _csr_map(a, injective=True)
 
 
 def interior_gradient_operator(grid: GridSpec) -> LinearMap:
@@ -213,7 +194,7 @@ def interior_gradient_operator(grid: GridSpec) -> LinearMap:
         # the cell-origin nodes drop the last index along each axis
         a = _interleave([sp.kron(_forward_difference(n1, h1, ghost=False), sp.eye(n2 - 1, n2)),
                          sp.kron(sp.eye(n1 - 1, n1), _forward_difference(n2, h2, ghost=False))])
-    return _csr_map(a, injective=False, normal_surjective=False)
+    return _csr_map(a, injective=False)
 
 
 def check_adjoint(L: LinearMap, trials: int = 50, seed: int = 0) -> AdjointReport:
@@ -266,11 +247,3 @@ def load_matrix_csv(path) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"non-finite entries in {path}")
     return a
-
-
-def load_vector_csv(path) -> np.ndarray:
-    """Vector from a single-column CSV file."""
-    a = np.loadtxt(path, delimiter=",", ndmin=1, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"{path} is not a single-column vector file")
-    return as_vector(a)

@@ -5,16 +5,12 @@ the 1-D total-variation optimum comes from an exact taut-string
 construction, separable shrinkage problems from their closed form,
 quadratic-fidelity TV problems from a gap-certified projected gradient
 method on the dual, and fixed-boundary weighted-gradient problems from
-an explicit dual-field stationarity certificate.  A plain projected
-subgradient descent is included for coarse cross-checks; its accuracy
-is limited by its O(1/sqrt(k)) rate and it must not be used to pin
-tight tolerances.
+an explicit dual-field stationarity certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +24,6 @@ __all__ = [
     "soft_threshold_optimum",
     "DualSolveResult",
     "tv_dual_solve",
-    "subgradient_descent",
     "interior_stationarity_defect",
 ]
 
@@ -161,54 +156,6 @@ def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10,
             if gap <= gap_tol * (1.0 + abs(primal)):
                 break
     return DualSolveResult(u=u, b=b, primal_value=float(primal), gap=float(gap), iterations=k)
-
-
-def subgradient_descent(problem: SplitProblem, steps: int = 20_000,
-                        step_scale: float = 0.1, x0: Optional[np.ndarray] = None):
-    """Projected subgradient descent on the primal; coarse oracle only.
-
-    Uses normalized diminishing steps ``step_scale / (sqrt(k) ||g_k||)``
-    and returns the best iterate seen.  Point-indicator terms are
-    handled by projecting every iterate, so all visited points are
-    feasible.
-    """
-    g, f, L = problem.g, problem.f, problem.L
-    project = g.prox if g.label == "indicator_point" else (lambda v, t: v)
-    u = np.zeros(g.dim) if x0 is None else np.array(x0, dtype=float, copy=True)
-    u = project(u, 1.0)  # feasible start for indicator-type g
-    best_u = u.copy()
-    best_val = g.value(u) + f.value(L.apply(u))
-
-    def f_subgrad(v):
-        if f.label == "l1":
-            return f.params["weights"] * np.sign(v)
-        if f.label == "weighted_l21":
-            bs = f.params["block_size"]
-            blocks = v.reshape(-1, bs)
-            nrm = np.linalg.norm(blocks, axis=1)
-            safe = np.where(nrm > 0, nrm, 1.0)
-            s = blocks * (f.params["weights"] / safe)[:, None]
-            s[nrm == 0] = 0.0
-            return s.reshape(-1)
-        raise ValueError(f"no subgradient rule for functional {f.label!r}")
-
-    for k in range(1, steps + 1):
-        grad = L.adjoint_apply(f_subgrad(L.apply(u)))
-        if g.label == "quadratic":
-            grad = grad + g.params["scale"] * (u - g.params["target"])
-        elif g.label in ("indicator_point", "zero"):
-            pass
-        else:
-            raise ValueError(f"no subgradient rule for functional {g.label!r}")
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
-            break
-        u = project(u - (step_scale / (np.sqrt(k) * gnorm)) * grad, 1.0)
-        val = g.value(u) + f.value(L.apply(u))
-        if val < best_val:
-            best_val = val
-            best_u = u.copy()
-    return best_u, float(best_val)
 
 
 def interior_stationarity_defect(problem: SplitProblem, u: np.ndarray) -> float:

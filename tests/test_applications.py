@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 import splitbreg as sb
 from splitbreg.applications import (LeastGradientInstance, boundary_mask, linear_field,
                                     make_least_gradient_instance, make_tv_instance,
-                                    save_grid_csv, two_phase_conductivity)
+                                    two_phase_conductivity)
 from splitbreg.linops import GridSpec
 
 
@@ -35,10 +33,6 @@ def test_tv_instance_generation_and_serialization():
 
     other = make_tv_instance((32,), mu=0.15, seed=43)
     assert not np.array_equal(inst.noisy_signal, other.noisy_signal)
-
-    round_trip = sb.TvInstance.from_dict(json.loads(json.dumps(inst.to_dict())))
-    assert np.array_equal(round_trip.noisy_signal, inst.noisy_signal)
-    assert round_trip.grid.shape == inst.grid.shape
 
     with pytest.raises(ValueError):
         sb.TvInstance(grid=GridSpec((4,)), noisy_signal=np.zeros(3), mu=1.0, seed=0)
@@ -140,24 +134,6 @@ def test_zero_weight_degenerate_instance(lg_linear_instance):
     mask = boundary_mask(inst.grid)
     assert np.array_equal(trace.final.u[mask], inst.boundary_data)
     assert trace.energies[-1] == 0.0
-
-
-def test_instance_json_round_trip(tmp_path, lg_two_phase_instance):
-    path = tmp_path / "inst.json"
-    lg_two_phase_instance.save_json(path)
-    loaded = LeastGradientInstance.load_json(path)
-    assert np.array_equal(loaded.u_true, lg_two_phase_instance.u_true)
-    assert np.array_equal(loaded.j_magnitude, lg_two_phase_instance.j_magnitude)
-    assert loaded.grid.shape == (16, 16)
-
-
-def test_save_grid_csv(tmp_path):
-    grid = GridSpec((3, 4))
-    values = np.arange(12.0)
-    path = tmp_path / "field.csv"
-    save_grid_csv(path, values, grid)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, values.reshape(3, 4))
 
 
 def test_two_phase_conductivity_layout():

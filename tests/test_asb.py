@@ -35,7 +35,7 @@ def test_u_step_identity_operator_no_g():
     # with L = Id and no fidelity term the normal equations give u = d - b
     prob = sb.SplitProblem(g=zero_functional(3), f=prox_l1(1.0, dim=3),
                            L=identity_operator(3), lam=2.0)
-    state = sb.AsbState(u=None, d=np.array([1.0, 2.0, 3.0]), b=np.array([0.5, 0.0, -1.0]))
+    state = sb.AsbState(d=np.array([1.0, 2.0, 3.0]), b=np.array([0.5, 0.0, -1.0]))
     u = sb.asb_u_step(prob, state)
     assert np.allclose(u, state.d - state.b, atol=1e-12)
 
@@ -44,13 +44,13 @@ def test_u_step_fully_constrained_indicator():
     anchor = np.array([4.0, -1.0])
     prob = sb.SplitProblem(g=sb.prox_indicator_point(anchor), f=prox_l1(1.0, dim=2),
                            L=identity_operator(2), lam=1.0)
-    state = sb.AsbState(u=None, d=np.array([9.0, 9.0]), b=np.array([-9.0, 9.0]))
+    state = sb.AsbState(d=np.array([9.0, 9.0]), b=np.array([-9.0, 9.0]))
     assert np.array_equal(sb.asb_u_step(prob, state), anchor)
 
 
 def test_u_step_matches_dense_solve(tv1d_problem, tv1d_instance):
     rng = np.random.default_rng(0)
-    state = sb.AsbState(u=None, d=rng.standard_normal(32), b=rng.standard_normal(32))
+    state = sb.AsbState(d=rng.standard_normal(32), b=rng.standard_normal(32))
     u = sb.asb_u_step(tv1d_problem, state)
 
     L = tv1d_problem.L
@@ -74,8 +74,7 @@ def test_u_step_matches_dense_normal_equations(tv1d_problem, lg_two_phase_proble
         n = L.domain_dim
         a = np.column_stack([L.apply(e) for e in np.eye(n)])
         ltl = a.T @ a
-        state = sb.AsbState(u=None, d=rng.standard_normal(prob.f.dim),
-                            b=rng.standard_normal(prob.f.dim))
+        state = sb.AsbState(d=rng.standard_normal(prob.f.dim), b=rng.standard_normal(prob.f.dim))
         neg_ltc = a.T @ (state.d - state.b)
         if g.label == "quadratic":
             rho = g.params["scale"]
@@ -113,26 +112,6 @@ def test_u_step_rejects_unsupported_g():
         _UStepSolver(prob)
 
 
-def test_d_step_examples():
-    prob = lasso3()
-    state = sb.AsbState(u=None, d=np.zeros(1), b=np.zeros(1))
-    # f = l1, lam = 1, b + L u = [2] -> soft threshold
-    assert np.array_equal(sb.asb_d_step(prob, state, np.array([2.0])), [1.0])
-
-    prob0 = sb.SplitProblem(g=prox_quadratic(np.zeros(2), 1.0), f=prox_l1(0.0, dim=2),
-                            L=identity_operator(2), lam=1.0)
-    u_new = np.array([0.7, -0.2])
-    st = sb.AsbState(u=None, d=np.zeros(2), b=np.array([0.1, 0.2]))
-    assert np.array_equal(sb.asb_d_step(prob0, st, u_new), st.b + u_new)
-
-    prob21 = sb.SplitProblem(g=prox_quadratic(np.zeros(1), 1.0),
-                             f=sb.prox_weighted_l21(np.array([1.0]), 2),
-                             L=matrix_operator([[1.0], [1.0]]), lam=1.0)
-    st21 = sb.AsbState(u=None, d=np.zeros(2), b=np.array([1.0, 2.0]))
-    out = sb.asb_d_step(prob21, st21, np.array([2.0]))  # b + Lu = [3, 4]
-    assert np.allclose(out, [2.4, 3.2], atol=1e-15)
-
-
 def test_asb_solves_scalar_lasso():
     prob = lasso3()
     trace = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=1e-13, max_iter=2000))
@@ -143,9 +122,6 @@ def test_asb_solves_scalar_lasso():
 
 def test_initial_setzer_view_is_zero():
     prob = lasso3()
-    init = sb.initial_state(prob)
-    view = sb.setzer_view(init, prob.lam)
-    assert np.array_equal(view.x, np.zeros(1)) and np.array_equal(view.p, np.zeros(1))
     trace = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=None, max_iter=3))
     assert np.array_equal(trace.iterates[0].x, np.zeros(1))
     assert np.array_equal(trace.iterates[0].p, np.zeros(1))

@@ -214,6 +214,21 @@ def test_main_exit_status_contract(tmp_path, capsys, code, payload):
     assert err.startswith(prefix) if prefix else err == ""
 
 
+def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
+    """A custom_matrix payload reading ``csv`` from a file under the test's tmp_path.
+
+    ``csv=None`` leaves the file missing; ``matrix_csv(tmp_path)``, when
+    given, names another path instead.
+    """
+    def payload(tmp_path):
+        path = tmp_path / "m.csv"
+        if csv is not None:
+            path.write_text(csv)
+        src = str(path) if matrix_csv is None else matrix_csv(tmp_path)
+        return {"problem": "custom_matrix", "params": {"matrix_csv": src, **specs}}
+    return payload
+
+
 @pytest.mark.parametrize("payload", [
     {"problem": "lasso", "params": {"max_iter": "abc"}},
     {"problem": "lasso", "params": {"lambda": "x"}},
@@ -234,11 +249,29 @@ def test_main_exit_status_contract(tmp_path, capsys, code, payload):
     {"problem": "lasso", "params": {"schedule": {"type": ["zero"]}}},
     {"problem": "lasso", "params": {"debug_drs_lambda": 2.0}},
     {"problem": "lasso", "params": {"max_iter": 0}},
+    _custom(csv=None),
+    _custom(matrix_csv=lambda tmp_path: str(tmp_path)),  # a directory
+    _custom(csv="a,b\nc,d\n"),
+    _custom(f={"label": "weighted_l21"}),
+    _custom(f={"label": "weighted_l21", "block_size": 0}),
+    _custom(f={"label": "weighted_l21", "block_size": 2}),
+    _custom(g={"label": "indicator_point"}),
+    _custom(g={"label": "indicator_point", "anchor": [1.0, 2.0], "mask": [True]}),
+    _custom(g={"label": "quadratic", "target": [1.0, 2.0, 3.0]}),
+    _custom(g={"label": "quadratic", "scale": "x"}),
+    _custom(f={"label": "l1", "weight": -1}),
+    _custom(g={"label": "zero", "bogus": 1}),
 ], ids=["max_iter_str", "lambda_str", "top_level_list", "missing_matrix_csv", "grid_1_node",
         "tv1d_2d_grid", "grid_str", "max_iter_float", "tol_negative", "y_empty", "params_str",
         "two_phase_1d", "axis_out_of_range", "label_list", "ratio_out_of_range",
-        "schedule_type_list", "debug_drs_lambda", "max_iter_0"])
+        "schedule_type_list", "debug_drs_lambda", "max_iter_0",
+        "csv_missing", "csv_directory", "csv_non_numeric", "l21_no_block_size",
+        "l21_block_size_0", "l21_blocks_misfit_rows", "indicator_no_anchor",
+        "indicator_mask_length", "quadratic_target_length", "quadratic_scale_str",
+        "l1_negative_weight", "zero_unknown_key"])
 def test_main_rejects_malformed_config(tmp_path, capsys, payload):
+    if callable(payload):
+        payload = payload(tmp_path)
     cfg = _write_config(tmp_path, payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

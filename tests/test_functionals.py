@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from splitbreg.functionals import (ErrorSchedule, dual_resolvent, functional_from_label,
+from splitbreg.functionals import (FUNCTIONAL_LABELS, ErrorSchedule, dual_resolvent,
+                                   functional_from_label,
                                    geometric_schedule, harmonic_schedule,
                                    prox_indicator_point, prox_l1, prox_quadratic,
                                    prox_weighted_l21, zero_functional, zero_schedule)
@@ -28,6 +32,8 @@ def test_l1_examples():
     assert np.array_equal(f.prox(np.array([0.5]), 1.0), [0.0])
     assert np.array_equal(f.prox(np.array([-3.0]), 1.0), [-2.0])
     assert f.value(np.array([-3.0])) == 3.0
+    x = np.array([0.8, 0.0, -0.2])
+    assert np.array_equal(prox_l1(0.0, dim=3).prox(x, 1.0), x)  # zero weight: identity
     with pytest.raises(ValueError):
         prox_l1(-0.5, dim=2)
     with pytest.raises(ValueError):
@@ -150,6 +156,42 @@ def test_prox_is_firmly_nonexpansive():
                 diff = px - py
                 assert float(np.dot(diff, diff)) <= float(np.dot(diff, x - y)) + 1e-10
                 assert np.linalg.norm(diff) <= np.linalg.norm(x - y) + 1e-10
+
+
+_ENTRY = st.floats(-10.0, 10.0)
+_WEIGHT = st.floats(0.0, 10.0)
+_STEP = st.floats(0.1, 10.0)
+
+
+@st.composite
+def _functionals(draw):
+    """A catalogue functional of random dimension and data, entries within +-10."""
+    label = draw(st.sampled_from(sorted(FUNCTIONAL_LABELS)))
+    if label == "weighted_l21":
+        n_blocks = draw(st.integers(1, 4))
+        return prox_weighted_l21(draw(arrays(float, n_blocks, elements=_WEIGHT)),
+                                 block_size=draw(st.integers(1, 3)))
+    dim = draw(st.integers(1, 8))
+    if label == "l1":
+        return prox_l1(draw(arrays(float, dim, elements=_WEIGHT)))
+    if label == "quadratic":
+        return prox_quadratic(draw(arrays(float, dim, elements=_ENTRY)), draw(_STEP))
+    if label == "indicator_point":
+        mask = draw(st.none() | arrays(bool, dim))
+        return prox_indicator_point(draw(arrays(float, dim, elements=_ENTRY)), mask)
+    return zero_functional(dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(F=_functionals(), data=st.data(), t=_STEP, lam=_STEP)
+def test_moreau_and_firm_nonexpansiveness_properties(F, data, t, lam):
+    # the two spot tests above, over random catalogue functionals
+    x, y = (data.draw(arrays(float, F.dim, elements=_ENTRY)) for _ in range(2))
+    dual_part = lam * dual_resolvent(F, x / lam, 1.0 / lam)
+    assert np.linalg.norm(F.prox(x, lam) + dual_part - x) <= 1e-10
+    diff = F.prox(x, t) - F.prox(y, t)
+    assert float(np.dot(diff, diff)) <= float(np.dot(diff, x - y)) + 1e-10
+    assert np.linalg.norm(diff) <= np.linalg.norm(x - y) + 1e-10
 
 
 def test_prox_optimality_probes():

@@ -3,8 +3,7 @@ import pytest
 
 import splitbreg as sb
 from splitbreg.oracles import (interior_stationarity_defect, soft_threshold_optimum,
-                               subgradient_descent, taut_string_denoise,
-                               taut_string_dirichlet, tv_dual_solve)
+                               taut_string_denoise, taut_string_dirichlet, tv_dual_solve)
 
 
 def test_soft_threshold_optimum():
@@ -57,21 +56,6 @@ def test_tv_dual_solve_dirichlet_agrees_with_reflection():
 def test_tv_dual_solve_requires_quadratic_fidelity(lg_linear_problem):
     with pytest.raises(ValueError, match="quadratic"):
         tv_dual_solve(lg_linear_problem)
-
-
-def test_subgradient_descent_coarse_lasso(lasso_problem):
-    y = lasso_problem.g.params["target"]
-    mu = float(lasso_problem.f.params["weights"][0])
-    u_star = soft_threshold_optimum(y, mu)
-    v_star = lasso_problem.g.value(u_star) + lasso_problem.f.value(u_star)
-    _, best = subgradient_descent(lasso_problem, steps=5000, step_scale=0.5)
-    assert v_star <= best <= v_star + 5e-3  # O(1/sqrt(k)) method: coarse only
-
-
-def test_subgradient_descent_feasible_on_least_gradient(lg_linear_problem):
-    u, best = subgradient_descent(lg_linear_problem, steps=300, step_scale=0.05)
-    assert lg_linear_problem.g.value(u) == 0.0  # every iterate projected
-    assert np.isfinite(best)
 
 
 def test_stationarity_certificate_linear_instance(lg_linear_instance, lg_linear_problem):
