@@ -17,11 +17,11 @@ The same machinery exposes the two dual-side resolvents, so the
 Douglas-Rachford recursion on the dual problem runs from the same
 solver.  Under the correspondence ``x = lam (b + d)``, ``p = lam b``
 the two recursions agree to roundoff.  Each form is one step function
-(the ASB sweep, the dual DRS step) under one driver loop; every trace
-records the drift of a per-step shadow of the other form
-(``setzer_defects``), and exact runs advance a full twin of the other
-form in lockstep for 200 iterations, on the shared factor, whose
-mismatch (``RunTrace.twin_defect``) certifies the correspondence.
+(the ASB sweep, the dual DRS step) under one driver loop.  Exact runs
+advance a full twin of the other form in lockstep for 200 iterations,
+on the shared factor; their mapped mismatch per iterate is the
+``setzer_defects`` series (``nan`` where no twin ran), and its worst,
+k = 0 included, is ``RunTrace.twin_defect``, the correspondence's certificate.
 
 The approximate variant perturbs each subproblem result by a vector of
 scheduled norm: the u-step error is measured (and injected) in the
@@ -184,7 +184,6 @@ class _Step:
     u: np.ndarray
     residual: float
     energy: float
-    defect: float
     alpha: float = 0.0
     beta: float = 0.0
 
@@ -206,17 +205,12 @@ class _Recursion:
 
 
 class _AsbSweep(_Recursion):
-    """The alternating sweep; ``x``/``p`` are the mapped view of (b, d).
-
-    A shadow advances the dual recursion through the resolvent
-    identities; its distance to the mapped view is the Setzer defect.
-    """
+    """The alternating sweep; ``x``/``p`` are the mapped view of (b, d)."""
 
     def __init__(self, problem, usolver, init, schedule: Optional[ErrorSchedule] = None,
                  rng: Optional[np.random.Generator] = None):
         super().__init__(problem, usolver, init)
         self.schedule, self.rng = schedule, rng
-        self.x_sh, self.p_sh = self.x, self.p
 
     def step(self, k: int) -> _Step:
         lam, L, f, g = self.problem.lam, self.problem.L, self.problem.f, self.problem.g
@@ -246,22 +240,17 @@ class _AsbSweep(_Recursion):
             beta = b_k
         b_new = b + Lu - d_new
 
-        self.x_sh = lam * (b + Lu - d) + self.x_sh - self.p_sh
-        self.p_sh = lam * (b + Lu - d_new)
         self.b, self.d = b_new, d_new
         self.x, self.p = lam * (b_new + d_new), lam * b_new
-        defect = max(float(np.linalg.norm(self.x_sh - self.x)),
-                     float(np.linalg.norm(self.p_sh - self.p)))
         energy = g.value(u) + f.value(Lu if self.energy_basis == "iterate" else Lu_exact)
         return _Step(finite=(("u", u_exact), ("d", d_new), ("b", b_new)), u=u,
-                     residual=residual, energy=energy, defect=defect, alpha=alpha, beta=beta)
+                     residual=residual, energy=energy, alpha=alpha, beta=beta)
 
 
 class _DrsStep(_Recursion):
     """The dual Douglas-Rachford step: ``JA`` is one u-solve, ``JB`` the Moreau resolvent.
 
-    A shadow sweep advances (b, d) from the same ``L u``; its mapped
-    distance to (x, p) is the Setzer defect.
+    (b, d) come from (x, p) by the inverse map ``b = p/lam``, ``d = x/lam - b``.
     """
 
     def step(self, k: int) -> _Step:
@@ -274,13 +263,11 @@ class _DrsStep(_Recursion):
         p_new = dual_resolvent(f, x_new, lam)
 
         residual = float(np.linalg.norm(self.d - Lu))
-        d_sh = f.prox(self.b + Lu, 1.0 / lam)
-        b_sh = self.b + Lu - d_sh
-        self.x, self.p, self.b, self.d = x_new, p_new, b_sh, d_sh
-        defect = max(float(np.linalg.norm(x_new - lam * (b_sh + d_sh))),
-                     float(np.linalg.norm(p_new - lam * b_sh)))
+        self.x, self.p = x_new, p_new
+        self.b = p_new / lam
+        self.d = x_new / lam - self.b
         return _Step(finite=(("u", u), ("x", x_new), ("p", p_new)), u=u,
-                     residual=residual, energy=g.value(u) + f.value(Lu), defect=defect)
+                     residual=residual, energy=g.value(u) + f.value(Lu))
 
 
 def _advance(rec: _Recursion, k: int) -> _Step:
@@ -305,8 +292,9 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     """The one iteration loop: series, snapshots, finiteness checks, stopping.
 
     A ``twin`` of the other solver form, from the same start, advances
-    in lockstep for the first ``_TWIN_ITERATIONS`` iterations; the trace
-    keeps their worst mapped mismatch over those iterates, k = 0 included.
+    in lockstep for the first ``_TWIN_ITERATIONS`` iterations; their mapped
+    mismatch fills ``setzer_defects`` (``nan`` where no twin ran), and
+    ``twin_defect`` is its worst value, k = 0 included.
     """
     stop = stop or StoppingRule()
     records = [_record(run, 0, None)]
@@ -322,16 +310,18 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         u = step.u
         residuals.append(step.residual)
         energies.append(step.energy)
-        defects.append(step.defect)
         alphas.append(step.alpha)
         betas.append(step.beta)
         x_inc = float(np.linalg.norm(run.x - x_prev))
         p_inc = float(np.linalg.norm(run.p - p_prev))
         x_incs.append(x_inc)
 
+        defect = np.nan
         if twin is not None and k <= _TWIN_ITERATIONS:
             _advance(twin, k)
-            twin_defect = max(twin_defect, _mismatch(run, twin))
+            defect = _mismatch(run, twin)
+            twin_defect = max(twin_defect, defect)
+        defects.append(defect)
         if record_stride and k % record_stride == 0:
             records.append(_record(run, k, u))
         if stop.fired(x_inc, p_inc, float(np.linalg.norm(x_prev))):
@@ -414,10 +404,10 @@ def run_drs(problem: SplitProblem, init: Optional[AsbState] = None,
     """Douglas-Rachford run on the dual problem, fully instrumented.
 
     Starts from ``x0 = lam (b0 + d0)``, ``p0 = lam b0`` and advances the
-    dual recursion; alongside it reconstructs the corresponding
-    splitting variables, so the trace carries the same residual, energy,
-    and drift columns as the alternating sweep and can be compared to it
-    iterate by iterate.  An alternating-sweep twin runs in lockstep.
+    dual recursion, mapping each iterate back by ``b = p/lam``,
+    ``d = x/lam - b``, so the trace carries the same columns as the
+    alternating sweep.  An alternating-sweep twin runs in lockstep for the
+    first 200 iterations; their mapped mismatch fills ``setzer_defects``.
     """
     init = init if init is not None else initial_state(problem)
     usolver = _UStepSolver(problem)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .applications import (build_least_gradient_problem, build_tv_problem,
                            make_least_gradient_instance, make_tv_instance)
-from .asb import SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents, run_drs
+from .asb import (_U_STEP_LABELS, SplitProblem, asb_iterate, asb_iterate_approx,
+                  dual_resolvents, run_drs)
 # equivalence_report is not called here; perfbench/tracing.py wraps this name
 from .diagnostics import (Certificate, RunTrace, certificates_to_json, dual_certificate,
                           dual_value, duality_gap, equivalence_report, lockstep_certificate,
@@ -195,6 +196,9 @@ def _check_params(problem: str, p: dict) -> Optional[ErrorSchedule]:
             if not isinstance(label, str) or label not in FUNCTIONAL_LABELS:
                 raise ConfigError(f"key {side!r} must be an object with a 'label' "
                                   f"in {sorted(FUNCTIONAL_LABELS)}")
+            if side == "g" and label not in _U_STEP_LABELS:
+                raise ConfigError(f"key 'g': label {label!r} has no exact u-step; "
+                                  f"use one of {_U_STEP_LABELS}")
             _check_functional(side, label, spec)
     return schedule
 

@@ -56,10 +56,11 @@ class RunTrace:
     refers to the pair ``(d^j, u^{j+1})`` for residuals and to the
     iterate produced by iteration ``j+1`` for energies.  ``iterates``
     holds the k=0 initialization plus the snapshots the run asked for
-    (always the final one).  Exact runs also carry
-    ``twin_defect``, the worst mismatch under ``x = lam (b + d)``,
-    ``p = lam b`` against a lockstep twin of the other solver form over
-    its first ``twin_iterates`` iterates (k = 0 included).
+    (always the final one).  Exact runs advance a lockstep twin of the
+    other solver form over ``twin_iterates`` iterates (k = 0 included):
+    ``setzer_defects[j]`` is their mismatch under ``x = lam (b + d)``,
+    ``p = lam b`` at iterate ``j+1`` (``nan`` where no twin ran), and
+    ``twin_defect`` the worst one, k = 0 included.
     """
 
     kind: str

@@ -14,6 +14,7 @@ model); :func:`load_matrix_csv` reads the custom_matrix CSV.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -243,7 +244,9 @@ def spd_factor(system, what: str = "system") -> SuperLU:
 
 def load_matrix_csv(path) -> np.ndarray:
     """Dense matrix from CSV: one row per line, comma-separated decimals."""
-    a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    with warnings.catch_warnings():  # no data: matrix_operator rejects the empty result
+        warnings.simplefilter("ignore", UserWarning)
+        a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"non-finite entries in {path}")
     return a

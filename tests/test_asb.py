@@ -145,10 +145,21 @@ def test_tv1d_energy_converges_to_taut_string(tv1d_problem, tv1d_instance):
     assert np.all(np.diff(trace.energies) <= 1e-12)
 
 
-def test_setzer_shadow_drift_stays_tiny(tv1d_problem, lg_linear_problem):
+def test_setzer_column_is_the_twin_mismatch(tv1d_problem, lg_linear_problem):
+    stop = sb.StoppingRule(tol=None, max_iter=300)
     for prob in (tv1d_problem, lg_linear_problem):
-        trace = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=None, max_iter=300))
-        assert trace.setzer_defects.max() <= 1e-9
+        for solver, other in ((sb.asb_iterate, sb.run_drs), (sb.run_drs, sb.asb_iterate)):
+            trace = solver(prob, stop=stop)
+            window, past = trace.setzer_defects[:200], trace.setzer_defects[200:]
+            assert np.all(np.isfinite(window)) and window.max() <= 1e-9
+            assert len(past) == 100 and np.all(np.isnan(past))
+            # the certificate is the worst of the column and the k = 0 mismatch
+            r0 = trace.iterates[0]
+            o0 = other(prob, stop=sb.StoppingRule(tol=None, max_iter=1)).iterates[0]
+            k0 = max(float(np.linalg.norm(r0.x - o0.x)), float(np.linalg.norm(r0.p - o0.p)))
+            assert max(k0, *window) == trace.twin_defect
+        approx = sb.asb_iterate_approx(prob, geometric_schedule(0.5), stop=stop)
+        assert np.all(np.isnan(approx.setzer_defects))
 
 
 def test_fejer_monotone_setzer_distances(tv1d_problem):

@@ -81,6 +81,17 @@ def test_trace_csv_is_byte_stable(tmp_path):
     assert header == "k,residual,energy,setzer_defect,x_increment"
 
 
+def test_trace_csv_setzer_column_is_nan_past_the_twin_window(tmp_path):
+    payload = {"problem": "lasso", "solver": "drs",
+               "params": {"n": 12, "tol": None, "max_iter": 250}}
+    assert run(parse_config(payload), tmp_path / "out") == 0
+    lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert lines[0] == "k,residual,energy,setzer_defect,x_increment"
+    setzer = [row.split(",")[3] for row in lines[1:]]
+    assert len(setzer) == 250
+    assert all(v != "nan" for v in setzer[:200]) and set(setzer[200:]) == {"nan"}
+
+
 def test_exit_status_negative_fixture(tmp_path):
     payload = {"problem": "lasso", "solver": "asb",
                "params": {"y": [3.0], "mu": 1.0, "tol": None, "max_iter": 3}}
@@ -261,6 +272,9 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
     _custom(g={"label": "quadratic", "scale": "x"}),
     _custom(f={"label": "l1", "weight": -1}),
     _custom(g={"label": "zero", "bogus": 1}),
+    _custom(g={"label": "l1"}),
+    _custom(g={"label": "weighted_l21", "block_size": 1}),
+    _custom(csv=""),
 ], ids=["max_iter_str", "lambda_str", "top_level_list", "missing_matrix_csv", "grid_1_node",
         "tv1d_2d_grid", "grid_str", "max_iter_float", "tol_negative", "y_empty", "params_str",
         "two_phase_1d", "axis_out_of_range", "label_list", "ratio_out_of_range",
@@ -268,7 +282,8 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
         "csv_missing", "csv_directory", "csv_non_numeric", "l21_no_block_size",
         "l21_block_size_0", "l21_blocks_misfit_rows", "indicator_no_anchor",
         "indicator_mask_length", "quadratic_target_length", "quadratic_scale_str",
-        "l1_negative_weight", "zero_unknown_key"])
+        "l1_negative_weight", "zero_unknown_key", "g_l1_no_u_step",
+        "g_l21_no_u_step", "csv_empty"])
 def test_main_rejects_malformed_config(tmp_path, capsys, payload):
     if callable(payload):
         payload = payload(tmp_path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -124,6 +126,16 @@ def test_csv_round_trip(tmp_path):
     mpath = tmp_path / "m.csv"
     mpath.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in m) + "\n")
     assert np.array_equal(load_matrix_csv(mpath), m)
+
+
+def test_empty_matrix_csv_is_rejected_without_a_warning(tmp_path):
+    # numpy warns on a file with no data; that warning must not reach stderr
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-empty"):
+            matrix_operator(load_matrix_csv(path))
 
 
 def test_spd_factor_solves_and_rejects_singular():
