@@ -18,10 +18,14 @@ Douglas-Rachford recursion on the dual problem runs from the same
 solver.  Under the correspondence ``x = lam (b + d)``, ``p = lam b``
 the two recursions agree to roundoff.  Each form is one step function
 (the ASB sweep, the dual DRS step) under one driver loop.  Exact runs
-advance a full twin of the other form in lockstep for 200 iterations,
-on the shared factor; their mapped mismatch per iterate is the
+advance a twin of the other form in lockstep for 200 iterations, on
+the shared factor; their mapped mismatch per iterate is the
 ``setzer_defects`` series (``nan`` where no twin ran), and its worst,
 k = 0 included, is ``RunTrace.twin_defect``, the correspondence's certificate.
+The twin advances only its iterate and checks it is finite; the run's
+residual, energy and increment series are measured on the run alone.
+A problem's u-step factor is built once, on first use, and shared by
+its runs, their twins and :func:`dual_resolvents`.
 
 The approximate variant perturbs each subproblem result by a vector of
 scheduled norm: the u-step error is measured (and injected) in the
@@ -36,8 +40,10 @@ verifies concerns the alternating form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,6 +84,12 @@ class SplitProblem:
         if not self.lam > 0:
             raise ValueError("lambda must be positive")
 
+    @cached_property
+    def _usolver(self) -> "_UStepSolver":
+        # built on first use, then shared by every run, twin and resolvent
+        # pair on this problem, so one factorization serves a whole CLI run
+        return _UStepSolver(self)
+
 
 @dataclass(frozen=True, eq=False)
 class AsbState:
@@ -98,7 +110,7 @@ def initial_state(problem: SplitProblem, b0=None, d0=None) -> AsbState:
 class _UStepSolver:
     """Minimizes ``g(u) + (lam/2) ||L u + c||^2`` for the supported g.
 
-    One instance per run: the sparse normal matrix ``L^T L`` (restricted
+    One instance per problem: the sparse normal matrix ``L^T L`` (restricted
     to the free coordinates for the point indicator, plus ``(rho/lam) I``
     for the quadratic) is factorized once with :func:`spd_factor`, and
     every solve reuses the factor.
@@ -161,7 +173,7 @@ class _UStepSolver:
 
 def asb_u_step(problem: SplitProblem, state: AsbState) -> np.ndarray:
     """Minimizer of step 1 at the current (b, d); one-shot entry point."""
-    return _UStepSolver(problem).solve(state.b, state.d)
+    return problem._usolver.solve(state.b, state.d)
 
 
 def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -176,14 +188,24 @@ def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
 _TWIN_ITERATIONS = 200  # lockstep window of an exact run's twin
 
 
-@dataclass(frozen=True, eq=False)
-class _Step:
-    """What one iteration of either recursion reports to the driver."""
+def _norm(v: np.ndarray) -> float:
+    # what np.linalg.norm computes for a 1-D float64 vector, bit for bit
+    return math.sqrt(v.dot(v))
+
+
+class _Step(NamedTuple):
+    """What one iteration of either recursion hands the driver.
+
+    Only the run measures it: its residual is ``||d - Lu||`` and its
+    energy ``g(u) + f(f_at)``.  A twin's step is checked for finiteness
+    and otherwise dropped.
+    """
 
     finite: tuple  # (name, vector) pairs that must be finite, in check order
     u: np.ndarray
-    residual: float
-    energy: float
+    d: np.ndarray  # the d this iteration's u-step was paired with
+    Lu: np.ndarray
+    f_at: np.ndarray  # where the energy evaluates f
     alpha: float = 0.0
     beta: float = 0.0
 
@@ -213,7 +235,7 @@ class _AsbSweep(_Recursion):
         self.schedule, self.rng = schedule, rng
 
     def step(self, k: int) -> _Step:
-        lam, L, f, g = self.problem.lam, self.problem.L, self.problem.f, self.problem.g
+        lam, L, f = self.problem.lam, self.problem.L, self.problem.f
         b, d = self.b, self.d
         u = u_exact = self.usolver.solve(b, d)
         Lu = Lu_exact = L.apply(u)
@@ -231,7 +253,6 @@ class _AsbSweep(_Recursion):
                 self.energy_basis = "unperturbed"
             alpha = float(np.linalg.norm(Lu - Lu_exact))
 
-        residual = float(np.linalg.norm(d - Lu))
         d_new = f.prox(b + Lu, 1.0 / lam)
         b_k = float(self.schedule.beta(k)) if self.schedule is not None else 0.0
         beta = 0.0
@@ -242,9 +263,9 @@ class _AsbSweep(_Recursion):
 
         self.b, self.d = b_new, d_new
         self.x, self.p = lam * (b_new + d_new), lam * b_new
-        energy = g.value(u) + f.value(Lu if self.energy_basis == "iterate" else Lu_exact)
-        return _Step(finite=(("u", u_exact), ("d", d_new), ("b", b_new)), u=u,
-                     residual=residual, energy=energy, alpha=alpha, beta=beta)
+        return _Step(finite=(("u", u_exact), ("d", d_new), ("b", b_new)), u=u, d=d, Lu=Lu,
+                     f_at=Lu if self.energy_basis == "iterate" else Lu_exact,
+                     alpha=alpha, beta=beta)
 
 
 class _DrsStep(_Recursion):
@@ -254,26 +275,24 @@ class _DrsStep(_Recursion):
     """
 
     def step(self, k: int) -> _Step:
-        lam, L, f, g = self.problem.lam, self.problem.L, self.problem.f, self.problem.g
-        x, p = self.x, self.p
+        lam, L, f = self.problem.lam, self.problem.L, self.problem.f
+        x, p, d = self.x, self.p, self.d
         y = 2.0 * p - x
         u = self.usolver.solve_c(y / lam)
         Lu = L.apply(u)
         x_new = x + (y + lam * Lu) - p
         p_new = dual_resolvent(f, x_new, lam)
 
-        residual = float(np.linalg.norm(self.d - Lu))
         self.x, self.p = x_new, p_new
         self.b = p_new / lam
         self.d = x_new / lam - self.b
-        return _Step(finite=(("u", u), ("x", x_new), ("p", p_new)), u=u,
-                     residual=residual, energy=g.value(u) + f.value(Lu))
+        return _Step(finite=(("u", u), ("x", x_new), ("p", p_new)), u=u, d=d, Lu=Lu, f_at=Lu)
 
 
 def _advance(rec: _Recursion, k: int) -> _Step:
     step = rec.step(k)
     for what, v in step.finite:
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteIterateError(k, what)
     return step
 
@@ -284,19 +303,22 @@ def _record(rec: _Recursion, k: int, u: Optional[np.ndarray]) -> IterateRecord:
 
 def _mismatch(a: _Recursion, b: _Recursion) -> float:
     # an ASB sweep's (x, p) is lam (b + d), lam b, computed as the mapping does
-    return max(float(np.linalg.norm(a.x - b.x)), float(np.linalg.norm(a.p - b.p)))
+    return max(_norm(a.x - b.x), _norm(a.p - b.p))
 
 
 def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, kind: str,
            twin: Optional[_Recursion] = None) -> RunTrace:
     """The one iteration loop: series, snapshots, finiteness checks, stopping.
 
-    A ``twin`` of the other solver form, from the same start, advances
-    in lockstep for the first ``_TWIN_ITERATIONS`` iterations; their mapped
-    mismatch fills ``setzer_defects`` (``nan`` where no twin ran), and
-    ``twin_defect`` is its worst value, k = 0 included.
+    The series (residual, energy, increments) are measured on ``run``
+    only.  A ``twin`` of the other solver form, from the same start,
+    advances only its iterate, in lockstep for the first
+    ``_TWIN_ITERATIONS`` iterations; their mapped mismatch fills
+    ``setzer_defects`` (``nan`` where no twin ran), and ``twin_defect``
+    is its worst value, k = 0 included.
     """
     stop = stop or StoppingRule()
+    g, f = run.problem.g, run.problem.f
     records = [_record(run, 0, None)]
     residuals, energies, defects, x_incs, alphas, betas = ([] for _ in range(6))
     twin_defect = None if twin is None else _mismatch(run, twin)
@@ -308,12 +330,12 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         x_prev, p_prev = run.x, run.p
         step = _advance(run, k)
         u = step.u
-        residuals.append(step.residual)
-        energies.append(step.energy)
+        residuals.append(_norm(step.d - step.Lu))
+        energies.append(g.value(u) + f.value(step.f_at))
         alphas.append(step.alpha)
         betas.append(step.beta)
-        x_inc = float(np.linalg.norm(run.x - x_prev))
-        p_inc = float(np.linalg.norm(run.p - p_prev))
+        x_inc = _norm(run.x - x_prev)
+        p_inc = _norm(run.p - p_prev)
         x_incs.append(x_inc)
 
         defect = np.nan
@@ -324,7 +346,7 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         defects.append(defect)
         if record_stride and k % record_stride == 0:
             records.append(_record(run, k, u))
-        if stop.fired(x_inc, p_inc, float(np.linalg.norm(x_prev))):
+        if stop.fired(x_inc, p_inc, _norm(x_prev)):
             converged = True
             break
 
@@ -346,7 +368,7 @@ def asb_iterate(problem: SplitProblem, init: Optional[AsbState] = None,
                 stop: Optional[StoppingRule] = None, record_stride: int = 1) -> RunTrace:
     """Run the exact three-step sweep, with a lockstep DRS twin, until the rule fires."""
     init = init if init is not None else initial_state(problem)
-    usolver = _UStepSolver(problem)
+    usolver = problem._usolver
     return _drive(_AsbSweep(problem, usolver, init), stop, record_stride, "asb",
                   twin=_DrsStep(problem, usolver, init))
 
@@ -368,7 +390,7 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     exact-mode property.
     """
     init = init if init is not None else initial_state(problem)
-    sweep = _AsbSweep(problem, _UStepSolver(problem), init, schedule=schedule,
+    sweep = _AsbSweep(problem, problem._usolver, init, schedule=schedule,
                       rng=np.random.default_rng(seed))
     return _drive(sweep, stop, record_stride, "asb_approx")
 
@@ -382,7 +404,7 @@ def dual_resolvents(problem: SplitProblem) -> ResolventPair:
     identity on the prox of f.  Both are bound to ``problem.lam``.
     """
     lam = problem.lam
-    usolver = _UStepSolver(problem)
+    usolver = problem._usolver
     L, f = problem.L, problem.f
 
     def JA(y, lam_arg):
@@ -410,6 +432,6 @@ def run_drs(problem: SplitProblem, init: Optional[AsbState] = None,
     first 200 iterations; their mapped mismatch fills ``setzer_defects``.
     """
     init = init if init is not None else initial_state(problem)
-    usolver = _UStepSolver(problem)
+    usolver = problem._usolver
     return _drive(_DrsStep(problem, usolver, init), stop, record_stride, "drs",
                   twin=_AsbSweep(problem, usolver, init))

@@ -74,7 +74,7 @@ def prox_l1(weights, dim: Optional[int] = None) -> ProxFunctional:
     slack = CONJUGATE_FEAS_TOL * (1.0 + w)
 
     def value(x):
-        return float(np.sum(w * np.abs(x)))
+        return float((w * np.abs(x)).sum())
 
     def prox(x, t):
         return kernels.soft_threshold(np.ascontiguousarray(x, dtype=float), t * w)
@@ -99,15 +99,15 @@ def prox_weighted_l21(weights, block_size: int) -> ProxFunctional:
     slack = CONJUGATE_FEAS_TOL * (1.0 + w)
 
     def value(x):
-        nrm = np.linalg.norm(np.asarray(x, dtype=float).reshape(-1, block_size), axis=1)
-        return float(np.sum(w * nrm))
+        nrm = kernels._block_norms(np.asarray(x, dtype=float).reshape(-1, block_size))
+        return float((w * nrm).sum())
 
     def prox(x, t):
         return kernels.block_shrink(np.ascontiguousarray(x, dtype=float), t * w, block_size)
 
     def conjugate_value(y):
         # indicator of the product of per-block Euclidean balls
-        nrm = np.linalg.norm(np.asarray(y, dtype=float).reshape(-1, block_size), axis=1)
+        nrm = kernels._block_norms(np.asarray(y, dtype=float).reshape(-1, block_size))
         return 0.0 if np.all(nrm <= w + slack) else np.inf
 
     return ProxFunctional(dim=dim, value=value, prox=prox, label="weighted_l21",

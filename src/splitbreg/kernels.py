@@ -1,10 +1,10 @@
 """Hot numeric kernels: shrinkage and the taut-string walk.
 
 Soft thresholding and block shrinkage are vectorized numpy; the
-taut-string walk is inherently sequential and runs as a plain loop.
-All kernels take and return C-contiguous float64 arrays.  The
-finite-difference stencils are not kernels: they are sparse matrices
-assembled in :mod:`splitbreg.linops`.
+taut-string walk is inherently sequential and runs as a plain loop
+over Python floats.  All kernels take and return C-contiguous float64
+arrays.  The finite-difference stencils are not kernels: they are
+sparse matrices assembled in :mod:`splitbreg.linops`.
 """
 
 import numpy as np
@@ -25,12 +25,19 @@ def soft_threshold(x, thresh):
     return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
 
 
+def _block_norms(blocks):
+    # Euclidean norm of each row, its squares summed column by column: the
+    # same bits as np.linalg.norm(blocks, axis=1) for rows of up to 7
+    # entries (numpy sums 8 or more pairwise), without its overhead.
+    sq = blocks[:, 0] * blocks[:, 0]
+    for j in range(1, blocks.shape[1]):
+        sq += blocks[:, j] * blocks[:, j]
+    return np.sqrt(sq)
+
+
 def block_shrink(y, thresh, block_size):
     blocks = y.reshape(-1, block_size)
-    sq = np.zeros(blocks.shape[0])
-    for j in range(block_size):
-        sq += blocks[:, j] * blocks[:, j]
-    nrm = np.sqrt(sq)
+    nrm = _block_norms(blocks)
     scale = np.where(nrm > thresh, 1.0 - thresh / np.where(nrm > 0.0, nrm, 1.0), 0.0)
     return (blocks * scale[:, None]).reshape(-1)
 
@@ -41,6 +48,7 @@ def taut_string_slopes(lo, hi):
     # per-interval slopes, i.e. the increments of the taut string.
     m = lo.shape[0] - 1
     slopes = np.empty(m)
+    lo, hi = lo.tolist(), hi.tolist()  # the walk reads one entry at a time
     x0 = 0
     g0 = lo[0]
     while x0 < m:
@@ -77,8 +85,7 @@ def taut_string_slopes(lo, hi):
             knot = m
             knot_val = lo[m]
         s = (knot_val - g0) / float(knot - x0)
-        for i in range(x0, knot):
-            slopes[i] = s
+        slopes[x0:knot] = s
         x0 = knot
         g0 = knot_val
     return slopes

@@ -5,7 +5,11 @@ them on construction (finite entries, expected length).  Every shipped
 operator is a :class:`LinearMap` around one ``scipy.sparse`` CSR matrix:
 ``apply`` multiplies by it and ``adjoint_apply`` by its cached CSR
 transpose, so the adjoint identity ``<L u, v> == <u, L* v>`` holds to
-machine precision rather than only up to discretization error.  The
+machine precision rather than only up to discretization error.  Both
+call scipy's ``csr_matvec`` kernel, bound once to the matrix's index
+and data arrays, for a 1-D float64 vector of the right length (the
+same call ``a @ v`` makes, without its dispatch); any other input goes
+through ``a @ v``, with its errors and its 2-D behaviour.  The
 gradient stencils are assembled from 1-D difference matrices with
 ``sp.kron``.  :func:`spd_factor` is the one sparse factorization used
 for symmetric positive-definite solves (the u-step and the forward
@@ -20,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import SuperLU, splu
 
 __all__ = [
@@ -38,6 +43,7 @@ __all__ = [
 
 # Rank computation is cheap enough to classify matrices up to this size.
 _RANK_FLAG_LIMIT = 400
+_FLOAT64 = np.dtype(np.float64)
 
 
 def as_vector(data, dim: Optional[int] = None) -> np.ndarray:
@@ -107,16 +113,37 @@ class AdjointReport:
     max_relative_defect: float
 
 
+def _matvec(a: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """``v -> a @ v``, calling scipy's CSR kernel directly for a float64 vector.
+
+    A 1-D float64 ndarray of the right length is what ``a @ v`` itself
+    hands to ``csr_matvec``, so the result is the same bits; anything else
+    (a wrong length, a 2-D block, a list) still goes through ``a @ v`` and
+    its errors.
+    """
+    m, n = a.shape
+    indptr, indices, data = a.indptr, a.indices, a.data
+    kernel = _sparsetools.csr_matvec
+
+    def matvec(v):
+        if v.__class__ is np.ndarray and v.shape == (n,) and v.dtype is _FLOAT64:
+            out = np.zeros(m)
+            kernel(m, n, indptr, indices, data, v, out)
+            return out
+        return a @ v
+
+    return matvec
+
+
 def _csr_map(a, injective: Optional[bool]) -> LinearMap:
     """LinearMap around a CSR matrix; the adjoint applies its cached transpose."""
     a = sp.csr_matrix(a, dtype=float)
-    at = a.T.tocsr()
     m, n = a.shape
     return LinearMap(
         domain_dim=n,
         codomain_dim=m,
-        apply=lambda v: a @ v,
-        adjoint_apply=lambda v: at @ v,
+        apply=_matvec(a),
+        adjoint_apply=_matvec(a.T.tocsr()),
         matrix=a,
         injective=injective,
     )

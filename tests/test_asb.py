@@ -1,9 +1,13 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import splitbreg as sb
 from splitbreg.asb import _UStepSolver
 from splitbreg.diagnostics import lockstep_certificate
+from splitbreg.drs import NonFiniteIterateError
 from splitbreg.functionals import (geometric_schedule, harmonic_schedule, prox_l1,
                                    prox_quadratic, zero_functional, zero_schedule)
 from splitbreg.linops import (GridSpec, identity_operator, interior_gradient_operator,
@@ -293,6 +297,38 @@ def test_lockstep_certificate_matches_rerun(request, name, solver, stop):
                                      sb.run_drs(prob, stop=window, record_stride=1), prob.lam)
     assert lockstep_certificate(trace) == expected
     assert trace.twin_iterates == min(trace.n_iter, 200) + 1
+
+
+@pytest.mark.parametrize("solver", ["asb_iterate", "run_drs"])
+def test_twin_window_evaluates_the_energy_once_per_iteration(tv1d_problem, solver):
+    # only the run measures its residual and energy; the lockstep twin
+    # advances its iterate and nothing else
+    calls = Counter()
+
+    def counted(F):
+        def value(x):
+            calls[F.label] += 1
+            return F.value(x)
+        return dataclasses.replace(F, value=value)
+
+    problem = dataclasses.replace(tv1d_problem, g=counted(tv1d_problem.g),
+                                  f=counted(tv1d_problem.f))
+    trace = getattr(sb, solver)(problem, stop=sb.StoppingRule(tol=None, max_iter=50))
+    assert trace.twin_iterates == 51
+    assert calls == {tv1d_problem.g.label: 50, tv1d_problem.f.label: 50}
+
+
+def test_driver_flags_the_first_non_finite_vector(lasso_problem):
+    f, calls = lasso_problem.f, []
+
+    def prox(x, t):
+        calls.append(t)
+        return np.full_like(x, np.nan) if len(calls) == 3 else f.prox(x, t)
+
+    # prox calls alternate run, twin: the third is the run's d-step at k = 2
+    problem = dataclasses.replace(lasso_problem, f=dataclasses.replace(f, prox=prox))
+    with pytest.raises(NonFiniteIterateError, match="non-finite d at iteration 2"):
+        sb.asb_iterate(problem, stop=sb.StoppingRule(tol=None, max_iter=5))
 
 
 def test_approximate_run_carries_no_twin(tv1d_problem):

@@ -99,7 +99,7 @@ def test_exit_status_negative_fixture(tmp_path):
     assert code == 1  # far from optimal: certificates must fail
 
 
-def test_compare_mode_lambda_mismatch_fails(tmp_path, monkeypatch):
+def test_twin_catches_a_wrong_dual_resolvent(tmp_path, monkeypatch):
     # a slightly wrong dual resolvent on the DRS side only: the alternating
     # sweep never calls it, so the lockstep twin of a plain run must catch
     # the mismatch
@@ -110,6 +110,17 @@ def test_compare_mode_lambda_mismatch_fails(tmp_path, monkeypatch):
     assert run(parse_config(payload), tmp_path / "run") == 1
     equivalence = [c for c in _certs(tmp_path / "run") if c["kind"] == "equivalence"]
     assert len(equivalence) == 1 and not equivalence[0]["passed"]
+
+
+def test_run_factors_the_u_step_once(tmp_path, monkeypatch):
+    # the solver's factor also serves the inclusion certificate's resolvents
+    factors = []
+    exact = splitbreg.asb.spd_factor
+    monkeypatch.setattr(splitbreg.asb, "spd_factor",
+                        lambda system, what: factors.append(what) or exact(system, what))
+    payload = {"problem": "tv1d", "params": {"grid_shape": [64], "seed": 1}}
+    assert run(parse_config(payload), tmp_path / "run") == 0
+    assert factors == ["u-step normal system"]
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

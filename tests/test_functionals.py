@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from splitbreg import kernels
 from splitbreg.functionals import (FUNCTIONAL_LABELS, ErrorSchedule, dual_resolvent,
                                    functional_from_label,
                                    geometric_schedule, harmonic_schedule,
@@ -192,6 +193,28 @@ def test_moreau_and_firm_nonexpansiveness_properties(F, data, t, lam):
     diff = F.prox(x, t) - F.prox(y, t)
     assert float(np.dot(diff, diff)) <= float(np.dot(diff, x - y)) + 1e-10
     assert np.linalg.norm(diff) <= np.linalg.norm(x - y) + 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), block_size=st.integers(1, 3), n_blocks=st.integers(1, 40),
+       t=_STEP, seed=st.integers(0, 2**16))
+def test_block_norms_match_the_linalg_norm_formula_bitwise(data, block_size, n_blocks, t,
+                                                           seed):
+    # the weighted-l2 value and block shrinkage sum each block's squares
+    # column by column; for blocks of 1-3 entries that is the reduction
+    # np.linalg.norm(axis=1) makes, so both agree with it bit for bit.
+    # Drawn edge values plus seeded noise, so that the sums round.
+    x = data.draw(arrays(float, n_blocks * block_size, elements=st.floats(-1e8, 1e8)))
+    x = x + np.random.default_rng(seed).standard_normal(x.shape)
+    w = data.draw(arrays(float, n_blocks, elements=_WEIGHT))
+    nrm = np.linalg.norm(x.reshape(-1, block_size), axis=1)
+    F = prox_weighted_l21(w, block_size)
+    assert F.value(x) == float(np.sum(w * nrm))
+    thresh = t * w
+    scale = np.where(nrm > thresh, 1.0 - thresh / np.where(nrm > 0.0, nrm, 1.0), 0.0)
+    expected = (x.reshape(-1, block_size) * scale[:, None]).reshape(-1)
+    assert kernels.block_shrink(x, thresh, block_size).tobytes() == expected.tobytes()
+    assert F.prox(x, t).tobytes() == expected.tobytes()
 
 
 def test_prox_optimality_probes():

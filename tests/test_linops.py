@@ -196,3 +196,35 @@ def test_matrix_and_identity_adjoint_exact(m, n, seed):
     a = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
     for L in (matrix_operator(a), identity_operator(n)):
         assert check_adjoint(L, trials=10, seed=seed).max_relative_defect <= 1e-12
+
+
+def test_apply_and_adjoint_match_the_matrix_product_bitwise(tmp_path):
+    # apply/adjoint_apply call the CSR kernel directly on 1-D float64
+    # vectors; that must be the same product scipy's ``@`` computes, bit
+    # for bit, and every other input must still take ``@`` and its errors
+    rng = np.random.default_rng(7)
+    custom = rng.standard_normal((9, 6)) * (rng.random((9, 6)) < 0.5)
+    np.savetxt(tmp_path / "m.csv", custom, delimiter=",")
+    ops = [
+        identity_operator(7),
+        matrix_operator(rng.standard_normal((9, 5))),
+        matrix_operator(load_matrix_csv(tmp_path / "m.csv")),
+        gradient_operator(GridSpec((11,), 0.3)),
+        gradient_operator(GridSpec((6, 8), (0.5, 2.0))),
+        interior_gradient_operator(GridSpec((11,), 0.3)),
+        interior_gradient_operator(GridSpec((6, 8), (0.5, 2.0))),
+    ]
+    for L in ops:
+        for _ in range(5):
+            v = rng.standard_normal(L.domain_dim) * 10.0 ** rng.integers(-8, 8)
+            w = rng.standard_normal(L.codomain_dim) * 10.0 ** rng.integers(-8, 8)
+            assert L.apply(v).tobytes() == (L.matrix @ v).tobytes()
+            assert L.adjoint_apply(w).tobytes() == (L.matrix.T @ w).tobytes()
+        strided = rng.standard_normal(2 * L.domain_dim)[::2]
+        assert L.apply(strided).tobytes() == (L.matrix @ strided).tobytes()
+        block = rng.standard_normal((L.domain_dim, 3))
+        assert np.array_equal(L.apply(block), L.matrix @ block)
+        with pytest.raises(ValueError):
+            L.apply(np.zeros(L.domain_dim + 1))
+        with pytest.raises(ValueError):
+            L.adjoint_apply(np.zeros(L.codomain_dim - 1))
