@@ -240,25 +240,24 @@ class _AsbSweep(_Recursion):
         u = u_exact = self.usolver.solve(b, d)
         Lu = Lu_exact = L.apply(u)
 
-        a_k = float(self.schedule.alpha(k)) if self.schedule is not None else 0.0
+        m_k = self.schedule.magnitude(k) if self.schedule is not None else 0.0
         alpha = 0.0
-        if a_k > 0.0:
+        if m_k > 0.0:
             if L.injective:
                 w = _unit_perturbation(self.rng, L.domain_dim)
                 img = L.apply(w)
-                u = u + w * (a_k / float(np.linalg.norm(img)))
+                u = u + w * (m_k / float(np.linalg.norm(img)))
                 Lu = L.apply(u)
             else:
-                Lu = Lu + _unit_perturbation(self.rng, L.codomain_dim) * a_k
+                Lu = Lu + _unit_perturbation(self.rng, L.codomain_dim) * m_k
                 self.energy_basis = "unperturbed"
             alpha = float(np.linalg.norm(Lu - Lu_exact))
 
         d_new = f.prox(b + Lu, 1.0 / lam)
-        b_k = float(self.schedule.beta(k)) if self.schedule is not None else 0.0
         beta = 0.0
-        if b_k > 0.0:
-            d_new = d_new + _unit_perturbation(self.rng, f.dim) * b_k
-            beta = b_k
+        if m_k > 0.0:
+            d_new = d_new + _unit_perturbation(self.rng, f.dim) * m_k
+            beta = m_k
         b_new = b + Lu - d_new
 
         self.b, self.d = b_new, d_new
@@ -380,14 +379,14 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     """Approximate sweep with scheduled subproblem perturbations.
 
     After the exact u-step the image ``L u`` is displaced by a vector of
-    norm ``alpha_k``: along a direction pulled back through L when L is
-    injective (so the stored u stays consistent with its image), in the
-    image space directly otherwise (energies then refer to the
-    unperturbed u and the trace says so).  The d-step result is
-    displaced by ``beta_k`` in place.  Injected magnitudes are recorded;
-    zero entries skip injection entirely, so a zero schedule reproduces
-    the exact trace bit for bit.  No twin runs: the correspondence is an
-    exact-mode property.
+    norm ``schedule.magnitude(k)``: along a direction pulled back through
+    L when L is injective (so the stored u stays consistent with its
+    image), in the image space directly otherwise (energies then refer to
+    the unperturbed u and the trace says so).  The d-step result is
+    displaced by the same magnitude in place.  Injected magnitudes are
+    recorded; a zero magnitude skips injection entirely, so a zero
+    schedule reproduces the exact trace bit for bit.  No twin runs: the
+    correspondence is an exact-mode property.
     """
     init = init if init is not None else initial_state(problem)
     sweep = _AsbSweep(problem, problem._usolver, init, schedule=schedule,

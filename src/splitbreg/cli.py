@@ -162,6 +162,8 @@ def _check_params(problem: str, p: dict) -> Optional[ErrorSchedule]:
         schedule = _parse_schedule(p["schedule"], p.get("allow_nonsummable", False))
     if "y" in p:
         _numbers("y", p["y"])
+        if p.get("n", len(p["y"])) != len(p["y"]):
+            raise ConfigError(f"key 'n' must equal len(y) = {len(p['y'])}, got {p['n']!r}")
 
     if problem in ("tv1d", "tv2d", "least_gradient"):
         ndims = {"tv1d": (1,), "tv2d": (2,), "least_gradient": (1, 2)}[problem]
@@ -223,7 +225,7 @@ def _check_functional(side: str, label: str, spec: dict) -> None:
         raise ConfigError(f"key '{where}mask' must be a list of true/false values")
 
 
-def _parse_schedule(spec: dict, allow_nonsummable: bool):
+def _parse_schedule(spec: dict, allow_nonsummable: bool) -> ErrorSchedule:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("key 'schedule' must be an object with a 'type'")
     kind = spec["type"]
@@ -232,23 +234,23 @@ def _parse_schedule(spec: dict, allow_nonsummable: bool):
         raise ConfigError(f"unknown schedule keys {sorted(extra)}")
     _optional(spec, "ratio", 0.0)
     _optional(spec, "scale", 0.0)
-    if kind == "harmonic" and not allow_nonsummable:
-        raise ConfigError(
-            "key 'schedule': harmonic magnitudes are not summable; "
-            "set 'allow_nonsummable' to run this negative control anyway"
-        )
     makers = {
-        "geometric": lambda: geometric_schedule(float(spec.get("ratio", 0.5)),
-                                                float(spec.get("scale", 1.0))),
+        "geometric": lambda: geometric_schedule(spec.get("ratio", 0.5), spec.get("scale", 1.0)),
         "zero": zero_schedule,
-        "harmonic": lambda: harmonic_schedule(float(spec.get("scale", 1.0))),
+        "harmonic": lambda: harmonic_schedule(spec.get("scale", 1.0)),
     }
     if not isinstance(kind, str) or kind not in makers:
         raise ConfigError(f"unknown schedule type {kind!r}")
     try:
-        return makers[kind]()
+        schedule = makers[kind]()
     except ValueError as exc:  # e.g. a geometric ratio outside [0, 1)
         raise ConfigError(f"key 'schedule': {exc}") from exc
+    if not schedule.summable and not allow_nonsummable:
+        raise ConfigError(
+            f"key 'schedule': {kind} magnitudes are not summable; "
+            "set 'allow_nonsummable' to run this negative control anyway"
+        )
+    return schedule
 
 
 def _build_problem(config: RunConfig):

@@ -9,6 +9,7 @@ infeasible points from merely expensive ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -243,52 +244,45 @@ def functional_from_label(label: str, dim: int, params: dict) -> ProxFunctional:
 class ErrorSchedule:
     """Per-iteration perturbation magnitudes for the approximate solvers.
 
-    ``alpha(k)`` bounds the image-space error of the first subproblem and
-    ``beta(k)`` the error of the second, for k >= 1.  A schedule declared
-    summable is sanity-checked at construction: its partial sums out to
-    k = 1e5 must have a negligible tail, which rejects e.g. the harmonic
-    sequence.
+    ``magnitude(k)``, for k >= 1, bounds the image-space error of the
+    first subproblem and the error of the second: ``scale * ratio**k``
+    for a ``"geometric"`` schedule, ``scale / k`` for a ``"harmonic"``
+    one.  Summability follows from the kind in closed form: geometric
+    schedules (the zero schedule is one, at scale 0) are summable, the
+    harmonic one is not.  Every kind needs a finite ``0 <= ratio < 1``
+    and a finite ``scale >= 0``.
     """
 
-    alpha: Callable[[int], float]
-    beta: Callable[[int], float]
-    summable: bool = field(default=True)
+    kind: str
+    scale: float = 1.0
+    ratio: float = 0.5
 
     def __post_init__(self):
-        if self.summable:
-            ks = np.arange(1, 100_001)
-            terms = np.fromiter((self.alpha(int(k)) + self.beta(int(k)) for k in ks),
-                                dtype=float, count=ks.shape[0])
-            if np.any(terms < 0) or not np.all(np.isfinite(terms)):
-                raise ValueError("schedule terms must be finite and nonnegative")
-            total = float(terms.sum())
-            tail = float(terms[90_000:].sum())
-            if tail > 1e-3 * max(1.0, total):
-                raise ValueError(
-                    "schedule declared summable but its partial sums still grow "
-                    f"at k=1e5 (tail {tail:.3e} of total {total:.3e})"
-                )
+        if self.kind not in ("geometric", "harmonic"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if not (math.isfinite(self.ratio) and 0.0 <= self.ratio < 1.0):
+            raise ValueError(f"schedule ratio must be finite and in [0, 1), got {self.ratio!r}")
+        if not (math.isfinite(self.scale) and self.scale >= 0.0):
+            raise ValueError(f"schedule scale must be finite and >= 0, got {self.scale!r}")
+
+    @property
+    def summable(self) -> bool:
+        return self.kind == "geometric"
+
+    def magnitude(self, k: int) -> float:
+        if self.kind == "harmonic":
+            return self.scale / k
+        return self.scale * self.ratio**k
 
 
 def geometric_schedule(ratio: float, scale: float = 1.0) -> ErrorSchedule:
-    ratio = float(ratio)
-    scale = float(scale)
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError("geometric ratio must lie in [0, 1)")
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    return ErrorSchedule(alpha=lambda k: scale * ratio**k,
-                         beta=lambda k: scale * ratio**k,
-                         summable=True)
+    return ErrorSchedule("geometric", scale=float(scale), ratio=float(ratio))
 
 
 def harmonic_schedule(scale: float = 1.0) -> ErrorSchedule:
     """1/k magnitudes: not summable, shipped only as a negative control."""
-    scale = float(scale)
-    return ErrorSchedule(alpha=lambda k: scale / k,
-                         beta=lambda k: scale / k,
-                         summable=False)
+    return ErrorSchedule("harmonic", scale=float(scale))
 
 
 def zero_schedule() -> ErrorSchedule:
-    return ErrorSchedule(alpha=lambda k: 0.0, beta=lambda k: 0.0, summable=True)
+    return ErrorSchedule("geometric", scale=0.0)

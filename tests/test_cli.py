@@ -1,14 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splitbreg.asb
 import splitbreg.cli
 from splitbreg.cli import (_COMMON_KEYS, _PROBLEM_KEYS, PROBLEMS, ConfigError, main,
                            parse_config, run)
+from splitbreg.functionals import ErrorSchedule, geometric_schedule
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -48,6 +50,9 @@ def test_parse_config_validation():
         parse_config({"problem": "lasso", "params": {"schedule": {"type": "geometric", "rate": 0.5}}})
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config({"problem": "lasso", "outputs": ["plots"]})
+    with pytest.raises(ConfigError, match="'n' must equal len"):
+        parse_config({"problem": "lasso", "params": {"n": 5, "y": [1.0, 2.0]}})
+    parse_config({"problem": "lasso", "params": {"n": 2, "y": [1.0, 2.0]}})
 
 
 def test_lasso_run_hits_known_energy(tmp_path, capsys):
@@ -167,7 +172,7 @@ def test_asb_approx_solver_via_cli(tmp_path):
                                     {"schedule": {"type": "geometric", "ratio": 0.25}}],
                          ids=["default", "null", "explicit"])
 def test_approx_schedule_is_built_once(tmp_path, monkeypatch, params):
-    # each build runs a 1e5-term summability check; run reuses the parsed one
+    # parse_config builds the schedule; run must reuse it, not build another
     builds = []
     build = splitbreg.cli.geometric_schedule
     monkeypatch.setattr(splitbreg.cli, "geometric_schedule",
@@ -177,7 +182,19 @@ def test_approx_schedule_is_built_once(tmp_path, monkeypatch, params):
     config = parse_config(payload)
     assert run(config, tmp_path / "out") == 0
     assert len(builds) == 1
-    assert config.schedule.alpha(1) == builds[0][0]
+    assert config.schedule.magnitude(1) == builds[0][0]
+
+
+def test_parse_config_evaluates_no_magnitude(monkeypatch):
+    calls = []
+    magnitude = ErrorSchedule.magnitude
+    monkeypatch.setattr(ErrorSchedule, "magnitude",
+                        lambda self, k: calls.append(k) or magnitude(self, k))
+    for params in ({}, {"schedule": {"type": "geometric", "ratio": 0.9, "scale": 0.1}},
+                   {"schedule": {"type": "zero"}},
+                   {"schedule": {"type": "harmonic"}, "allow_nonsummable": True}):
+        parse_config({"problem": "lasso", "solver": "asb_approx", "params": params})
+    assert calls == []
 
 
 def test_custom_matrix_problem(tmp_path):
@@ -271,6 +288,7 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
     {"problem": "lasso", "params": {"schedule": {"type": ["zero"]}}},
     {"problem": "lasso", "params": {"debug_drs_lambda": 2.0}},
     {"problem": "lasso", "params": {"max_iter": 0}},
+    {"problem": "lasso", "params": {"n": 5, "y": [1.0, 2.0]}},
     _custom(csv=None),
     _custom(matrix_csv=lambda tmp_path: str(tmp_path)),  # a directory
     _custom(csv="a,b\nc,d\n"),
@@ -289,7 +307,7 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
 ], ids=["max_iter_str", "lambda_str", "top_level_list", "missing_matrix_csv", "grid_1_node",
         "tv1d_2d_grid", "grid_str", "max_iter_float", "tol_negative", "y_empty", "params_str",
         "two_phase_1d", "axis_out_of_range", "label_list", "ratio_out_of_range",
-        "schedule_type_list", "debug_drs_lambda", "max_iter_0",
+        "schedule_type_list", "debug_drs_lambda", "max_iter_0", "n_conflicts_with_y",
         "csv_missing", "csv_directory", "csv_non_numeric", "l21_no_block_size",
         "l21_block_size_0", "l21_blocks_misfit_rows", "indicator_no_anchor",
         "indicator_mask_length", "quadratic_target_length", "quadratic_scale_str",
@@ -322,3 +340,58 @@ def test_parse_config_raises_only_config_errors(problem, params, top):
             parse_config(payload)
         except ConfigError:
             pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio=st.floats(0.0, 1.0, exclude_max=True),
+       scale=st.floats(0.0, allow_infinity=False) | st.integers(0, 10))
+@example(ratio=0.99995, scale=1.0)
+def test_every_geometric_schedule_in_range_parses_summable(ratio, scale):
+    spec = {"type": "geometric", "ratio": ratio, "scale": scale}
+    schedule = parse_config({"problem": "lasso", "solver": "asb_approx",
+                             "params": {"schedule": spec}}).schedule
+    assert schedule.summable
+    assert schedule == geometric_schedule(ratio, scale)
+
+
+def _well_formed(spec) -> bool:
+    """A known type, known keys, and finite nonnegative numbers (geometric ratio < 1)."""
+    if not isinstance(spec, dict) or not set(spec) <= {"type", "ratio", "scale"}:
+        return False
+    kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in ("geometric", "harmonic", "zero"):
+        return False
+    ratio_high = 1.0 if kind == "geometric" else math.inf
+    return all(not isinstance(v, bool) and isinstance(v, (int, float)) and 0.0 <= v < high
+               for v, high in ((spec.get("ratio", 0.5), ratio_high),
+                               (spec.get("scale", 1.0), math.inf)))
+
+
+# arbitrary values for "schedule" come from test_parse_config_raises_only_config_errors;
+# these specs are near-valid, so that both outcomes are drawn
+_ODD = st.sampled_from([None, True, "0.5", [0.5], {}])
+_SCHEDULE_SPECS = st.fixed_dictionaries(
+    {"type": st.sampled_from(["geometric", "harmonic", "zero", "cubic", None])},
+    optional={"ratio": st.floats(-0.5, 1.5) | st.integers(0, 1) | _ODD,
+              "scale": st.floats(-0.5, 10.0) | st.floats() | st.integers(0, 3) | _ODD,
+              "rate": _ODD})
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_SCHEDULE_SPECS, allow=st.booleans())
+@example(spec={"type": "geometric", "ratio": 0.99995}, allow=False)
+@example(spec={"type": "harmonic", "scale": -1.0}, allow=True)
+def test_schedule_specs_parse_or_raise_config_error(spec, allow):
+    payload = {"problem": "lasso", "solver": "asb_approx",
+               "params": {"schedule": spec, "allow_nonsummable": allow}}
+    if spec is None:  # a null schedule means the default
+        assert parse_config(payload).schedule == geometric_schedule(0.5)
+        return
+    accepted = _well_formed(spec) and (spec["type"] != "harmonic" or allow)
+    try:
+        schedule = parse_config(payload).schedule
+    except ConfigError:
+        assert not accepted
+    else:
+        assert accepted
+        assert schedule.summable == (spec["type"] != "harmonic")

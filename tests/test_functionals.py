@@ -236,13 +236,50 @@ def test_prox_optimality_probes():
 def test_error_schedule_validation():
     geometric_schedule(0.5)
     zero_schedule()
-    harmonic_schedule()  # declared non-summable: fine
-    with pytest.raises(ValueError, match="summable"):
-        ErrorSchedule(alpha=lambda k: 1.0 / k, beta=lambda k: 0.0, summable=True)
+    harmonic_schedule()  # non-summable, and the type says so: fine
     with pytest.raises(ValueError):
         geometric_schedule(1.0)
     with pytest.raises(ValueError):
         geometric_schedule(0.5, scale=-1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: harmonic_schedule(-1.0),
+    lambda: harmonic_schedule(float("inf")),
+    lambda: geometric_schedule(float("nan")),
+    lambda: geometric_schedule(-0.5),
+    lambda: geometric_schedule(0.5, scale=float("nan")),
+    lambda: ErrorSchedule("harmonic", ratio=1.5),
+    lambda: ErrorSchedule("cubic"),
+], ids=["harmonic_negative_scale", "harmonic_inf_scale", "ratio_nan", "ratio_negative",
+        "scale_nan", "harmonic_ratio_1.5", "unknown_kind"])
+def test_error_schedule_rejects_malformed_numbers(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_schedule_summability_follows_from_the_kind():
+    assert geometric_schedule(0.5).summable and geometric_schedule(0.0, scale=3.0).summable
+    # sum scale * ratio**k = scale * ratio / (1 - ratio) is finite for any ratio < 1
+    assert geometric_schedule(0.99995).summable
+    assert zero_schedule().summable
+    assert not harmonic_schedule().summable and not harmonic_schedule(0.0).summable
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_schedule_magnitudes_match_the_closed_forms_bitwise():
+    ks = range(1, 501)
+    for ratio, scale in ((0.5, 1.0), (0.25, 1.0), (0.9, 0.1), (0.99995, 3.0), (0.0, 2.0),
+                         (0.7, 0.0), (1.0 / 3.0, 1e-3)):
+        schedule = geometric_schedule(ratio, scale)
+        assert _bits([schedule.magnitude(k) for k in ks]) == _bits([scale * ratio**k for k in ks])
+    for scale in (1.0, 0.01, 0.0, 7.5):
+        schedule = harmonic_schedule(scale)
+        assert _bits([schedule.magnitude(k) for k in ks]) == _bits([scale / k for k in ks])
+    assert _bits([zero_schedule().magnitude(k) for k in ks]) == _bits([0.0] * 500)
 
 
 def test_functional_from_label():
