@@ -8,10 +8,12 @@ For ``min g(u) + f(L u)`` with penalty ``lam``, each sweep performs
 
 Shipped problems restrict g to quadratic / point-indicator / zero, so
 the u-step is a sparse symmetric positive-definite linear system in
-``L^T L``, factorized once per solver with ``splu`` (see
-:func:`splitbreg.linops.spd_factor`) and solved directly at every
-sweep.  That keeps the exact algorithm exact, which the runtime
-equivalence instrumentation depends on.
+``L^T L``, factorized once per solver by
+:func:`splitbreg.linops.spd_factor` (LAPACK's tridiagonal LDL^T when
+the system is tridiagonal, as every 1-D grid operator and the identity
+make it, ``splu`` otherwise) and solved directly at every sweep.  That
+keeps the exact algorithm exact, which the runtime equivalence
+instrumentation depends on.
 
 The same machinery exposes the two dual-side resolvents, so the
 Douglas-Rachford recursion on the dual problem runs from the same
@@ -23,7 +25,8 @@ the shared factor; their mapped mismatch per iterate is the
 ``setzer_defects`` series (``nan`` where no twin ran), and its worst,
 k = 0 included, is ``RunTrace.twin_defect``, the correspondence's certificate.
 The twin advances only its iterate and checks it is finite; the run's
-residual, energy and increment series are measured on the run alone.
+residual, energy and increment series are measured on the run alone,
+and a DRS twin never maps its iterate back to (b, d).
 A problem's u-step factor is built once, on first use, and shared by
 its runs, their twins and :func:`dual_resolvents`.
 
@@ -113,7 +116,9 @@ class _UStepSolver:
     One instance per problem: the sparse normal matrix ``L^T L`` (restricted
     to the free coordinates for the point indicator, plus ``(rho/lam) I``
     for the quadratic) is factorized once with :func:`spd_factor`, and
-    every solve reuses the factor.
+    every solve reuses the factor.  The right-hand side's constant part,
+    ``(rho/lam) target`` or the negated anchor term, is computed here too,
+    so a solve is one adjoint apply, one subtraction and the factor's solve.
     """
 
     def __init__(self, problem: SplitProblem):
@@ -124,15 +129,14 @@ class _UStepSolver:
                 "only these make the subproblem an SPD linear solve"
             )
         self.L = L
-        self.lam = problem.lam
         self.mode = g.label
         a = L.matrix
         self._factor = None
 
         if self.mode == "quadratic":
-            self.rho = float(g.params["scale"])
-            self.target = np.asarray(g.params["target"], dtype=float)
-            system = a.T @ a + (self.rho / self.lam) * sp.identity(L.domain_dim)
+            rho_lam = float(g.params["scale"]) / problem.lam
+            self._rhs0 = rho_lam * np.asarray(g.params["target"], dtype=float)
+            system = a.T @ a + rho_lam * sp.identity(L.domain_dim)
         elif self.mode == "indicator_point":
             mask = np.asarray(g.params["mask"], dtype=bool)
             self.anchor_ext = np.zeros(L.domain_dim)
@@ -142,7 +146,7 @@ class _UStepSolver:
                 return  # fully constrained: no system to solve
             a_free = a[:, np.flatnonzero(self.free)]
             system = a_free.T @ a_free
-            self._anchor_term = a_free.T @ (a @ self.anchor_ext)
+            self._rhs0 = -(a_free.T @ (a @ self.anchor_ext))
         else:
             system = a.T @ a
         try:
@@ -160,15 +164,16 @@ class _UStepSolver:
 
     def solve_c(self, c: np.ndarray) -> np.ndarray:
         """argmin_u g(u) + (lam/2) ||L u + c||^2."""
-        neg_ltc = -self.L.adjoint_apply(c)
+        ltc = self.L.adjoint_apply(c)
+        # rhs0 - v is rhs0 + (-v) bit for bit, so the negation folds into the subtraction
         if self.mode == "quadratic":
-            return self._factor.solve((self.rho / self.lam) * self.target + neg_ltc)
+            return self._factor.solve(self._rhs0 - ltc)
         if self.mode == "indicator_point":
             u = self.anchor_ext.copy()
             if self._factor is not None:
-                u[self.free] = self._factor.solve(neg_ltc[self.free] - self._anchor_term)
+                u[self.free] = self._factor.solve(self._rhs0 - ltc[self.free])
             return u
-        return self._factor.solve(neg_ltc)
+        return self._factor.solve(-ltc)
 
 
 def asb_u_step(problem: SplitProblem, state: AsbState) -> np.ndarray:
@@ -196,14 +201,13 @@ def _norm(v: np.ndarray) -> float:
 class _Step(NamedTuple):
     """What one iteration of either recursion hands the driver.
 
-    Only the run measures it: its residual is ``||d - Lu||`` and its
-    energy ``g(u) + f(f_at)``.  A twin's step is checked for finiteness
-    and otherwise dropped.
+    Only the run measures it: its residual is ``||d - Lu||``, with the d
+    the u-step was paired with, and its energy ``g(u) + f(f_at)``.  A
+    twin's step is checked for finiteness and otherwise dropped.
     """
 
     finite: tuple  # (name, vector) pairs that must be finite, in check order
     u: np.ndarray
-    d: np.ndarray  # the d this iteration's u-step was paired with
     Lu: np.ndarray
     f_at: np.ndarray  # where the energy evaluates f
     alpha: float = 0.0
@@ -211,19 +215,24 @@ class _Step(NamedTuple):
 
 
 class _Recursion:
-    """One solver form's (b, d) and (x, p), from ``x0 = lam (b0 + d0)``, ``p0 = lam b0``.
+    """One solver form's iterate, from ``x0 = lam (b0 + d0)``, ``p0 = lam b0``.
 
-    Steps rebind these to fresh arrays, so records may keep references.
+    ``x``/``p`` are attributes; ``bd()`` gives ``(b, d)``.  Steps rebind
+    to fresh arrays, so records may keep references.
     """
 
     energy_basis = "iterate"
 
     def __init__(self, problem: SplitProblem, usolver: _UStepSolver, init: AsbState):
         self.problem, self.usolver = problem, usolver
-        self.b = np.array(init.b, dtype=float, copy=True)
-        self.d = np.array(init.d, dtype=float, copy=True)
-        self.x = problem.lam * (self.b + self.d)
-        self.p = problem.lam * self.b
+        b = np.array(init.b, dtype=float, copy=True)
+        d = np.array(init.d, dtype=float, copy=True)
+        self.x = problem.lam * (b + d)
+        self.p = problem.lam * b
+        self._bd = (b, d)
+
+    def bd(self) -> tuple:
+        return self._bd
 
 
 class _AsbSweep(_Recursion):
@@ -236,7 +245,7 @@ class _AsbSweep(_Recursion):
 
     def step(self, k: int) -> _Step:
         lam, L, f = self.problem.lam, self.problem.L, self.problem.f
-        b, d = self.b, self.d
+        b, d = self._bd
         u = u_exact = self.usolver.solve(b, d)
         Lu = Lu_exact = L.apply(u)
 
@@ -253,16 +262,17 @@ class _AsbSweep(_Recursion):
                 self.energy_basis = "unperturbed"
             alpha = float(np.linalg.norm(Lu - Lu_exact))
 
-        d_new = f.prox(b + Lu, 1.0 / lam)
+        z = b + Lu
+        d_new = f.prox(z, 1.0 / lam)
         beta = 0.0
         if m_k > 0.0:
             d_new = d_new + _unit_perturbation(self.rng, f.dim) * m_k
             beta = m_k
-        b_new = b + Lu - d_new
+        b_new = z - d_new
 
-        self.b, self.d = b_new, d_new
+        self._bd = (b_new, d_new)
         self.x, self.p = lam * (b_new + d_new), lam * b_new
-        return _Step(finite=(("u", u_exact), ("d", d_new), ("b", b_new)), u=u, d=d, Lu=Lu,
+        return _Step(finite=(("u", u_exact), ("d", d_new), ("b", b_new)), u=u, Lu=Lu,
                      f_at=Lu if self.energy_basis == "iterate" else Lu_exact,
                      alpha=alpha, beta=beta)
 
@@ -270,22 +280,28 @@ class _AsbSweep(_Recursion):
 class _DrsStep(_Recursion):
     """The dual Douglas-Rachford step: ``JA`` is one u-solve, ``JB`` the Moreau resolvent.
 
-    (b, d) come from (x, p) by the inverse map ``b = p/lam``, ``d = x/lam - b``.
+    (b, d) come from (x, p) by the inverse map ``b = p/lam``, ``d = x/lam - b``,
+    computed only when ``bd()`` is called: a twin never calls it.
     """
+
+    def bd(self) -> tuple:
+        if self._bd is None:
+            lam = self.problem.lam
+            b = self.p / lam
+            self._bd = (b, self.x / lam - b)
+        return self._bd
 
     def step(self, k: int) -> _Step:
         lam, L, f = self.problem.lam, self.problem.L, self.problem.f
-        x, p, d = self.x, self.p, self.d
+        x, p = self.x, self.p
         y = 2.0 * p - x
         u = self.usolver.solve_c(y / lam)
         Lu = L.apply(u)
         x_new = x + (y + lam * Lu) - p
         p_new = dual_resolvent(f, x_new, lam)
 
-        self.x, self.p = x_new, p_new
-        self.b = p_new / lam
-        self.d = x_new / lam - self.b
-        return _Step(finite=(("u", u), ("x", x_new), ("p", p_new)), u=u, d=d, Lu=Lu, f_at=Lu)
+        self.x, self.p, self._bd = x_new, p_new, None
+        return _Step(finite=(("u", u), ("x", x_new), ("p", p_new)), u=u, Lu=Lu, f_at=Lu)
 
 
 def _advance(rec: _Recursion, k: int) -> _Step:
@@ -297,7 +313,8 @@ def _advance(rec: _Recursion, k: int) -> _Step:
 
 
 def _record(rec: _Recursion, k: int, u: Optional[np.ndarray]) -> IterateRecord:
-    return IterateRecord(k=k, u=u, d=rec.d, b=rec.b, x=rec.x, p=rec.p)
+    b, d = rec.bd()
+    return IterateRecord(k=k, u=u, d=d, b=b, x=rec.x, p=rec.p)
 
 
 def _mismatch(a: _Recursion, b: _Recursion) -> float:
@@ -326,10 +343,10 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     u = None
 
     for k in range(1, stop.max_iter + 1):
-        x_prev, p_prev = run.x, run.p
+        x_prev, p_prev, d_prev = run.x, run.p, run.bd()[1]
         step = _advance(run, k)
         u = step.u
-        residuals.append(_norm(step.d - step.Lu))
+        residuals.append(_norm(d_prev - step.Lu))
         energies.append(g.value(u) + f.value(step.f_at))
         alphas.append(step.alpha)
         betas.append(step.beta)

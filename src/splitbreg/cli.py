@@ -225,13 +225,19 @@ def _check_functional(side: str, label: str, spec: dict) -> None:
         raise ConfigError(f"key '{where}mask' must be a list of true/false values")
 
 
+# the keys each schedule type reads besides "type"
+_SCHEDULE_KEYS = {"geometric": ("ratio", "scale"), "harmonic": ("scale",), "zero": ()}
+
+
 def _parse_schedule(spec: dict, allow_nonsummable: bool) -> ErrorSchedule:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("key 'schedule' must be an object with a 'type'")
     kind = spec["type"]
-    extra = set(spec) - {"type", "ratio", "scale"}
+    if not isinstance(kind, str) or kind not in _SCHEDULE_KEYS:
+        raise ConfigError(f"unknown schedule type {kind!r}")
+    extra = set(spec) - {"type", *_SCHEDULE_KEYS[kind]}
     if extra:
-        raise ConfigError(f"unknown schedule keys {sorted(extra)}")
+        raise ConfigError(f"unknown schedule keys {sorted(extra)} for type {kind!r}")
     _optional(spec, "ratio", 0.0)
     _optional(spec, "scale", 0.0)
     makers = {
@@ -239,8 +245,6 @@ def _parse_schedule(spec: dict, allow_nonsummable: bool) -> ErrorSchedule:
         "zero": zero_schedule,
         "harmonic": lambda: harmonic_schedule(spec.get("scale", 1.0)),
     }
-    if not isinstance(kind, str) or kind not in makers:
-        raise ConfigError(f"unknown schedule type {kind!r}")
     try:
         schedule = makers[kind]()
     except ValueError as exc:  # e.g. a geometric ratio outside [0, 1)
@@ -346,13 +350,11 @@ def _stopping(config: RunConfig) -> StoppingRule:
 
 
 def write_trace_csv(path, trace: RunTrace) -> None:
+    rows = zip(range(1, trace.n_iter + 1), trace.residuals.tolist(), trace.energies.tolist(),
+               trace.setzer_defects.tolist(), trace.x_increments.tolist())
     with open(path, "w") as fh:
         fh.write("k,residual,energy,setzer_defect,x_increment\n")
-        for j in range(trace.n_iter):
-            fh.write(
-                f"{j + 1},{trace.residuals[j]:.17g},{trace.energies[j]:.17g},"
-                f"{trace.setzer_defects[j]:.17g},{trace.x_increments[j]:.17g}\n"
-            )
+        fh.write("".join(["%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows]))
 
 
 def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> list:

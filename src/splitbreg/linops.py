@@ -11,9 +11,12 @@ and data arrays, for a 1-D float64 vector of the right length (the
 same call ``a @ v`` makes, without its dispatch); any other input goes
 through ``a @ v``, with its errors and its 2-D behaviour.  The
 gradient stencils are assembled from 1-D difference matrices with
-``sp.kron``.  :func:`spd_factor` is the one sparse factorization used
-for symmetric positive-definite solves (the u-step and the forward
-model); :func:`load_matrix_csv` reads the custom_matrix CSV.
+``sp.kron``.  :func:`spd_factor` is the one factorization used for
+symmetric positive-definite solves (the u-step and the forward model):
+a symmetric tridiagonal system, which every 1-D grid operator and the
+identity give, is factored as LDL^T by LAPACK ``dpttrf``; any other is
+factored once with ``splu``.  :func:`load_matrix_csv` reads the
+custom_matrix CSV.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import SuperLU, splu
 
@@ -244,28 +248,71 @@ def check_adjoint(L: LinearMap, trials: int = 50, seed: int = 0) -> AdjointRepor
     return AdjointReport(max_relative_defect=worst)
 
 
-def spd_factor(system, what: str = "system") -> SuperLU:
-    """Sparse LU of a symmetric positive-definite matrix, pivoting on the diagonal.
+class _TridiagonalFactor:
+    """``A = L D L^T`` of a symmetric positive-definite tridiagonal matrix.
 
-    The fill-reducing ordering is symmetric and no off-diagonal pivot is
-    taken, so the factor is a Cholesky-like ``P A P^T = L U``.  A
-    semidefinite matrix can still factor without error and return
-    solutions of size ~1e15, so every pivot must exceed
+    ``d`` and ``e`` are the ``dpttrf`` output: the pivots and the unit
+    lower bidiagonal's sub-diagonal (one unread zero when n = 1).
+    """
+
+    def __init__(self, d: np.ndarray, e: np.ndarray):
+        self._d, self._e = d, e
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, info = dpttrs(self._d, self._e, rhs)
+        if info != 0:
+            raise ValueError(f"dpttrs rejected argument {-info}")
+        return x
+
+
+def _pivot_check(pivots: np.ndarray, what: str) -> None:
+    floor = pivots.shape[0] * np.finfo(float).eps * float(np.max(pivots, initial=0.0))
+    if not np.all(pivots > floor):
+        raise ValueError(f"{what} is singular: smallest pivot {float(np.min(pivots)):.3e}, "
+                         f"floor {floor:.3e}")
+
+
+def _tridiagonal_factor(system: sp.spmatrix, what: str) -> Optional[_TridiagonalFactor]:
+    """LDL^T through ``dpttrf`` when ``system`` is symmetric with bandwidth <= 1, else None."""
+    coo = system.tocoo()
+    if np.any(np.abs(coo.row - coo.col) > 1):
+        return None
+    sub = system.diagonal(-1)
+    if not np.array_equal(sub, system.diagonal(1)):
+        return None
+    # f2py rejects an empty off-diagonal; at n = 1 LAPACK reads none
+    d, e, info = dpttrf(system.diagonal(), sub if sub.size else np.zeros(1),
+                        overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise ValueError(f"{what} is singular (leading minor of order {info} "
+                         "is not positive definite)")
+    _pivot_check(d, what)
+    return _TridiagonalFactor(d, e)
+
+
+def spd_factor(system, what: str = "system") -> "_TridiagonalFactor | SuperLU":
+    """Factor of a symmetric positive-definite matrix; ``.solve(rhs)`` solves with it.
+
+    A symmetric tridiagonal matrix (bandwidth <= 1, diagonal included) is
+    factored as ``L D L^T`` by LAPACK ``dpttrf`` and solved by ``dpttrs``.
+    Any other is a sparse LU from ``splu``: the fill-reducing ordering is
+    symmetric and no off-diagonal pivot is taken, so the factor is a
+    Cholesky-like ``P A P^T = L U``.  A semidefinite matrix can still
+    factor without error and return solutions of size ~1e15, so every
+    pivot (``D``, or the diagonal of ``U``) must exceed
     ``n * eps * max pivot``; otherwise, as on an exactly singular
     matrix, ``ValueError("<what> is singular ...")`` is raised.
     """
     system = sp.csc_matrix(system, dtype=float)
-    n = system.shape[0]
+    tridiagonal = _tridiagonal_factor(system, what)
+    if tridiagonal is not None:
+        return tridiagonal
     try:
         lu = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise ValueError(f"{what} is singular ({exc})") from exc
-    pivots = lu.U.diagonal()
-    floor = n * np.finfo(float).eps * float(np.max(pivots, initial=0.0))
-    if not np.all(pivots > floor):
-        raise ValueError(f"{what} is singular: smallest pivot {float(np.min(pivots)):.3e}, "
-                         f"floor {floor:.3e}")
+    _pivot_check(lu.U.diagonal(), what)
     return lu
 
 

@@ -3,8 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import SuperLU
 
 import splitbreg as sb
+from splitbreg import linops
 from splitbreg.asb import _UStepSolver
 from splitbreg.diagnostics import lockstep_certificate
 from splitbreg.drs import NonFiniteIterateError
@@ -107,6 +109,25 @@ def test_u_step_singular_system_raises():
                                L=L, lam=1.0)
         with pytest.raises(ValueError, match="singular"):
             sb.asb_u_step(prob, sb.initial_state(prob))
+
+
+def test_u_step_factor_follows_the_system_bandwidth():
+    # tridiagonal normal systems take LAPACK's LDL^T, every other SuperLU
+    rng = np.random.default_rng(6)
+    tridiagonal = [
+        sb.build_tv_problem(sb.make_tv_instance((32,), seed=1)),
+        sb.SplitProblem(g=prox_quadratic(np.ones(5), 1.0), f=prox_l1(1.0, dim=5),
+                        L=identity_operator(5)),
+        sb.build_least_gradient_problem(sb.make_least_gradient_instance((20,))),
+    ]
+    general = [
+        sb.build_tv_problem(sb.make_tv_instance((8, 8), seed=1)),
+        sb.build_least_gradient_problem(sb.make_least_gradient_instance((8, 8))),
+        sb.SplitProblem(g=prox_quadratic(np.ones(4), 1.0), f=prox_l1(1.0, dim=6),
+                        L=matrix_operator(rng.standard_normal((6, 4)))),
+    ]
+    assert [type(p._usolver._factor) for p in tridiagonal] == [linops._TridiagonalFactor] * 3
+    assert [type(p._usolver._factor) for p in general] == [SuperLU] * 3
 
 
 def test_u_step_rejects_unsupported_g():

@@ -10,6 +10,7 @@ import splitbreg.asb
 import splitbreg.cli
 from splitbreg.cli import (_COMMON_KEYS, _PROBLEM_KEYS, PROBLEMS, ConfigError, main,
                            parse_config, run)
+from splitbreg.diagnostics import RunTrace
 from splitbreg.functionals import ErrorSchedule, geometric_schedule
 
 
@@ -95,6 +96,36 @@ def test_trace_csv_setzer_column_is_nan_past_the_twin_window(tmp_path):
     setzer = [row.split(",")[3] for row in lines[1:]]
     assert len(setzer) == 250
     assert all(v != "nan" for v in setzer[:200]) and set(setzer[200:]) == {"nan"}
+
+
+def _write_trace_csv_loop(path, trace):
+    # the per-row f-string writer that write_trace_csv replaced, kept as its reference
+    with open(path, "w") as fh:
+        fh.write("k,residual,energy,setzer_defect,x_increment\n")
+        for j in range(trace.n_iter):
+            fh.write(
+                f"{j + 1},{trace.residuals[j]:.17g},{trace.energies[j]:.17g},"
+                f"{trace.setzer_defects[j]:.17g},{trace.x_increments[j]:.17g}\n"
+            )
+
+
+def test_write_trace_csv_matches_the_row_loop(tmp_path):
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-310,
+               2.2250738585072014e-308, 0.1, 1 / 3, -2 / 3, 1.2345678901234567e300,
+               9007199254740993.0, 123456789012345678.0, 1e-7, 1e16, 12345.678901234567]
+    rng = np.random.default_rng(5)
+    n = len(special)
+    columns = [np.array(special), np.array(special[::-1]), rng.permutation(special),
+               rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)]
+    trace = RunTrace(
+        kind="asb", iterates=[], residuals=columns[0], energies=columns[1],
+        setzer_defects=columns[2], x_increments=columns[3],
+        alpha_injected=np.zeros(n), beta_injected=np.zeros(n), converged=False, n_iter=n,
+        energy_basis="iterate")
+    splitbreg.cli.write_trace_csv(tmp_path / "fast.csv", trace)
+    _write_trace_csv_loop(tmp_path / "loop.csv", trace)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    assert "nan" in (tmp_path / "fast.csv").read_text()
 
 
 def test_exit_status_negative_fixture(tmp_path):
@@ -304,6 +335,10 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
     _custom(g={"label": "l1"}),
     _custom(g={"label": "weighted_l21", "block_size": 1}),
     _custom(csv=""),
+    {"problem": "lasso", "solver": "asb_approx",
+     "params": {"schedule": {"type": "zero", "scale": 5.0, "ratio": 0.9}}},
+    {"problem": "lasso", "solver": "asb_approx",
+     "params": {"schedule": {"type": "harmonic", "ratio": 1.5}, "allow_nonsummable": True}},
 ], ids=["max_iter_str", "lambda_str", "top_level_list", "missing_matrix_csv", "grid_1_node",
         "tv1d_2d_grid", "grid_str", "max_iter_float", "tol_negative", "y_empty", "params_str",
         "two_phase_1d", "axis_out_of_range", "label_list", "ratio_out_of_range",
@@ -312,7 +347,8 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
         "l21_block_size_0", "l21_blocks_misfit_rows", "indicator_no_anchor",
         "indicator_mask_length", "quadratic_target_length", "quadratic_scale_str",
         "l1_negative_weight", "zero_unknown_key", "g_l1_no_u_step",
-        "g_l21_no_u_step", "csv_empty"])
+        "g_l21_no_u_step", "csv_empty", "zero_schedule_with_scale_and_ratio",
+        "harmonic_schedule_with_ratio"])
 def test_main_rejects_malformed_config(tmp_path, capsys, payload):
     if callable(payload):
         payload = payload(tmp_path)
@@ -354,12 +390,18 @@ def test_every_geometric_schedule_in_range_parses_summable(ratio, scale):
     assert schedule == geometric_schedule(ratio, scale)
 
 
+_READS = {"geometric": {"ratio", "scale"}, "harmonic": {"scale"}, "zero": set()}
+
+
 def _well_formed(spec) -> bool:
-    """A known type, known keys, and finite nonnegative numbers (geometric ratio < 1)."""
-    if not isinstance(spec, dict) or not set(spec) <= {"type", "ratio", "scale"}:
+    """A known type, only keys that type reads, and finite nonnegative numbers
+    (geometric ratio < 1)."""
+    if not isinstance(spec, dict):
         return False
     kind = spec.get("type")
-    if not isinstance(kind, str) or kind not in ("geometric", "harmonic", "zero"):
+    if not isinstance(kind, str) or kind not in _READS:
+        return False
+    if not set(spec) <= {"type"} | _READS[kind]:
         return False
     ratio_high = 1.0 if kind == "geometric" else math.inf
     return all(not isinstance(v, bool) and isinstance(v, (int, float)) and 0.0 <= v < high

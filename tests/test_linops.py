@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitbreg import linops
@@ -150,6 +150,39 @@ def test_spd_factor_solves_and_rejects_singular():
     psd = a[:, :5] @ a[:, :5].T  # rank 5 of 12: factors without error, fails the pivot floor
     with pytest.raises(ValueError, match="singular"):
         spd_factor(sp.csr_matrix(psd))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), diagonal=st.booleans(), seed=st.integers(0, 2**16))
+@example(n=1, diagonal=False, seed=0)
+def test_spd_tridiagonal_factor_matches_dense_solve(n, diagonal, seed):
+    # diagonally dominant, so well conditioned: LDL^T and LU agree to roundoff
+    rng = np.random.default_rng(seed)
+    e = np.zeros(n - 1) if diagonal else rng.standard_normal(n - 1)
+    d = rng.uniform(0.1, 2.0, n)
+    d[:-1] += np.abs(e)
+    d[1:] += np.abs(e)
+    a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    rhs = rng.standard_normal(n)
+    factor = spd_factor(sp.csr_matrix(a))
+    assert isinstance(factor, linops._TridiagonalFactor)
+    expected = np.linalg.solve(a, rhs)
+    assert np.linalg.norm(factor.solve(rhs) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def _gram(L: LinearMap) -> np.ndarray:
+    return (L.matrix.T @ L.matrix).toarray()
+
+
+@pytest.mark.parametrize("system,reason", [
+    (np.diag([1.0, 0.0]), ""),
+    (_gram(interior_gradient_operator(GridSpec((9,), 0.3))), ""),
+    # positive pivots throughout; the last, 2**-51, equals the floor n * eps * max D
+    (np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-51]]), ": smallest pivot .* floor"),
+], ids=["zero_pivot", "interior_gradient_gram", "pivot_at_floor"])
+def test_spd_factor_rejects_singular_tridiagonal(system, reason):
+    with pytest.raises(ValueError, match=f"^gram system is singular{reason}"):
+        spd_factor(sp.csr_matrix(system), what="gram system")
 
 
 def test_operator_catalogue_adjoint_budget():
