@@ -31,9 +31,13 @@ A problem's u-step factor is built once, on first use, and shared by
 its runs, their twins and :func:`dual_resolvents`.
 
 The approximate variant perturbs each subproblem result by a vector of
-scheduled norm: the u-step error is measured (and injected) in the
-image space of L, the d-step error directly.  With a zero schedule the
-code path is identical to the exact sweep, bit for bit.
+scheduled norm ``m_k``.  The u-step error is a feasible u whose image
+is off by ``m_k``: a random direction with g's pinned coordinates
+zeroed, scaled so that its image under L has norm ``m_k`` (none when no
+free direction is left).  Under Setzer's correspondence it is an inexact
+evaluation of the first DRS resolvent.  The d-step error is added to d
+directly.  With a zero schedule the code path is identical to the exact
+sweep, bit for bit.
 
 A joint variant that minimizes over (u, d) simultaneously predates the
 alternating sweep; it is deliberately not provided here, since the
@@ -119,6 +123,8 @@ class _UStepSolver:
     every solve reuses the factor.  The right-hand side's constant part,
     ``(rho/lam) target`` or the negated anchor term, is computed here too,
     so a solve is one adjoint apply, one subtraction and the factor's solve.
+    ``pinned`` marks the coordinates g fixes: the point indicator's mask,
+    none for the other g.
     """
 
     def __init__(self, problem: SplitProblem):
@@ -132,13 +138,14 @@ class _UStepSolver:
         self.mode = g.label
         a = L.matrix
         self._factor = None
+        self.pinned = np.zeros(L.domain_dim, dtype=bool)
 
         if self.mode == "quadratic":
             rho_lam = float(g.params["scale"]) / problem.lam
             self._rhs0 = rho_lam * np.asarray(g.params["target"], dtype=float)
             system = a.T @ a + rho_lam * sp.identity(L.domain_dim)
         elif self.mode == "indicator_point":
-            mask = np.asarray(g.params["mask"], dtype=bool)
+            self.pinned = mask = np.asarray(g.params["mask"], dtype=bool)
             self.anchor_ext = np.zeros(L.domain_dim)
             self.anchor_ext[mask] = np.asarray(g.params["anchor"], dtype=float)[mask]
             self.free = ~mask
@@ -155,8 +162,7 @@ class _UStepSolver:
             raise ValueError(
                 f"{exc}: the normal operator L*L "
                 "(restricted to free coordinates, plus any quadratic curvature) "
-                "must be invertible for this subproblem to have a unique "
-                f"minimizer (operator flag: injective={L.injective})"
+                "must be invertible for this subproblem to have a unique minimizer"
             ) from exc
 
     def solve(self, b: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -202,14 +208,13 @@ class _Step(NamedTuple):
     """What one iteration of either recursion hands the driver.
 
     Only the run measures it: its residual is ``||d - Lu||``, with the d
-    the u-step was paired with, and its energy ``g(u) + f(f_at)``.  A
+    the u-step was paired with, and its energy ``g(u) + f(Lu)``.  A
     twin's step is checked for finiteness and otherwise dropped.
     """
 
     finite: tuple  # (name, vector) pairs that must be finite, in check order
     u: np.ndarray
     Lu: np.ndarray
-    f_at: np.ndarray  # where the energy evaluates f
     alpha: float = 0.0
     beta: float = 0.0
 
@@ -220,8 +225,6 @@ class _Recursion:
     ``x``/``p`` are attributes; ``bd()`` gives ``(b, d)``.  Steps rebind
     to fresh arrays, so records may keep references.
     """
-
-    energy_basis = "iterate"
 
     def __init__(self, problem: SplitProblem, usolver: _UStepSolver, init: AsbState):
         self.problem, self.usolver = problem, usolver
@@ -252,15 +255,13 @@ class _AsbSweep(_Recursion):
         m_k = self.schedule.magnitude(k) if self.schedule is not None else 0.0
         alpha = 0.0
         if m_k > 0.0:
-            if L.injective:
-                w = _unit_perturbation(self.rng, L.domain_dim)
-                img = L.apply(w)
-                u = u + w * (m_k / float(np.linalg.norm(img)))
+            w = _unit_perturbation(self.rng, L.domain_dim)
+            w[self.usolver.pinned] = 0.0
+            img_norm = float(np.linalg.norm(L.apply(w)))
+            if img_norm > 0.0:  # else no free direction (L w = 0): inject nothing
+                u = u + w * (m_k / img_norm)
                 Lu = L.apply(u)
-            else:
-                Lu = Lu + _unit_perturbation(self.rng, L.codomain_dim) * m_k
-                self.energy_basis = "unperturbed"
-            alpha = float(np.linalg.norm(Lu - Lu_exact))
+                alpha = float(np.linalg.norm(Lu - Lu_exact))
 
         z = b + Lu
         d_new = f.prox(z, 1.0 / lam)
@@ -273,7 +274,6 @@ class _AsbSweep(_Recursion):
         self._bd = (b_new, d_new)
         self.x, self.p = lam * (b_new + d_new), lam * b_new
         return _Step(finite=(("u", u_exact), ("d", d_new), ("b", b_new)), u=u, Lu=Lu,
-                     f_at=Lu if self.energy_basis == "iterate" else Lu_exact,
                      alpha=alpha, beta=beta)
 
 
@@ -301,7 +301,7 @@ class _DrsStep(_Recursion):
         p_new = dual_resolvent(f, x_new, lam)
 
         self.x, self.p, self._bd = x_new, p_new, None
-        return _Step(finite=(("u", u), ("x", x_new), ("p", p_new)), u=u, Lu=Lu, f_at=Lu)
+        return _Step(finite=(("u", u), ("x", x_new), ("p", p_new)), u=u, Lu=Lu)
 
 
 def _advance(rec: _Recursion, k: int) -> _Step:
@@ -347,7 +347,7 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         step = _advance(run, k)
         u = step.u
         residuals.append(_norm(d_prev - step.Lu))
-        energies.append(g.value(u) + f.value(step.f_at))
+        energies.append(g.value(u) + f.value(step.Lu))
         alphas.append(step.alpha)
         betas.append(step.beta)
         x_inc = _norm(run.x - x_prev)
@@ -374,8 +374,7 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         residuals=np.array(residuals), energies=np.array(energies),
         setzer_defects=np.array(defects), x_increments=np.array(x_incs),
         alpha_injected=np.array(alphas), beta_injected=np.array(betas),
-        converged=converged, n_iter=k, energy_basis=run.energy_basis,
-        twin_defect=twin_defect,
+        converged=converged, n_iter=k, twin_defect=twin_defect,
         twin_iterates=0 if twin is None else min(k, _TWIN_ITERATIONS) + 1,
     )
 
@@ -395,15 +394,16 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
                        seed: int = 0, record_stride: int = 1) -> RunTrace:
     """Approximate sweep with scheduled subproblem perturbations.
 
-    After the exact u-step the image ``L u`` is displaced by a vector of
-    norm ``schedule.magnitude(k)``: along a direction pulled back through
-    L when L is injective (so the stored u stays consistent with its
-    image), in the image space directly otherwise (energies then refer to
-    the unperturbed u and the trace says so).  The d-step result is
-    displaced by the same magnitude in place.  Injected magnitudes are
-    recorded; a zero magnitude skips injection entirely, so a zero
-    schedule reproduces the exact trace bit for bit.  No twin runs: the
-    correspondence is an exact-mode property.
+    After the exact u-step, u moves along a random direction that is zero
+    on g's pinned coordinates, scaled so that its image moves by
+    ``m_k = schedule.magnitude(k)``: the recorded u stays feasible, and
+    its energy is ``g(u) + f(L u)``.  When no free direction is left
+    (every coordinate pinned, or ``L w = 0``) nothing is injected.  The
+    d-step result is displaced by ``m_k`` in place.  ``alpha_injected``
+    records ``||L u - L u_exact||`` (``m_k`` up to roundoff, or 0) and
+    ``beta_injected`` records ``m_k``; a zero magnitude skips injection
+    entirely, so a zero schedule reproduces the exact trace bit for bit.
+    No twin runs: the correspondence is an exact-mode property.
     """
     init = init if init is not None else initial_state(problem)
     sweep = _AsbSweep(problem, problem._usolver, init, schedule=schedule,

@@ -292,7 +292,7 @@ def _build_problem(config: RunConfig):
                                 spacing=p.get("spacing", 1.0))
         boundary = p.get("boundary", "dirichlet")
         problem = build_tv_problem(inst, lam=lam, boundary=boundary)
-        shape_id = "x".join(str(s) for s in shape)
+        shape_id = "x".join(str(s) for s in inst.grid.shape)
 
         if config.problem == "tv1d":
             def oracle(prob):
@@ -317,7 +317,7 @@ def _build_problem(config: RunConfig):
                                             inclusion=float(p.get("inclusion", 2.0)),
                                             axis=int(p.get("axis", 0)))
         problem = build_least_gradient_problem(inst, lam=lam)
-        shape_id = "x".join(str(s) for s in shape)
+        shape_id = "x".join(str(s) for s in inst.grid.shape)
 
         def oracle(prob):
             # u_true is certified optimal when the dual-field stationarity

@@ -73,7 +73,6 @@ class RunTrace:
     beta_injected: np.ndarray
     converged: bool
     n_iter: int
-    energy_basis: str = "iterate"
     twin_defect: Optional[float] = None
     twin_iterates: int = 0
 

@@ -15,6 +15,7 @@ subproblem tolerances into such vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -62,7 +63,9 @@ class DrsState:
 class StoppingRule:
     """Relative fixed-point residual stop, shared by both solvers.
 
-    Fires when ``max(||x_{k+1}-x_k||, ||p_{k+1}-p_k||) <= tol*(1+||x_k||)``.
+    Fires when ``max(||x_{k+1}-x_k||, ||p_{k+1}-p_k||) <= tol*(1+||x_k||)``
+    and both increments are finite: an overflowed increment compares
+    ``inf <= inf`` against an overflowed ``||x_k||`` and must not count.
     ``tol=None`` disables the residual test (run exactly ``max_iter``
     iterations), which fixed-length comparison experiments rely on.
     """
@@ -78,7 +81,7 @@ class StoppingRule:
             raise ValueError("max_iter must be >= 0")
 
     def fired(self, x_inc: float, p_inc: float, x_norm: float) -> bool:
-        if self.tol is None:
+        if self.tol is None or not (math.isfinite(x_inc) and math.isfinite(p_inc)):
             return False
         return max(x_inc, p_inc) <= self.tol * (1.0 + x_norm)
 

@@ -9,11 +9,13 @@ machine precision rather than only up to discretization error.  Both
 call scipy's ``csr_matvec`` kernel, bound once to the matrix's index
 and data arrays, for a 1-D float64 vector of the right length (the
 same call ``a @ v`` makes, without its dispatch); any other input goes
-through ``a @ v``, with its errors and its 2-D behaviour.  The
-gradient stencils are assembled from 1-D difference matrices with
-``sp.kron``.  :func:`spd_factor` is the one factorization used for
-symmetric positive-definite solves (the u-step and the forward model):
-a symmetric tridiagonal system, which every 1-D grid operator and the
+through ``a @ v``, with its errors and its 2-D behaviour.  An
+operator carries no rank or injectivity flag; where a solve needs one,
+:func:`spd_factor` rejects the singular normal system.  The gradient
+stencils are assembled from 1-D difference matrices with ``sp.kron``.
+:func:`spd_factor` is the one factorization used for symmetric
+positive-definite solves (the u-step and the forward model): a
+symmetric tridiagonal system, which every 1-D grid operator and the
 identity give, is factored as LDL^T by LAPACK ``dpttrf``; any other is
 factored once with ``splu``.  :func:`load_matrix_csv` reads the
 custom_matrix CSV.
@@ -45,8 +47,6 @@ __all__ = [
     "load_matrix_csv",
 ]
 
-# Rank computation is cheap enough to classify matrices up to this size.
-_RANK_FLAG_LIMIT = 400
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -99,9 +99,8 @@ class GridSpec:
 class LinearMap:
     """Bounded linear operator with an exact adjoint.
 
-    ``injective`` is tri-state: True/False when known, None when not
-    established.  Code that needs the flag must treat None as "unknown",
-    not as False.
+    ``apply`` and ``adjoint_apply`` multiply by ``matrix`` and by its
+    transpose; nothing else about the operator is recorded.
     """
 
     domain_dim: int
@@ -109,7 +108,6 @@ class LinearMap:
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
     matrix: sp.csr_matrix
-    injective: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ def _matvec(a: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     return matvec
 
 
-def _csr_map(a, injective: Optional[bool]) -> LinearMap:
+def _csr_map(a) -> LinearMap:
     """LinearMap around a CSR matrix; the adjoint applies its cached transpose."""
     a = sp.csr_matrix(a, dtype=float)
     m, n = a.shape
@@ -149,7 +147,6 @@ def _csr_map(a, injective: Optional[bool]) -> LinearMap:
         apply=_matvec(a),
         adjoint_apply=_matvec(a.T.tocsr()),
         matrix=a,
-        injective=injective,
     )
 
 
@@ -157,7 +154,7 @@ def identity_operator(dim: int) -> LinearMap:
     dim = int(dim)
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return _csr_map(sp.identity(dim), injective=True)
+    return _csr_map(sp.identity(dim))
 
 
 def matrix_operator(entries) -> LinearMap:
@@ -167,11 +164,7 @@ def matrix_operator(entries) -> LinearMap:
         raise ValueError("matrix entries must form a non-empty rectangular 2-D array")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    m, n = a.shape
-    injective = None
-    if max(m, n) <= _RANK_FLAG_LIMIT:
-        injective = bool(np.linalg.matrix_rank(a) == n)
-    return _csr_map(a, injective=injective)
+    return _csr_map(a)
 
 
 def _forward_difference(n: int, h: float, ghost: bool) -> sp.csr_matrix:
@@ -206,7 +199,7 @@ def gradient_operator(grid: GridSpec) -> LinearMap:
         (n1, n2), (h1, h2) = grid.shape, grid.spacing
         a = _interleave([sp.kron(_forward_difference(n1, h1, ghost=True), sp.identity(n2)),
                          sp.kron(sp.identity(n1), _forward_difference(n2, h2, ghost=True))])
-    return _csr_map(a, injective=True)
+    return _csr_map(a)
 
 
 def interior_gradient_operator(grid: GridSpec) -> LinearMap:
@@ -226,7 +219,7 @@ def interior_gradient_operator(grid: GridSpec) -> LinearMap:
         # the cell-origin nodes drop the last index along each axis
         a = _interleave([sp.kron(_forward_difference(n1, h1, ghost=False), sp.eye(n2 - 1, n2)),
                          sp.kron(sp.eye(n1 - 1, n1), _forward_difference(n2, h2, ghost=False))])
-    return _csr_map(a, injective=False)
+    return _csr_map(a)
 
 
 def check_adjoint(L: LinearMap, trials: int = 50, seed: int = 0) -> AdjointReport:

@@ -10,8 +10,8 @@ from splitbreg import linops
 from splitbreg.asb import _UStepSolver
 from splitbreg.diagnostics import lockstep_certificate
 from splitbreg.drs import NonFiniteIterateError
-from splitbreg.functionals import (geometric_schedule, harmonic_schedule, prox_l1,
-                                   prox_quadratic, zero_functional, zero_schedule)
+from splitbreg.functionals import (geometric_schedule, harmonic_schedule, prox_indicator_point,
+                                   prox_l1, prox_quadratic, zero_functional, zero_schedule)
 from splitbreg.linops import (GridSpec, identity_operator, interior_gradient_operator,
                               matrix_operator)
 from splitbreg.oracles import taut_string_dirichlet
@@ -239,9 +239,9 @@ def test_approx_harmonic_schedule_negative_control(tv1d_problem):
     assert err > 1e-5  # perturbations never die out; no convergence claimed
 
 
-def test_approx_noninjective_operator_flags_energies():
-    # interior differences are not injective, so the alpha perturbation is
-    # injected in the image space and energies refer to the unperturbed u
+def test_approx_noninjective_operator_energy_is_the_iterates():
+    # interior differences are not injective; the u-step error still moves
+    # u itself, so each energy is the recorded u's g(u) + f(L u)
     grid = GridSpec((12,))
     L = sb.interior_gradient_operator(grid)
     rng = np.random.default_rng(0)
@@ -249,8 +249,87 @@ def test_approx_noninjective_operator_flags_energies():
                            f=prox_l1(0.2, dim=L.codomain_dim), L=L, lam=1.0)
     trace = sb.asb_iterate_approx(prob, geometric_schedule(0.5),
                                   stop=sb.StoppingRule(tol=None, max_iter=30), seed=0)
-    assert trace.energy_basis == "unperturbed"
+    for prev, rec, energy, alpha in zip(trace.iterates, trace.iterates[1:], trace.energies,
+                                        trace.alpha_injected):
+        assert energy == prob.g.value(rec.u) + prob.f.value(L.apply(rec.u))
+        u_exact = prob._usolver.solve(prev.b, prev.d)
+        assert np.linalg.norm(L.apply(rec.u - u_exact)) == pytest.approx(alpha, rel=1e-9)
     assert np.allclose(trace.alpha_injected[:3], [0.5, 0.25, 0.125], rtol=1e-12)
+
+
+def _pinned_custom_problem(mask):
+    # the custom_matrix of the CLI's indicator example: L injective, g pins u[mask]
+    L = matrix_operator([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    return sb.SplitProblem(g=prox_indicator_point(np.array([1.0, 2.0]), np.array(mask)),
+                           f=prox_l1(0.5, dim=3), L=L, lam=1.0)
+
+
+def _approx_families():
+    tv = sb.make_tv_instance((16,), mu=0.15, seed=4)
+    tv2 = sb.make_tv_instance((6, 6), mu=0.15, seed=4)
+    return {
+        "lasso": lasso3(),
+        "tv1d_dirichlet": sb.build_tv_problem(tv, boundary="dirichlet"),
+        "tv1d_free": sb.build_tv_problem(tv, boundary="free"),
+        "tv2d_dirichlet": sb.build_tv_problem(tv2, boundary="dirichlet"),
+        "tv2d_free": sb.build_tv_problem(tv2, boundary="free"),
+        "lg_1d": sb.build_least_gradient_problem(sb.make_least_gradient_instance((12,))),
+        "lg_linear": sb.build_least_gradient_problem(sb.make_least_gradient_instance((8, 8))),
+        "lg_two_phase": sb.build_least_gradient_problem(
+            sb.make_least_gradient_instance((8, 8), kind="two_phase")),
+        "custom_pinned": _pinned_custom_problem([True, False]),
+    }
+
+
+def test_approx_u_step_error_is_feasible_and_measured_through_L():
+    # every shipped family, and a custom matrix with a pinned coordinate:
+    # the recorded u satisfies g's constraint, and its image is off the
+    # exact u-step's image by the scheduled magnitude
+    schedule = geometric_schedule(0.5, 2.0)
+    for name, prob in _approx_families().items():
+        trace = sb.asb_iterate_approx(prob, schedule, seed=7,
+                                      stop=sb.StoppingRule(tol=None, max_iter=25))
+        for k, (prev, rec) in enumerate(zip(trace.iterates, trace.iterates[1:]), start=1):
+            assert np.isfinite(prob.g.value(rec.u)), (name, k)
+            u_exact = prob._usolver.solve(prev.b, prev.d)
+            moved = np.linalg.norm(prob.L.apply(rec.u - u_exact))
+            alpha = trace.alpha_injected[k - 1]
+            assert moved == pytest.approx(alpha, rel=1e-9, abs=1e-12), (name, k)
+            assert alpha == pytest.approx(schedule.magnitude(k), rel=1e-9), (name, k)
+        assert np.all(np.isfinite(trace.energies)), name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _pinned_custom_problem([True, True]),
+    lambda: sb.SplitProblem(g=prox_quadratic(np.array([1.0, -2.0]), 1.0),
+                            f=prox_l1(0.5, dim=3), L=matrix_operator(np.zeros((3, 2))),
+                            lam=1.0),
+], ids=["fully_pinned", "zero_operator"])
+def test_approx_injects_nothing_without_a_free_direction(make):
+    prob = make()
+    schedule = geometric_schedule(0.5)
+    with np.errstate(all="raise"):
+        trace = sb.asb_iterate_approx(prob, schedule, seed=1,
+                                      stop=sb.StoppingRule(tol=None, max_iter=20))
+    assert np.all(trace.alpha_injected == 0.0)
+    assert np.allclose(trace.beta_injected, [schedule.magnitude(k) for k in range(1, 21)])
+    exact = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=None, max_iter=1), record_stride=1)
+    assert np.array_equal(trace.iterates[1].u, exact.iterates[1].u)
+    assert np.all(np.isfinite(trace.energies))
+
+
+def test_overflowed_increments_do_not_stop_the_run():
+    # every iterate is finite (u = +-7.5e299), but the increments overflow
+    # to inf until k = 55, where the sweep reaches an exact fixed point;
+    # inf <= tol * (1 + inf) must not count as convergence before that
+    prob = sb.SplitProblem(g=prox_quadratic(np.array([1e300, -1e300]), 1.0),
+                           f=prox_l1(1.0, dim=2), L=identity_operator(2), lam=1.0)
+    with np.errstate(over="ignore"):
+        trace = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=1e-9, max_iter=50))
+    assert not trace.converged
+    assert trace.n_iter == 50
+    assert np.all(np.isinf(trace.x_increments))
+    assert np.all(np.isfinite(trace.final.u))
 
 
 def test_dual_resolvents_reject_foreign_lambda(lasso_problem):

@@ -120,8 +120,7 @@ def test_write_trace_csv_matches_the_row_loop(tmp_path):
     trace = RunTrace(
         kind="asb", iterates=[], residuals=columns[0], energies=columns[1],
         setzer_defects=columns[2], x_increments=columns[3],
-        alpha_injected=np.zeros(n), beta_injected=np.zeros(n), converged=False, n_iter=n,
-        energy_basis="iterate")
+        alpha_injected=np.zeros(n), beta_injected=np.zeros(n), converged=False, n_iter=n)
     splitbreg.cli.write_trace_csv(tmp_path / "fast.csv", trace)
     _write_trace_csv_loop(tmp_path / "loop.csv", trace)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
@@ -249,6 +248,35 @@ def test_custom_matrix_problem(tmp_path):
     assert (tmp_path / "out" / "trace.csv").exists()
     assert code in (0, 1)  # no oracle: primal certificate uses the dual bound
     assert {c["kind"] for c in certs} >= {"dual_optimal", "inclusion"}
+
+
+@pytest.mark.parametrize("problem,as_int,as_float", [
+    ("tv1d", {"grid_shape": [16], "seed": 2}, {"grid_shape": [16.0], "seed": 2.0}),
+    ("least_gradient", {"grid_shape": [8, 8]}, {"grid_shape": [8.0, 8.0]}),
+])
+def test_integral_floats_name_the_same_instance(tmp_path, problem, as_int, as_float):
+    runs = {}
+    for name, params in (("int", as_int), ("float", as_float)):
+        out = tmp_path / name
+        assert run(parse_config({"problem": problem, "params": params}), out) == 0
+        runs[name] = ((out / "summary.txt").read_text().split()[0],
+                      (out / "trace.csv").read_bytes())
+    assert runs["int"] == runs["float"]
+    assert ".0" not in runs["float"][0]
+
+
+def test_approx_run_keeps_pinned_coordinates(tmp_path, capsys):
+    # an injective L with a pinned g: the u-step error moves only the free
+    # coordinate, so every recorded u is feasible and every energy finite
+    payload = _custom(g={"label": "indicator_point", "anchor": [1.0, 2.0], "mask": [True, False]},
+                      f={"label": "l1", "weight": 0.5})(tmp_path)
+    payload["solver"] = "asb_approx"
+    cfg = _write_config(tmp_path, payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "certificates=3/3" in capsys.readouterr().out
+    energies = [float(row.split(",")[2])
+                for row in (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]]
+    assert energies and all(math.isfinite(e) for e in energies)
 
 
 def test_least_gradient_via_cli(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,13 @@ def test_stopping_rule_validation():
         StoppingRule(max_iter=-1)
     rule = StoppingRule(tol=None, max_iter=10)
     assert not rule.fired(0.0, 0.0, 1.0)
+
+
+def test_stopping_rule_ignores_overflowed_increments():
+    rule = StoppingRule(tol=1e-9)
+    assert not rule.fired(math.inf, math.inf, math.inf)
+    assert not rule.fired(0.0, math.inf, math.inf)
+    assert not rule.fired(math.nan, 0.0, 1.0)
 
 
 def test_drs_step_rejects_nonpositive_lambda():
