@@ -48,9 +48,9 @@ def boundary_mask(grid: GridSpec) -> np.ndarray:
     return m.reshape(-1)
 
 
-def linear_field(grid: GridSpec, axis: int = 0, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Nodal field varying linearly from lo to hi along one axis."""
-    ramps = [np.linspace(lo, hi, n) if ax == axis else np.ones(n)
+def linear_field(grid: GridSpec, axis: int = 0) -> np.ndarray:
+    """Nodal field varying linearly from 0 to 1 along one axis."""
+    ramps = [np.linspace(0.0, 1.0, n) if ax == axis else np.ones(n)
              for ax, n in enumerate(grid.shape)]
     if grid.ndim == 1:
         return ramps[0]
@@ -62,7 +62,6 @@ class TvInstance:
     grid: GridSpec
     noisy_signal: np.ndarray
     mu: float
-    seed: int
 
     def __post_init__(self):
         if self.noisy_signal.shape[0] != self.grid.n_nodes:
@@ -99,7 +98,7 @@ def make_tv_instance(shape=(32,), mu: float = 0.15, seed: int = 42,
     amplitude = float(np.max(clean) - np.min(clean)) or 1.0
     sigma = 0.1 * amplitude if noise_sigma is None else float(noise_sigma)
     noisy = clean + sigma * rng.standard_normal(clean.shape[0])
-    return TvInstance(grid=grid, noisy_signal=noisy, mu=float(mu), seed=seed)
+    return TvInstance(grid=grid, noisy_signal=noisy, mu=float(mu))
 
 
 def build_tv_problem(inst: TvInstance, lam: float = 1.0,
@@ -199,13 +198,12 @@ def build_least_gradient_problem(inst: LeastGradientInstance, lam: float = 1.0) 
     return SplitProblem(g=g, f=f, L=L, lam=lam)
 
 
-def two_phase_conductivity(grid: GridSpec, background: float = 1.0,
-                           inclusion: float = 2.0) -> np.ndarray:
-    """Background conductivity with a centred square inclusion."""
+def two_phase_conductivity(grid: GridSpec, inclusion: float = 2.0) -> np.ndarray:
+    """Unit background conductivity with a centred square inclusion."""
     if grid.ndim != 2:
         raise ValueError("two-phase instances are 2-D")
     n1, n2 = grid.shape
-    sigma = np.full((n1, n2), float(background))
+    sigma = np.ones((n1, n2))
     a1, b1 = n1 // 4, n1 - n1 // 4
     a2, b2 = n2 // 4, n2 - n2 // 4
     sigma[a1:b1, a2:b2] = float(inclusion)

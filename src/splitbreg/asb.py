@@ -165,9 +165,6 @@ class _UStepSolver:
                 "must be invertible for this subproblem to have a unique minimizer"
             ) from exc
 
-    def solve(self, b: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return self.solve_c(b - d)
-
     def solve_c(self, c: np.ndarray) -> np.ndarray:
         """argmin_u g(u) + (lam/2) ||L u + c||^2."""
         ltc = self.L.adjoint_apply(c)
@@ -184,7 +181,7 @@ class _UStepSolver:
 
 def asb_u_step(problem: SplitProblem, state: AsbState) -> np.ndarray:
     """Minimizer of step 1 at the current (b, d); one-shot entry point."""
-    return problem._usolver.solve(state.b, state.d)
+    return problem._usolver.solve_c(state.b - state.d)
 
 
 def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -226,8 +223,8 @@ class _Recursion:
     to fresh arrays, so records may keep references.
     """
 
-    def __init__(self, problem: SplitProblem, usolver: _UStepSolver, init: AsbState):
-        self.problem, self.usolver = problem, usolver
+    def __init__(self, problem: SplitProblem, init: AsbState):
+        self.problem, self.usolver = problem, problem._usolver
         b = np.array(init.b, dtype=float, copy=True)
         d = np.array(init.d, dtype=float, copy=True)
         self.x = problem.lam * (b + d)
@@ -241,15 +238,15 @@ class _Recursion:
 class _AsbSweep(_Recursion):
     """The alternating sweep; ``x``/``p`` are the mapped view of (b, d)."""
 
-    def __init__(self, problem, usolver, init, schedule: Optional[ErrorSchedule] = None,
+    def __init__(self, problem, init, schedule: Optional[ErrorSchedule] = None,
                  rng: Optional[np.random.Generator] = None):
-        super().__init__(problem, usolver, init)
+        super().__init__(problem, init)
         self.schedule, self.rng = schedule, rng
 
     def step(self, k: int) -> _Step:
         lam, L, f = self.problem.lam, self.problem.L, self.problem.f
         b, d = self._bd
-        u = u_exact = self.usolver.solve(b, d)
+        u = u_exact = self.usolver.solve_c(b - d)
         Lu = Lu_exact = L.apply(u)
 
         m_k = self.schedule.magnitude(k) if self.schedule is not None else 0.0
@@ -383,9 +380,8 @@ def asb_iterate(problem: SplitProblem, init: Optional[AsbState] = None,
                 stop: Optional[StoppingRule] = None, record_stride: int = 1) -> RunTrace:
     """Run the exact three-step sweep, with a lockstep DRS twin, until the rule fires."""
     init = init if init is not None else initial_state(problem)
-    usolver = problem._usolver
-    return _drive(_AsbSweep(problem, usolver, init), stop, record_stride, "asb",
-                  twin=_DrsStep(problem, usolver, init))
+    return _drive(_AsbSweep(problem, init), stop, record_stride, "asb",
+                  twin=_DrsStep(problem, init))
 
 
 def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
@@ -406,8 +402,7 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     No twin runs: the correspondence is an exact-mode property.
     """
     init = init if init is not None else initial_state(problem)
-    sweep = _AsbSweep(problem, problem._usolver, init, schedule=schedule,
-                      rng=np.random.default_rng(seed))
+    sweep = _AsbSweep(problem, init, schedule=schedule, rng=np.random.default_rng(seed))
     return _drive(sweep, stop, record_stride, "asb_approx")
 
 
@@ -448,6 +443,5 @@ def run_drs(problem: SplitProblem, init: Optional[AsbState] = None,
     first 200 iterations; their mapped mismatch fills ``setzer_defects``.
     """
     init = init if init is not None else initial_state(problem)
-    usolver = problem._usolver
-    return _drive(_DrsStep(problem, usolver, init), stop, record_stride, "drs",
-                  twin=_AsbSweep(problem, usolver, init))
+    return _drive(_DrsStep(problem, init), stop, record_stride, "drs",
+                  twin=_AsbSweep(problem, init))

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -360,21 +360,16 @@ def write_trace_csv(path, trace: RunTrace) -> None:
 def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> list:
     final = trace.final
     lam = problem.lam
-    certs = [dual_certificate(problem, final.b, final.d, tol=1e-7)]
+    certs = [dual_certificate(problem, final.b, final.d)]
 
-    if oracle is not None:
-        v_star = oracle(problem)
-    else:
-        v_star = None
+    v_star = oracle(problem) if oracle is not None else None
     if v_star is None:
         v_star = dual_value(problem, lam * final.b)
         details_src = "reference value: weak-duality bound at the converged dual point"
     else:
         details_src = "reference value: independent oracle"
-    cert_primal = primal_recovery_check(problem, final.u, final.d, v_star, tol=1e-6)
-    certs.append(Certificate(kind=cert_primal.kind, defect=cert_primal.defect,
-                             tolerance=cert_primal.tolerance, passed=cert_primal.passed,
-                             details=f"{cert_primal.details}; {details_src}"))
+    cert_primal = primal_recovery_check(problem, final.u, final.d, v_star)
+    certs.append(replace(cert_primal, details=f"{cert_primal.details}; {details_src}"))
 
     pair = dual_resolvents(problem)
     certs.append(Certificate.from_defect(
@@ -382,7 +377,7 @@ def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> lis
         details="resolvent residuals of the optimality inclusion at (x, p)"))
 
     if trace.twin_defect is not None:  # exact runs; approximate runs carry no twin
-        certs.append(lockstep_certificate(trace, tol=1e-9))
+        certs.append(lockstep_certificate(trace))
     return certs
 
 

@@ -9,7 +9,7 @@ of their inputs: identical inputs give bit-identical defects, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
@@ -100,18 +100,9 @@ class Certificate:
         return Certificate(kind=kind, defect=float(defect), tolerance=float(tolerance),
                            passed=bool(defect <= tolerance), details=details)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "defect": self.defect,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": self.details,
-        }
-
 
 def certificates_to_json(certs) -> str:
-    return json.dumps([c.to_dict() for c in certs], indent=2)
+    return json.dumps([asdict(c) for c in certs], indent=2)
 
 
 def duality_gap(problem: "SplitProblem", u: np.ndarray, b: np.ndarray) -> float:
@@ -140,45 +131,44 @@ def dual_value(problem: "SplitProblem", beta: np.ndarray) -> float:
     return -(g.conjugate_value(-L.adjoint_apply(beta)) + f.conjugate_value(beta))
 
 
-def dual_certificate(problem: "SplitProblem", b_hat: np.ndarray, d_hat: np.ndarray,
-                     tol: float = 1e-7) -> Certificate:
+def dual_certificate(problem: "SplitProblem", b_hat: np.ndarray, d_hat: np.ndarray) -> Certificate:
     """Fixed-point test that ``lam * b_hat`` solves the dual problem.
 
     At a converged pair the resolvent of ``lam df*`` maps
     ``lam (d_hat + b_hat)`` back to ``lam b_hat``; the defect is the norm
-    of the violation.
+    of the violation, and the tolerance 1e-7.
     """
     lam = problem.lam
     b_hat = np.asarray(b_hat, dtype=float)
     d_hat = np.asarray(d_hat, dtype=float)
     image = dual_resolvent(problem.f, lam * (d_hat + b_hat), lam)
     defect = float(np.linalg.norm(image - lam * b_hat))
-    return Certificate.from_defect("dual_optimal", defect, tol,
+    return Certificate.from_defect("dual_optimal", defect, 1e-7,
                                    details="resolvent fixed-point residual of the dual iterate")
 
 
 def primal_recovery_check(problem: "SplitProblem", u_hat: np.ndarray, d_hat: np.ndarray,
-                          v_star: float, tol: float = 1e-6) -> Certificate:
-    """Check ``L u_hat == d_hat`` and the energy against the oracle value."""
+                          v_star: float) -> Certificate:
+    """Check ``L u_hat == d_hat`` and the energy against the oracle value, at 1e-6."""
     u_hat = np.asarray(u_hat, dtype=float)
     d_hat = np.asarray(d_hat, dtype=float)
-    link = float(np.linalg.norm(problem.L.apply(u_hat) - d_hat))
-    energy = problem.g.value(u_hat) + problem.f.value(problem.L.apply(u_hat))
+    Lu = problem.L.apply(u_hat)
+    link = float(np.linalg.norm(Lu - d_hat))
+    energy = problem.g.value(u_hat) + problem.f.value(Lu)
     energy_defect = abs(energy - v_star) / (1.0 + abs(v_star))
     defect = max(link, energy_defect)
     return Certificate.from_defect(
-        "primal_optimal", defect, tol,
+        "primal_optimal", defect, 1e-6,
         details=f"image residual {link:.3e}, relative energy defect {energy_defect:.3e}",
     )
 
 
-def equivalence_report(asb_trace: RunTrace, drs_trace: RunTrace, lam: float,
-                       tol: float = 1e-9) -> Certificate:
+def equivalence_report(asb_trace: RunTrace, drs_trace: RunTrace, lam: float) -> Certificate:
     """Lockstep agreement of the two recursions under x=lam(b+d), p=lam b.
 
     Both traces must snapshot every iteration and have equal length; the
     defect is the worst mismatch of either mapped sequence over all
-    recorded k (including the k=0 initialization).
+    recorded k (including the k=0 initialization), and the tolerance 1e-9.
     """
     if len(asb_trace.iterates) != len(drs_trace.iterates):
         raise ValueError(
@@ -189,10 +179,10 @@ def equivalence_report(asb_trace: RunTrace, drs_trace: RunTrace, lam: float,
         dx = float(np.linalg.norm(rd.x - lam * (ra.b + ra.d)))
         dp = float(np.linalg.norm(rd.p - lam * ra.b))
         defect = max(defect, dx, dp)
-    return _equivalence(defect, len(asb_trace.iterates), tol)
+    return _equivalence(defect, len(asb_trace.iterates))
 
 
-def lockstep_certificate(trace: RunTrace, tol: float = 1e-9) -> Certificate:
+def lockstep_certificate(trace: RunTrace) -> Certificate:
     """The equivalence certificate of an exact run, from its lockstep twin.
 
     Equal to :func:`equivalence_report` on the run and a separate run of
@@ -200,12 +190,12 @@ def lockstep_certificate(trace: RunTrace, tol: float = 1e-9) -> Certificate:
     """
     if trace.twin_defect is None:
         raise ValueError(f"a {trace.kind!r} trace carries no lockstep twin")
-    return _equivalence(trace.twin_defect, trace.twin_iterates, tol)
+    return _equivalence(trace.twin_defect, trace.twin_iterates)
 
 
-def _equivalence(defect: float, n_iterates: int, tol: float) -> Certificate:
+def _equivalence(defect: float, n_iterates: int) -> Certificate:
     return Certificate.from_defect(
-        "equivalence", defect, tol,
+        "equivalence", defect, 1e-9,
         details=f"max mapped-sequence mismatch over {n_iterates} iterates",
     )
 
@@ -216,13 +206,13 @@ class SummabilityReport:
     tail_increment: float
 
 
-def summability_report(trace: RunTrace, tail: int = 100) -> SummabilityReport:
-    """Cumulative sums of squared residuals and their late-stage growth."""
+def summability_report(trace: RunTrace) -> SummabilityReport:
+    """Cumulative sums of squared residuals and their growth over the last 100 iterations."""
     r = np.asarray(trace.residuals, dtype=float)
     if r.size == 0:
         raise ValueError("trace has no residuals")
     ps = np.cumsum(r * r)
-    tail_increment = float(ps[-1] - ps[-tail - 1]) if ps.size > tail else float(ps[-1])
+    tail_increment = float(ps[-1] - ps[-101]) if ps.size > 100 else float(ps[-1])
     return SummabilityReport(partial_sums=ps, tail_increment=tail_increment)
 
 

@@ -164,10 +164,10 @@ class FejerReport:
     max_violation: float
 
 
-def fejer_check(trace: Sequence, x_hat: np.ndarray, slack: float = 1e-9) -> FejerReport:
+def fejer_check(trace: Sequence, x_hat: np.ndarray) -> FejerReport:
     """Quantitative Fejer monotonicity along an exact-mode trace.
 
-    Checks ``||x_{k+1}-xh||^2 + ||x_{k+1}-x_k||^2 <= ||x_k-xh||^2 + slack``
+    Checks ``||x_{k+1}-xh||^2 + ||x_{k+1}-x_k||^2 <= ||x_k-xh||^2 + 1e-9``
     at every step; ``trace`` is a sequence of states with an ``x`` field
     or of raw x vectors.
     """
@@ -182,7 +182,7 @@ def fejer_check(trace: Sequence, x_hat: np.ndarray, slack: float = 1e-9) -> Feje
         rhs = float(np.dot(a - x_hat, a - x_hat))
         gap = lhs - rhs
         worst = max(worst, gap)
-        if gap > slack:
+        if gap > 1e-9:
             violations += 1
     return FejerReport(violations=violations, max_violation=worst)
 

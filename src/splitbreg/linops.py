@@ -37,7 +37,6 @@ __all__ = [
     "as_vector",
     "GridSpec",
     "LinearMap",
-    "AdjointReport",
     "identity_operator",
     "matrix_operator",
     "gradient_operator",
@@ -108,11 +107,6 @@ class LinearMap:
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
     matrix: sp.csr_matrix
-
-
-@dataclass(frozen=True)
-class AdjointReport:
-    max_relative_defect: float
 
 
 def _matvec(a: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
@@ -222,10 +216,10 @@ def interior_gradient_operator(grid: GridSpec) -> LinearMap:
     return _csr_map(a)
 
 
-def check_adjoint(L: LinearMap, trials: int = 50, seed: int = 0) -> AdjointReport:
-    """Probe ``<L u, v> == <u, L* v>`` with random pairs.
+def check_adjoint(L: LinearMap, trials: int = 50, seed: int = 0) -> float:
+    """Probe ``<L u, v> == <u, L* v>`` with random pairs; return the worst defect.
 
-    The defect is relative: ``|<Lu,v> - <u,L*v>| / (1 + |<Lu,v>|)``.
+    Each pair's defect is relative: ``|<Lu,v> - <u,L*v>| / (1 + |<Lu,v>|)``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -238,7 +232,7 @@ def check_adjoint(L: LinearMap, trials: int = 50, seed: int = 0) -> AdjointRepor
         rhs = float(np.dot(u, L.adjoint_apply(v)))
         defect = abs(lhs - rhs) / (1.0 + abs(lhs))
         worst = max(worst, defect)
-    return AdjointReport(max_relative_defect=worst)
+    return worst
 
 
 class _TridiagonalFactor:

@@ -113,8 +113,10 @@ def _opnorm_sq_estimate(L: LinearMap, iters: int = 200, seed: int = 3) -> float:
     return est
 
 
-def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10,
-                  max_iter: int = 200_000) -> DualSolveResult:
+_DUAL_MAX_ITER = 200_000
+
+
+def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10) -> DualSolveResult:
     """Gap-certified optimum for quadratic-fidelity shrinkage problems.
 
     Requires ``g`` quadratic and ``f`` of l1 / weighted-l21 type.  Runs
@@ -123,6 +125,7 @@ def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10,
     candidate from the dual gradient; stops when the measured duality
     gap falls below ``gap_tol * (1 + |primal|)``, so the returned
     ``primal_value`` is certified to that accuracy by weak duality.
+    After 200 000 iterations it returns with the gap it reached.
     """
     if problem.g.label != "quadratic":
         raise ValueError("dual solve needs a quadratic fidelity term")
@@ -145,13 +148,13 @@ def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10,
     t_acc = 1.0
     u, primal, gap = primal_pair(b)
     k = 0
-    for k in range(1, max_iter + 1):
+    for k in range(1, _DUAL_MAX_ITER + 1):
         grad = L.apply(L.adjoint_apply(z)) / rho - L.apply(y)
         b_new = _project_dual(f, z - step * grad)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         z = b_new + ((t_acc - 1.0) / t_new) * (b_new - b)
         b, t_acc = b_new, t_new
-        if k % 25 == 0 or k == max_iter:
+        if k % 25 == 0 or k == _DUAL_MAX_ITER:
             u, primal, gap = primal_pair(b)
             if gap <= gap_tol * (1.0 + abs(primal)):
                 break

@@ -35,7 +35,7 @@ def test_tv_instance_generation_and_serialization():
     assert not np.array_equal(inst.noisy_signal, other.noisy_signal)
 
     with pytest.raises(ValueError):
-        sb.TvInstance(grid=GridSpec((4,)), noisy_signal=np.zeros(3), mu=1.0, seed=0)
+        sb.TvInstance(grid=GridSpec((4,)), noisy_signal=np.zeros(3), mu=1.0)
 
 
 def test_tv_mu_zero_returns_data():
@@ -138,7 +138,7 @@ def test_zero_weight_degenerate_instance(lg_linear_instance):
 
 def test_two_phase_conductivity_layout():
     grid = GridSpec((8, 8))
-    sigma = two_phase_conductivity(grid, background=1.0, inclusion=5.0).reshape(8, 8)
+    sigma = two_phase_conductivity(grid, inclusion=5.0).reshape(8, 8)
     assert sigma[0, 0] == 1.0 and sigma[4, 4] == 5.0
     with pytest.raises(ValueError):
         two_phase_conductivity(GridSpec((8,)))
