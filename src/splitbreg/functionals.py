@@ -180,14 +180,31 @@ def prox_indicator_point(anchor, mask=None) -> ProxFunctional:
 
 
 def dual_resolvent(F: ProxFunctional, x: np.ndarray, lam: float) -> np.ndarray:
-    """Resolvent of ``lam * dF*`` at x, via the Moreau identity.
+    """Resolvent of ``lam * dF*`` at x.
 
-    Equals ``(Id + lam dF*)^(-1)(x) = x - lam * F.prox(x / lam, 1 / lam)``,
-    so the conjugate's prox never has to be implemented separately.
+    When ``F*`` is the indicator of a closed convex set, as for ``l1``
+    (the weight box), ``weighted_l21`` (a product of balls, radius
+    ``w_b`` per block) and ``zero`` (the origin), the resolvent is the
+    projection onto that set for every ``lam``, computed directly: the
+    Moreau form below cancels to 0 at ``|x| >> w``.  Any other F goes
+    through the Moreau identity,
+    ``(Id + lam dF*)^(-1)(x) = x - lam * F.prox(x / lam, 1 / lam)``, so
+    the conjugate's prox never has to be implemented separately.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     x = np.asarray(x, dtype=float)
+    if F.label == "l1":
+        w = F.params["weights"]
+        return np.minimum(np.maximum(x, -w), w)
+    if F.label == "weighted_l21":
+        w = F.params["weights"]
+        blocks = x.reshape(-1, F.params["block_size"])
+        nrm = kernels._block_norms(blocks)
+        scale = np.divide(w, nrm, out=np.ones_like(nrm), where=nrm > w)
+        return (blocks * scale[:, None]).reshape(-1)
+    if F.label == "zero":
+        return np.zeros_like(x)
     return x - lam * F.prox(x / lam, 1.0 / lam)
 
 

@@ -399,6 +399,25 @@ def test_lockstep_certificate_matches_rerun(request, name, solver, stop):
     assert trace.twin_iterates == min(trace.n_iter, 200) + 1
 
 
+def _tv2d_problem():
+    return sb.build_tv_problem(sb.make_tv_instance((8, 8), seed=1), lam=2.0)
+
+
+@pytest.mark.parametrize("name", ["lasso_problem", "tv1d_problem", "tv2d", "lg_two_phase_problem"])
+def test_instrumented_drs_is_the_reference_recursion(request, name):
+    # run_drs's own step and drs.drs_iterate over dual_resolvents give the
+    # same (x, p), bit for bit, at every one of 300 iterates
+    prob = _tv2d_problem() if name == "tv2d" else request.getfixturevalue(name)
+    stop = sb.StoppingRule(tol=None, max_iter=300)
+    trace = sb.run_drs(prob, stop=stop, record_stride=1)
+    zero = np.zeros(prob.f.dim)
+    ref = sb.drs_iterate(sb.dual_resolvents(prob), zero, zero, lam=prob.lam, stop=stop)
+    assert len(trace.iterates) == len(ref.states) == 301
+    for rec, state in zip(trace.iterates, ref.states):
+        assert rec.k == state.k
+        assert np.array_equal(rec.x, state.x) and np.array_equal(rec.p, state.p)
+
+
 @pytest.mark.parametrize("solver", ["asb_iterate", "run_drs"])
 def test_twin_window_evaluates_the_energy_once_per_iteration(tv1d_problem, solver):
     # only the run measures its residual and energy; the lockstep twin
@@ -423,9 +442,10 @@ def test_driver_flags_the_first_non_finite_vector(lasso_problem):
 
     def prox(x, t):
         calls.append(t)
-        return np.full_like(x, np.nan) if len(calls) == 3 else f.prox(x, t)
+        return np.full_like(x, np.nan) if len(calls) == 2 else f.prox(x, t)
 
-    # prox calls alternate run, twin: the third is the run's d-step at k = 2
+    # the DRS twin projects onto the l1 box without calling the prox, so
+    # every call is the run's d-step: the second is the one at k = 2
     problem = dataclasses.replace(lasso_problem, f=dataclasses.replace(f, prox=prox))
     with pytest.raises(NonFiniteIterateError, match="non-finite d at iteration 2"):
         sb.asb_iterate(problem, stop=sb.StoppingRule(tol=None, max_iter=5))

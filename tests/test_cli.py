@@ -279,6 +279,19 @@ def test_approx_run_keeps_pinned_coordinates(tmp_path, capsys):
     assert energies and all(math.isfinite(e) for e in energies)
 
 
+@pytest.mark.parametrize("solver", ["asb", "drs", "asb_approx"])
+def test_overflowing_lasso_certifies_no_wrong_dual_point(tmp_path, solver):
+    # at y = +-1e300 the sweep's final b is [0, 0], while the dual optimum is
+    # [1, -1]; a Moreau-form dual resolvent cancelled to 0 there and passed it
+    payload = {"problem": "lasso", "solver": solver,
+               "params": {"y": [1e300, -1e300], "max_iter": 100}}
+    cfg = _write_config(tmp_path, payload)
+    with np.errstate(over="ignore"):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    inclusion = [c for c in _certs(tmp_path / "out") if c["kind"] == "inclusion"]
+    assert not inclusion[0]["passed"]
+
+
 def test_least_gradient_via_cli(tmp_path):
     payload = {"problem": "least_gradient", "solver": "asb",
                "params": {"grid_shape": [8, 8], "tol": 1e-12, "max_iter": 20000}}

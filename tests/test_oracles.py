@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import splitbreg as sb
-from splitbreg.oracles import (interior_stationarity_defect, soft_threshold_optimum,
+from splitbreg.linops import GridSpec, gradient_operator, interior_gradient_operator
+from splitbreg.oracles import (_opnorm_sq_bound, interior_stationarity_defect, soft_threshold_optimum,
                                taut_string_denoise, taut_string_dirichlet, tv_dual_solve)
 
 
@@ -51,6 +52,18 @@ def test_tv_dual_solve_dirichlet_agrees_with_reflection():
     u_ts = taut_string_dirichlet(y, 0.25)
     v_ts = prob.g.value(u_ts) + prob.f.value(prob.L.apply(u_ts))
     assert abs(res.primal_value - v_ts) <= 1e-9
+
+
+@pytest.mark.parametrize("make", [gradient_operator, interior_gradient_operator])
+@pytest.mark.parametrize("shape,spacing", [((2,), 1.0), ((17,), 0.3), ((40,), 2.5),
+                                           ((2, 2), 1.0), ((6, 9), (0.5, 1.5)),
+                                           ((12, 12), 0.25)])
+def test_opnorm_bound_is_at_least_the_largest_eigenvalue(make, shape, spacing):
+    # the dual solve's step is rho / bound, safe only if bound >= ||L||^2
+    L = make(GridSpec(shape, spacing))
+    a = L.matrix.toarray()
+    top = np.linalg.eigvalsh(a.T @ a)[-1]
+    assert _opnorm_sq_bound(L) >= top * (1.0 - 1e-12)  # eigvalsh roundoff only
 
 
 def test_tv_dual_solve_requires_quadratic_fidelity(lg_linear_problem):
