@@ -112,14 +112,14 @@ def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10) -> DualSolveRes
 
     Requires ``g`` quadratic and ``f`` of l1 / weighted-l21 type.  Runs
     an accelerated projected gradient iteration on the dual (a smooth
-    quadratic over a product of boxes or balls) with step ``rho / B``,
-    where ``B``, the largest absolute row sum of ``L^T L``, bounds
-    ``||L||^2`` from above in closed form (Gershgorin), so the step never
-    exceeds the inverse of the dual gradient's Lipschitz constant
-    ``||L||^2 / rho``.  It recovers the primal candidate from the dual
-    gradient and stops when the measured duality gap falls below ``gap_tol * (1 + |primal|)``, so the returned
-    ``primal_value`` is certified to that accuracy by weak duality.
-    After 200 000 iterations it returns with the gap it reached.
+    quadratic over a product of boxes or balls) with step ``rho / B``:
+    ``B``, the largest absolute row sum of ``L^T L``, bounds ``||L||^2``
+    from above (Gershgorin), so the step is at most the inverse of the
+    dual gradient's Lipschitz constant ``||L||^2 / rho``.  The primal
+    candidate comes from the dual gradient.  The iteration stops when the
+    measured duality gap falls below ``gap_tol * (1 + |primal|)``, which
+    certifies ``primal_value`` to that accuracy by weak duality, or after
+    200 000 iterations, returning the gap it reached.
     """
     if problem.g.label != "quadratic":
         raise ValueError("dual solve needs a quadratic fidelity term")

@@ -406,7 +406,7 @@ def _tv2d_problem():
 @pytest.mark.parametrize("name", ["lasso_problem", "tv1d_problem", "tv2d", "lg_two_phase_problem"])
 def test_instrumented_drs_is_the_reference_recursion(request, name):
     # run_drs's own step and drs.drs_iterate over dual_resolvents give the
-    # same (x, p), bit for bit, at every one of 300 iterates
+    # same (x, p), bit for bit, at every iterate k = 0..300
     prob = _tv2d_problem() if name == "tv2d" else request.getfixturevalue(name)
     stop = sb.StoppingRule(tol=None, max_iter=300)
     trace = sb.run_drs(prob, stop=stop, record_stride=1)

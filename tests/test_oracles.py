@@ -3,8 +3,9 @@ import pytest
 
 import splitbreg as sb
 from splitbreg.linops import GridSpec, gradient_operator, interior_gradient_operator
-from splitbreg.oracles import (_opnorm_sq_bound, interior_stationarity_defect, soft_threshold_optimum,
-                               taut_string_denoise, taut_string_dirichlet, tv_dual_solve)
+from splitbreg.oracles import (_opnorm_sq_bound, interior_stationarity_defect,
+                               soft_threshold_optimum, taut_string_denoise, taut_string_dirichlet,
+                               tv_dual_solve)
 
 
 def test_soft_threshold_optimum():
