@@ -24,9 +24,11 @@ advance a twin of the other form in lockstep for 200 iterations, on
 the shared factor; their mapped mismatch per iterate is the
 ``setzer_defects`` series (``nan`` where no twin ran), and its worst,
 k = 0 included, is ``RunTrace.twin_defect``, the correspondence's certificate.
-The twin advances only its iterate and checks it is finite; the run's
-residual, energy and increment series are measured on the run alone,
-and a DRS twin never maps its iterate back to (b, d).
+The twin advances only its iterate; the run's residual, energy and
+increment series are measured on the run alone, and a DRS twin never
+maps its iterate back to (b, d).  Finiteness is tested on the scalars
+the driver computes anyway; the iterate vectors are scanned only when
+one of those is not finite (the argument is in ``_drive``).
 A problem's u-step factor is built once, on first use, and shared by
 its runs, their twins and :func:`dual_resolvents`.
 
@@ -48,6 +50,7 @@ verifies concerns the alternating form.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -56,7 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .diagnostics import IterateRecord, RunTrace
-from .drs import NonFiniteIterateError, ResolventPair, StoppingRule
+from .drs import ResolventPair, StoppingRule, _require_finite
 from .functionals import ErrorSchedule, ProxFunctional, dual_resolvent
 from .linops import LinearMap, spd_factor
 
@@ -143,7 +146,12 @@ class _UStepSolver:
         if self.mode == "quadratic":
             rho_lam = float(g.params["scale"]) / problem.lam
             self._rhs0 = rho_lam * np.asarray(g.params["target"], dtype=float)
-            system = a.T @ a + rho_lam * sp.identity(L.domain_dim)
+            system = a.T @ a
+            # + (rho/lam) I in place; a zero column of L leaves a diagonal entry
+            # to insert, which older scipy releases warn about
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+                system.setdiag(system.diagonal() + rho_lam)
         elif self.mode == "indicator_point":
             self.pinned = mask = np.asarray(g.params["mask"], dtype=bool)
             self.anchor_ext = np.zeros(L.domain_dim)
@@ -206,7 +214,8 @@ class _Step(NamedTuple):
 
     Only the run measures it: its residual is ``||d - Lu||``, with the d
     the u-step was paired with, and its energy ``g(u) + f(Lu)``.  A
-    twin's step is checked for finiteness and otherwise dropped.
+    twin's step is otherwise dropped; either step's ``finite`` vectors
+    are scanned only when a scalar is not finite.
     """
 
     finite: tuple  # (name, vector) pairs that must be finite, in check order
@@ -301,22 +310,15 @@ class _DrsStep(_Recursion):
         return _Step(finite=(("u", u), ("x", x_new), ("p", p_new)), u=u, Lu=Lu)
 
 
-def _advance(rec: _Recursion, k: int) -> _Step:
-    step = rec.step(k)
-    for what, v in step.finite:
-        if not np.isfinite(v).all():
-            raise NonFiniteIterateError(k, what)
-    return step
-
-
 def _record(rec: _Recursion, k: int, u: Optional[np.ndarray]) -> IterateRecord:
     b, d = rec.bd()
     return IterateRecord(k=k, u=u, d=d, b=b, x=rec.x, p=rec.p)
 
 
-def _mismatch(a: _Recursion, b: _Recursion) -> float:
-    # an ASB sweep's (x, p) is lam (b + d), lam b, computed as the mapping does
-    return max(_norm(a.x - b.x), _norm(a.p - b.p))
+def _mismatch(a: _Recursion, b: _Recursion) -> tuple:
+    # an ASB sweep's (x, p) is lam (b + d), lam b, computed as the mapping does;
+    # the defect is the max of the pair
+    return _norm(a.x - b.x), _norm(a.p - b.p)
 
 
 def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, kind: str,
@@ -329,32 +331,76 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     ``_TWIN_ITERATIONS`` iterations; their mapped mismatch fills
     ``setzer_defects`` (``nan`` where no twin ran), and ``twin_defect``
     is its worst value, k = 0 included.
+
+    Finiteness is tested scalar first.  The run's residual, energy and
+    two increments are tested; only if one is not finite are the run's
+    ``step.finite`` vectors scanned, in order, and the first non-finite
+    one raises :class:`~splitbreg.drs.NonFiniteIterateError`.  The
+    twin's scalars are the two mismatch norms; only if one is not
+    finite are the run's vectors scanned and then the twin's.  That
+    raises for the same vector at the same k as scanning every step
+    would, because a non-finite entry of any scanned vector reaches a
+    tested scalar (non-finite values are absorbing under ``+``, ``-``,
+    ``*`` and a sum of squares, and ``inf - inf`` is nan):
+
+    - the run's u: for a quadratic g its value ``g(u)`` (scale > 0,
+      finite target) is not finite.  For the other g the u-step system
+      is ``L^T L`` on the free coordinates and SPD, so every free column
+      of L is nonzero and the entry reaches ``Lu`` and the residual
+      ``||d - Lu||``; pinned coordinates are copied from the finite
+      anchor.  The approximate sweep's u is ``u_exact`` plus a finite
+      vector.
+    - the ASB run's d or b reaches ``x = lam (b + d)``, and b reaches
+      ``p = lam b``, so an increment.  The DRS run's x and p are the
+      increments' own vectors, and its u reaches the residual or the
+      energy as above.
+    - the twin's u reaches ``Lu`` through a nonzero column, and then x
+      (DRS: ``x + (y + lam Lu) - p``; ASB: ``b + Lu - d``, whatever the
+      prox returns).  A zero column occurs only for a quadratic g; its
+      coordinate is decoupled from the others and solves to the same
+      value at every step, the run's, which its energy tested.  The
+      twin's d, b, x and p reach its ``(x, p)`` as above, and so a
+      mismatch norm.  The two norms' sum is tested, not their max:
+      Python's ``max(a, nan)`` is ``a``.
+
+    A finite vector whose norm overflows (the ±1e300 lasso) makes a
+    scalar ``inf``; the scan then finds every vector finite and the run
+    goes on.
     """
     stop = stop or StoppingRule()
     g, f = run.problem.g, run.problem.f
     records = [_record(run, 0, None)]
     residuals, energies, defects, x_incs, alphas, betas = ([] for _ in range(6))
-    twin_defect = None if twin is None else _mismatch(run, twin)
+    twin_defect = None if twin is None else max(_mismatch(run, twin))
     converged = False
     k = 0
     u = None
 
     for k in range(1, stop.max_iter + 1):
         x_prev, p_prev, d_prev = run.x, run.p, run.bd()[1]
-        step = _advance(run, k)
+        step = run.step(k)
         u = step.u
-        residuals.append(_norm(d_prev - step.Lu))
-        energies.append(g.value(u) + f.value(step.Lu))
-        alphas.append(step.alpha)
-        betas.append(step.beta)
+        residual = _norm(d_prev - step.Lu)
+        energy = g.value(u) + f.value(step.Lu)
         x_inc = _norm(run.x - x_prev)
         p_inc = _norm(run.p - p_prev)
+        if not math.isfinite(residual + energy + x_inc + p_inc):
+            for what, v in step.finite:
+                _require_finite(v, k, what)
+        residuals.append(residual)
+        energies.append(energy)
+        alphas.append(step.alpha)
+        betas.append(step.beta)
         x_incs.append(x_inc)
 
         defect = np.nan
         if twin is not None and k <= _TWIN_ITERATIONS:
-            _advance(twin, k)
-            defect = _mismatch(run, twin)
+            twin_step = twin.step(k)
+            dx, dp = _mismatch(run, twin)
+            if not math.isfinite(dx + dp):
+                for what, v in step.finite + twin_step.finite:
+                    _require_finite(v, k, what)
+            defect = max(dx, dp)
             twin_defect = max(twin_defect, defect)
         defects.append(defect)
         if record_stride and k % record_stride == 0:

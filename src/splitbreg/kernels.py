@@ -22,7 +22,9 @@ NUMBA_ENABLED = False
 
 
 def soft_threshold(x, thresh):
-    return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
+    # sign(x) * max(|x| - thresh, 0) up to the sign of a zero result, in
+    # three ufuncs
+    return np.maximum(x - thresh, np.minimum(x + thresh, 0.0))
 
 
 def _block_norms(blocks):

@@ -261,8 +261,10 @@ def _pivot_check(pivots: np.ndarray, what: str) -> None:
 
 def _tridiagonal_factor(system: sp.spmatrix, what: str) -> Optional[_TridiagonalFactor]:
     """LDL^T through ``dpttrf`` when ``system`` is symmetric with bandwidth <= 1, else None."""
-    coo = system.tocoo()
-    if np.any(np.abs(coo.row - coo.col) > 1):
+    # the column of each stored entry, read from the CSC pointers
+    cols = np.repeat(np.arange(system.shape[1], dtype=system.indices.dtype),
+                     np.diff(system.indptr))
+    if (np.abs(system.indices - cols) > 1).any():
         return None
     sub = system.diagonal(-1)
     if not np.array_equal(sub, system.diagonal(1)):

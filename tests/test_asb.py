@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU
 
 import splitbreg as sb
@@ -128,6 +129,40 @@ def test_u_step_factor_follows_the_system_bandwidth():
     ]
     assert [type(p._usolver._factor) for p in tridiagonal] == [linops._TridiagonalFactor] * 3
     assert [type(p._usolver._factor) for p in general] == [SuperLU] * 3
+
+
+def test_quadratic_u_step_factor_is_that_of_the_summed_system():
+    # the normal matrix gets (rho/lam) on its diagonal in place; the factor
+    # must be bit for bit the one of L^T L + (rho/lam) I, including where a
+    # zero column of L leaves no diagonal entry to add to
+    rng = np.random.default_rng(7)
+    zero_column = rng.standard_normal((6, 4))
+    zero_column[:, 2] = 0.0
+    problems = [
+        sb.build_tv_problem(sb.make_tv_instance((32,), seed=1)),
+        sb.build_tv_problem(sb.make_tv_instance((8, 8), seed=1)),
+        sb.SplitProblem(g=prox_quadratic(np.ones(4), 0.7), f=prox_l1(1.0, dim=6),
+                        L=matrix_operator(rng.standard_normal((6, 4))), lam=1.3),
+        sb.SplitProblem(g=prox_quadratic(np.ones(4), 0.7), f=prox_l1(1.0, dim=6),
+                        L=matrix_operator(zero_column), lam=1.3),
+    ]
+    for prob in problems:
+        a, n = prob.L.matrix, prob.L.domain_dim
+        rho_lam = prob.g.params["scale"] / prob.lam
+        reference = linops.spd_factor(a.T @ a + rho_lam * sp.identity(n))
+        factor = prob._usolver._factor
+        assert type(factor) is type(reference)
+        if isinstance(factor, SuperLU):
+            for part in ("perm_r", "perm_c"):
+                assert np.array_equal(getattr(factor, part), getattr(reference, part))
+            for part in ("L", "U"):
+                assert np.array_equal(getattr(factor, part).toarray(),
+                                      getattr(reference, part).toarray())
+        else:
+            assert np.array_equal(factor._d, reference._d)
+            assert np.array_equal(factor._e, reference._e)
+        rhs = rng.standard_normal(n)
+        assert np.array_equal(factor.solve(rhs), reference.solve(rhs))
 
 
 def test_u_step_rejects_unsupported_g():
@@ -449,6 +484,65 @@ def test_driver_flags_the_first_non_finite_vector(lasso_problem):
     problem = dataclasses.replace(lasso_problem, f=dataclasses.replace(f, prox=prox))
     with pytest.raises(NonFiniteIterateError, match="non-finite d at iteration 2"):
         sb.asb_iterate(problem, stop=sb.StoppingRule(tol=None, max_iter=5))
+
+
+# Where each vector the driver may scan goes non-finite at k = 3.  Every
+# iteration calls the u-solve and L.apply once for the run, then once for
+# the twin; the prox is called only by the ASB sweep, the dual resolvent
+# only by the DRS step.  Poisoning an entry where it is computed, as a
+# NaN or inf would arise, must raise for the same vector at the same k as
+# scanning every vector at every step did.  "b" needs Lu poisoned and a
+# prox that returns finite values there, so that u and d stay finite.
+_K = 3
+_POISON_SITES = {  # (solver, vector) -> {site: call index to poison}
+    ("asb_iterate", "run u"): {"solve": 2 * _K - 1},
+    ("asb_iterate", "run d"): {"prox": _K},
+    ("asb_iterate", "run b"): {"apply": 2 * _K - 1, "prox_zero": _K},
+    ("asb_iterate", "twin u"): {"solve": 2 * _K},
+    ("asb_iterate", "twin x"): {"apply": 2 * _K},
+    ("asb_iterate", "twin p"): {"resolvent": _K},
+    ("run_drs", "run u"): {"solve": 2 * _K - 1},
+    ("run_drs", "run x"): {"apply": 2 * _K - 1},
+    ("run_drs", "run p"): {"resolvent": _K},
+    ("run_drs", "twin u"): {"solve": 2 * _K},
+    ("run_drs", "twin d"): {"prox": _K},
+    ("run_drs", "twin b"): {"apply": 2 * _K, "prox_zero": _K},
+}
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["lasso_problem", "tv1d_problem", "lg_linear_problem"])
+@pytest.mark.parametrize("solver,vector", list(_POISON_SITES))
+def test_scalar_first_checks_flag_each_vector_where_the_scan_did(
+        request, monkeypatch, name, solver, vector, poison):
+    problem = request.getfixturevalue(name)
+    sites = _POISON_SITES[solver, vector]
+    calls = Counter()
+
+    def poisoned(site, fn):
+        def call(*args):
+            calls[site] += 1
+            out = fn(*args)
+            if calls[site] == sites.get(site):
+                out = np.array(out, dtype=float, copy=True)
+                out[0] = poison
+            if calls[site] == sites.get(site + "_zero"):
+                out = np.zeros_like(out)
+            return out
+        return call
+
+    L, f = problem.L, problem.f
+    problem = dataclasses.replace(
+        problem, L=dataclasses.replace(L, apply=poisoned("apply", L.apply)),
+        f=dataclasses.replace(f, prox=poisoned("prox", f.prox)))
+    usolver = problem._usolver
+    monkeypatch.setattr(usolver, "solve_c", poisoned("solve", usolver.solve_c))
+    monkeypatch.setattr(sb.asb, "dual_resolvent", poisoned("resolvent", sb.asb.dual_resolvent))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonFiniteIterateError) as err:
+            getattr(sb, solver)(problem, stop=sb.StoppingRule(tol=None, max_iter=6))
+    assert str(err.value) == f"non-finite {vector.split()[1]} at iteration {_K}"
+    assert err.value.iteration == _K
 
 
 def test_approximate_run_carries_no_twin(tv1d_problem):

@@ -292,6 +292,18 @@ def test_overflowing_lasso_certifies_no_wrong_dual_point(tmp_path, solver):
     assert not inclusion[0]["passed"]
 
 
+@pytest.mark.parametrize("solver", ["asb", "drs", "asb_approx"])
+def test_lasso_overflowing_to_a_non_finite_u_exits_3(tmp_path, capsys, solver):
+    # at y = +-1e308 the driver's scalars overflow from k = 1 on while every
+    # vector stays finite, so the run goes on; the u-solve at k = 4 is not finite
+    payload = {"problem": "lasso", "solver": solver, "params": {"y": [1e308, -1e308]}}
+    cfg = _write_config(tmp_path, payload)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "run failed: non-finite u at iteration 4"
+
+
 def test_least_gradient_via_cli(tmp_path):
     payload = {"problem": "least_gradient", "solver": "asb",
                "params": {"grid_shape": [8, 8], "tol": 1e-12, "max_iter": 20000}}

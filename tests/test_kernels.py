@@ -11,6 +11,8 @@ of the stencil and against the operator's own matrix.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitbreg import kernels
 from splitbreg.linops import GridSpec, gradient_operator, interior_gradient_operator
@@ -231,6 +233,26 @@ def test_active_path_matches_numpy(name):
             assert _taut_string_in_tube(*args)
         else:
             assert np.array_equal(_KERNEL_LOOPS[name](*args), getattr(kernels, name)(*args))
+
+
+# magnitudes from 1e-300 to 1e300, either sign, and the special values
+_MAGNITUDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-300, 299))
+_ENTRY = st.one_of(_MAGNITUDE, _MAGNITUDE.map(lambda v: -v),
+                   st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+_THRESH = st.one_of(_MAGNITUDE, st.just(0.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pairs=st.lists(st.tuples(_ENTRY, _THRESH), min_size=1, max_size=16))
+@example(pairs=[(1.5, 1.5), (-1.5, 1.5), (-0.0, 0.0), (1e300, 1e300), (-1e300, 1e300),
+                (np.inf, 0.0), (-np.inf, 1.0), (np.nan, 0.0)])
+def test_soft_threshold_is_sign_times_shrunk_magnitude(pairs):
+    # three ufuncs against the textbook form: equal up to the sign of a zero
+    # (array_equal counts -0.0 == 0.0), with nan where the textbook has nan
+    x, t = (np.array(v) for v in zip(*pairs))
+    with np.errstate(invalid="ignore", over="ignore"):
+        reference = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+        assert np.array_equal(kernels.soft_threshold(x, t), reference, equal_nan=True)
 
 
 def test_grad_dirichlet_1d_stencil():
