@@ -7,11 +7,15 @@ and the inverse problem reconstructs the voltage by minimizing the
 current-weighted total variation subject to the exact boundary values.
 All pieces share one discretization, so the forward-model identity
 ``|J| = sigma * ||grad u||`` holds by construction, not approximately.
+The grid helpers (the boundary mask, the cell-origin weights, the
+linear field and the two-phase inclusion) index each axis with a slice
+or an outer-product factor, so one code path serves 1-D and 2-D grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -37,14 +41,8 @@ __all__ = [
 
 def boundary_mask(grid: GridSpec) -> np.ndarray:
     """Boolean mask over row-major nodes, True on the grid boundary."""
-    if grid.ndim == 1:
-        m = np.zeros(grid.shape[0], dtype=bool)
-        m[0] = m[-1] = True
-        return m
-    n1, n2 = grid.shape
-    m = np.zeros((n1, n2), dtype=bool)
-    m[0, :] = m[-1, :] = True
-    m[:, 0] = m[:, -1] = True
+    m = np.ones(grid.shape, dtype=bool)
+    m[(slice(1, -1),) * grid.ndim] = False
     return m.reshape(-1)
 
 
@@ -52,9 +50,7 @@ def linear_field(grid: GridSpec, axis: int = 0) -> np.ndarray:
     """Nodal field varying linearly from 0 to 1 along one axis."""
     ramps = [np.linspace(0.0, 1.0, n) if ax == axis else np.ones(n)
              for ax, n in enumerate(grid.shape)]
-    if grid.ndim == 1:
-        return ramps[0]
-    return np.outer(ramps[0], ramps[1]).reshape(-1)
+    return reduce(np.multiply.outer, ramps).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +137,7 @@ class LeastGradientInstance:
 
 def _block_weights(grid: GridSpec, sigma: np.ndarray) -> np.ndarray:
     """Conductivity sampled at the cell-origin node of each gradient block."""
-    if grid.ndim == 1:
-        return sigma[:-1]
-    n1, n2 = grid.shape
-    return sigma.reshape(n1, n2)[: n1 - 1, : n2 - 1].reshape(-1)
+    return sigma.reshape(grid.shape)[(slice(-1),) * grid.ndim].reshape(-1)
 
 
 def forward_model(grid: GridSpec, conductivity, boundary_data) -> LeastGradientInstance:
@@ -202,11 +195,8 @@ def two_phase_conductivity(grid: GridSpec, inclusion: float = 2.0) -> np.ndarray
     """Unit background conductivity with a centred square inclusion."""
     if grid.ndim != 2:
         raise ValueError("two-phase instances are 2-D")
-    n1, n2 = grid.shape
-    sigma = np.ones((n1, n2))
-    a1, b1 = n1 // 4, n1 - n1 // 4
-    a2, b2 = n2 // 4, n2 - n2 // 4
-    sigma[a1:b1, a2:b2] = float(inclusion)
+    sigma = np.ones(grid.shape)
+    sigma[tuple(slice(n // 4, n - n // 4) for n in grid.shape)] = float(inclusion)
     return sigma.reshape(-1)
 
 

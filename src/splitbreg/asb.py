@@ -124,8 +124,9 @@ class _UStepSolver:
     to the free coordinates for the point indicator, plus ``(rho/lam) I``
     for the quadratic) is factorized once with :func:`spd_factor`, and
     every solve reuses the factor.  The right-hand side's constant part,
-    ``(rho/lam) target`` or the negated anchor term, is computed here too,
-    so a solve is one adjoint apply, one subtraction and the factor's solve.
+    ``(rho/lam) target`` (0 for zero g) or the negated anchor term, is
+    computed here too, so a solve is one adjoint apply, one subtraction and
+    the factor's solve.
     ``pinned`` marks the coordinates g fixes: the point indicator's mask,
     none for the other g.
     """
@@ -143,16 +144,7 @@ class _UStepSolver:
         self._factor = None
         self.pinned = np.zeros(L.domain_dim, dtype=bool)
 
-        if self.mode == "quadratic":
-            rho_lam = float(g.params["scale"]) / problem.lam
-            self._rhs0 = rho_lam * np.asarray(g.params["target"], dtype=float)
-            system = a.T @ a
-            # + (rho/lam) I in place; a zero column of L leaves a diagonal entry
-            # to insert, which older scipy releases warn about
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
-                system.setdiag(system.diagonal() + rho_lam)
-        elif self.mode == "indicator_point":
+        if self.mode == "indicator_point":
             self.pinned = mask = np.asarray(g.params["mask"], dtype=bool)
             self.anchor_ext = np.zeros(L.domain_dim)
             self.anchor_ext[mask] = np.asarray(g.params["anchor"], dtype=float)[mask]
@@ -163,7 +155,17 @@ class _UStepSolver:
             system = a_free.T @ a_free
             self._rhs0 = -(a_free.T @ (a @ self.anchor_ext))
         else:
+            # zero g is the quadratic at scale 0: its constant part is 0 and it
+            # skips the diagonal update, so the matrix keeps its sparsity
+            rho_lam = float(g.params.get("scale", 0.0)) / problem.lam
+            self._rhs0 = rho_lam * np.asarray(g.params.get("target", 0.0), dtype=float)
             system = a.T @ a
+            if rho_lam:
+                # + (rho/lam) I in place; a zero column of L leaves a diagonal entry
+                # to insert, which older scipy releases warn about
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+                    system.setdiag(system.diagonal() + rho_lam)
         try:
             self._factor = spd_factor(system, what="u-step normal system")
         except ValueError as exc:
@@ -176,15 +178,14 @@ class _UStepSolver:
     def solve_c(self, c: np.ndarray) -> np.ndarray:
         """argmin_u g(u) + (lam/2) ||L u + c||^2."""
         ltc = self.L.adjoint_apply(c)
-        # rhs0 - v is rhs0 + (-v) bit for bit, so the negation folds into the subtraction
-        if self.mode == "quadratic":
-            return self._factor.solve(self._rhs0 - ltc)
+        # rhs0 - v is rhs0 + (-v) bit for bit (up to the sign of a zero
+        # entry when rhs0 is 0), so the negation folds into the subtraction
         if self.mode == "indicator_point":
             u = self.anchor_ext.copy()
             if self._factor is not None:
                 u[self.free] = self._factor.solve(self._rhs0 - ltc[self.free])
             return u
-        return self._factor.solve(-ltc)
+        return self._factor.solve(self._rhs0 - ltc)
 
 
 def asb_u_step(problem: SplitProblem, state: AsbState) -> np.ndarray:

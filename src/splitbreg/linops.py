@@ -11,8 +11,13 @@ and data arrays, for a 1-D float64 vector of the right length (the
 same call ``a @ v`` makes, without its dispatch); any other input goes
 through ``a @ v``, with its errors and its 2-D behaviour.  An
 operator carries no rank or injectivity flag; where a solve needs one,
-:func:`spd_factor` rejects the singular normal system.  The gradient
-stencils are assembled from 1-D difference matrices with ``sp.kron``.
+:func:`spd_factor` rejects the singular normal system.  Both gradients,
+1-D or 2-D, come from one per-axis builder: each axis's component is
+the Kronecker product of that axis's 1-D difference matrix with an
+identity (zero ghost) or a cell-origin selection (interior) on the
+other axis, and the components are interleaved per node.  A
+:class:`GridSpec` holds integral node counts and finite positive
+spacings; anything else is rejected.
 :func:`spd_factor` is the one factorization used for symmetric
 positive-definite solves (the u-step and the forward model): a
 symmetric tridiagonal system, which every 1-D grid operator and the
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,7 +75,10 @@ class GridSpec:
     spacing: tuple
 
     def __init__(self, shape, spacing=1.0):
-        shape = tuple(int(s) for s in (shape if np.iterable(shape) else (shape,)))
+        shape = tuple(shape) if np.iterable(shape) else (shape,)
+        if not all(float(s).is_integer() for s in shape):
+            raise ValueError(f"node counts must be integers, got {shape}")
+        shape = tuple(int(s) for s in shape)
         if not 1 <= len(shape) <= 2:
             raise ValueError("only 1-D and 2-D grids are supported")
         if any(s < 2 for s in shape):
@@ -80,8 +89,8 @@ class GridSpec:
             spacing = (float(spacing),) * len(shape)
         if len(spacing) != len(shape):
             raise ValueError("one spacing per axis required")
-        if any(h <= 0 for h in spacing):
-            raise ValueError("grid spacing must be positive")
+        if not all(0 < h < np.inf for h in spacing):
+            raise ValueError(f"grid spacing must be finite and positive, got {spacing}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)
 
@@ -167,14 +176,26 @@ def _forward_difference(n: int, h: float, ghost: bool) -> sp.csr_matrix:
     return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(rows, n), format="csr")
 
 
-def _interleave(components) -> sp.csr_matrix:
-    """Stack per-axis difference matrices with each node's components adjacent.
+def _grid_gradient(grid: GridSpec, ghost: bool) -> LinearMap:
+    """Per-axis forward differences on a 1-D or 2-D grid, interleaved per node.
 
-    Row ``k`` of component ``c`` becomes row ``ndim * k + c``.
+    Component ``axis`` is the Kronecker product, over the axes in order,
+    of that axis's :func:`_forward_difference` and, on every other axis,
+    ``eye(rows, n)``: the identity with a ghost, else the selection of the
+    cell-origin nodes (all but the last index).  Row ``k`` of component
+    ``c`` becomes row ``ndim * k + c``, so each node's components are
+    adjacent; a single component is already in that order.
     """
+    rows = [n if ghost else n - 1 for n in grid.shape]
+    components = [
+        reduce(sp.kron, [_forward_difference(n, h, ghost) if ax == axis else sp.eye(r, n)
+                         for ax, (n, r) in enumerate(zip(grid.shape, rows))])
+        for axis, h in enumerate(grid.spacing)
+    ]
+    if len(components) == 1:
+        return _csr_map(components[0])
     stacked = sp.vstack(components, format="csr")
-    ndim, rows = len(components), components[0].shape[0]
-    return stacked[np.arange(ndim * rows).reshape(ndim, rows).T.reshape(-1)]
+    return _csr_map(stacked[np.arange(stacked.shape[0]).reshape(grid.ndim, -1).T.reshape(-1)])
 
 
 def gradient_operator(grid: GridSpec) -> LinearMap:
@@ -187,13 +208,7 @@ def gradient_operator(grid: GridSpec) -> LinearMap:
     negative divergence).  Per-node difference components are
     interleaved, giving contiguous blocks of size ``grid.ndim``.
     """
-    if grid.ndim == 1:
-        a = _forward_difference(grid.shape[0], grid.spacing[0], ghost=True)
-    else:
-        (n1, n2), (h1, h2) = grid.shape, grid.spacing
-        a = _interleave([sp.kron(_forward_difference(n1, h1, ghost=True), sp.identity(n2)),
-                         sp.kron(sp.identity(n1), _forward_difference(n2, h2, ghost=True))])
-    return _csr_map(a)
+    return _grid_gradient(grid, ghost=True)
 
 
 def interior_gradient_operator(grid: GridSpec) -> LinearMap:
@@ -206,14 +221,7 @@ def interior_gradient_operator(grid: GridSpec) -> LinearMap:
     boundary values are carried by the unknowns themselves rather than
     by a zero extension.
     """
-    if grid.ndim == 1:
-        a = _forward_difference(grid.shape[0], grid.spacing[0], ghost=False)
-    else:
-        (n1, n2), (h1, h2) = grid.shape, grid.spacing
-        # the cell-origin nodes drop the last index along each axis
-        a = _interleave([sp.kron(_forward_difference(n1, h1, ghost=False), sp.eye(n2 - 1, n2)),
-                         sp.kron(sp.eye(n1 - 1, n1), _forward_difference(n2, h2, ghost=False))])
-    return _csr_map(a)
+    return _grid_gradient(grid, ghost=False)
 
 
 def check_adjoint(L: LinearMap, trials: int = 50, seed: int = 0) -> float:

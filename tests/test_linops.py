@@ -119,6 +119,29 @@ def test_grid_spec_validation():
     assert g.spacing == (2.0, 2.0) and g.n_nodes == 12
 
 
+def test_grid_spec_accepts_integral_float_node_counts():
+    assert GridSpec((16.0,)).shape == (16,)
+    assert GridSpec((np.float64(4.0), 3)).shape == (4, 3)
+
+
+@pytest.mark.parametrize("shape", [(2.5,), (4, 3.5)])
+def test_grid_spec_rejects_non_integral_node_counts(shape):
+    with pytest.raises(ValueError, match="node counts must be integers"):
+        GridSpec(shape)
+
+
+@pytest.mark.parametrize("spacing", [float("nan"), (1.0, float("nan"))])
+def test_grid_spec_rejects_nan_spacing(spacing):
+    with pytest.raises(ValueError, match="finite and positive"):
+        GridSpec((4, 4), spacing)
+
+
+@pytest.mark.parametrize("spacing", [float("inf"), (float("inf"), 1.0)])
+def test_grid_spec_rejects_infinite_spacing(spacing):
+    with pytest.raises(ValueError, match="finite and positive"):
+        GridSpec((4, 4), spacing)
+
+
 def test_csv_round_trip(tmp_path):
     m = np.array([[1.5, -2.0], [0.25, 4.0], [3.0, 1.0]])
     mpath = tmp_path / "m.csv"
