@@ -9,8 +9,8 @@ and weighted least-gradient applications with independent test oracles.
 from .applications import (LeastGradientInstance, TvInstance, build_least_gradient_problem,
                            build_tv_problem, forward_model, make_least_gradient_instance,
                            make_tv_instance)
-from .asb import (AsbState, SplitProblem, asb_iterate, asb_iterate_approx, asb_u_step,
-                  dual_resolvents, initial_state, run_drs)
+from .asb import (AsbState, SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents,
+                  initial_state, run_drs)
 from .diagnostics import (Certificate, RunTrace, dual_certificate, duality_gap,
                           equivalence_report, primal_recovery_check, summability_report,
                           weak_duality_probe)
@@ -28,7 +28,7 @@ __all__ = [
     "AsbState", "Certificate", "DrsState", "ErrorSchedule", "GridSpec",
     "LeastGradientInstance", "LinearMap", "ProxFunctional", "ResolventPair", "RunTrace",
     "SplitProblem", "StoppingRule", "TvInstance",
-    "asb_iterate", "asb_iterate_approx", "asb_u_step",
+    "asb_iterate", "asb_iterate_approx",
     "build_least_gradient_problem", "build_tv_problem", "check_adjoint",
     "drs_iterate", "drs_step", "dual_certificate", "dual_resolvent",
     "dual_resolvents", "duality_gap", "equivalence_report", "fejer_check", "forward_model",

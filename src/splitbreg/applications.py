@@ -48,6 +48,8 @@ def boundary_mask(grid: GridSpec) -> np.ndarray:
 
 def linear_field(grid: GridSpec, axis: int = 0) -> np.ndarray:
     """Nodal field varying linearly from 0 to 1 along one axis."""
+    if not 0 <= axis < grid.ndim:
+        raise ValueError(f"axis must name one of the {grid.ndim} grid axes, got {axis!r}")
     ramps = [np.linspace(0.0, 1.0, n) if ax == axis else np.ones(n)
              for ax, n in enumerate(grid.shape)]
     return reduce(np.multiply.outer, ramps).reshape(-1)

@@ -19,7 +19,9 @@ The same machinery exposes the two dual-side resolvents, so the
 Douglas-Rachford recursion on the dual problem runs from the same
 solver.  Under the correspondence ``x = lam (b + d)``, ``p = lam b``
 the two recursions agree to roundoff.  Each form is one step function
-(the ASB sweep, the dual DRS step) under one driver loop.  Exact runs
+(the ASB sweep, the dual DRS step) under one driver loop.  Each starts
+from the given ``init`` or else from b0 = d0 = 0, defaulted in one
+place, ``_Recursion``.  Exact runs
 advance a twin of the other form in lockstep for 200 iterations, on
 the shared factor; their mapped mismatch per iterate is the
 ``setzer_defects`` series (``nan`` where no twin ran), and its worst,
@@ -67,7 +69,6 @@ __all__ = [
     "SplitProblem",
     "AsbState",
     "initial_state",
-    "asb_u_step",
     "asb_iterate",
     "asb_iterate_approx",
     "dual_resolvents",
@@ -107,14 +108,10 @@ class AsbState:
     b: np.ndarray
 
 
-def initial_state(problem: SplitProblem, b0=None, d0=None) -> AsbState:
-    """Default initialization b0 = d0 = 0; any choice is admissible."""
+def initial_state(problem: SplitProblem) -> AsbState:
+    """The default start b0 = d0 = 0; any (b0, d0) in L's codomain is admissible."""
     m = problem.f.dim
-    b = np.zeros(m) if b0 is None else np.array(b0, dtype=float, copy=True)
-    d = np.zeros(m) if d0 is None else np.array(d0, dtype=float, copy=True)
-    if b.shape != (m,) or d.shape != (m,):
-        raise ValueError("b0/d0 must live in the codomain of L")
-    return AsbState(d=d, b=b)
+    return AsbState(d=np.zeros(m), b=np.zeros(m))
 
 
 class _UStepSolver:
@@ -188,11 +185,6 @@ class _UStepSolver:
         return self._factor.solve(self._rhs0 - ltc)
 
 
-def asb_u_step(problem: SplitProblem, state: AsbState) -> np.ndarray:
-    """Minimizer of step 1 at the current (b, d); one-shot entry point."""
-    return problem._usolver.solve_c(state.b - state.d)
-
-
 def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
     w = rng.standard_normal(dim)
     n = float(np.linalg.norm(w))
@@ -229,12 +221,14 @@ class _Step(NamedTuple):
 class _Recursion:
     """One solver form's iterate, from ``x0 = lam (b0 + d0)``, ``p0 = lam b0``.
 
-    ``x``/``p`` are attributes; ``bd()`` gives ``(b, d)``.  Steps rebind
-    to fresh arrays, so records may keep references.
+    ``init`` None is the zero start of :func:`initial_state`.  ``x``/``p``
+    are attributes; ``bd()`` gives ``(b, d)``.  Steps rebind to fresh
+    arrays, so records may keep references.
     """
 
-    def __init__(self, problem: SplitProblem, init: AsbState):
+    def __init__(self, problem: SplitProblem, init: Optional[AsbState]):
         self.problem, self.usolver = problem, problem._usolver
+        init = init if init is not None else initial_state(problem)
         b = np.array(init.b, dtype=float, copy=True)
         d = np.array(init.d, dtype=float, copy=True)
         self.x = problem.lam * (b + d)
@@ -426,7 +420,6 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
 def asb_iterate(problem: SplitProblem, init: Optional[AsbState] = None,
                 stop: Optional[StoppingRule] = None, record_stride: int = 1) -> RunTrace:
     """Run the exact three-step sweep, with a lockstep DRS twin, until the rule fires."""
-    init = init if init is not None else initial_state(problem)
     return _drive(_AsbSweep(problem, init), stop, record_stride, "asb",
                   twin=_DrsStep(problem, init))
 
@@ -448,7 +441,6 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     entirely, so a zero schedule reproduces the exact trace bit for bit.
     No twin runs: the correspondence is an exact-mode property.
     """
-    init = init if init is not None else initial_state(problem)
     sweep = _AsbSweep(problem, init, schedule=schedule, rng=np.random.default_rng(seed))
     return _drive(sweep, stop, record_stride, "asb_approx")
 
@@ -489,6 +481,5 @@ def run_drs(problem: SplitProblem, init: Optional[AsbState] = None,
     alternating sweep.  An alternating-sweep twin runs in lockstep for the
     first 200 iterations; their mapped mismatch fills ``setzer_defects``.
     """
-    init = init if init is not None else initial_state(problem)
     return _drive(_DrsStep(problem, init), stop, record_stride, "drs",
                   twin=_AsbSweep(problem, init))

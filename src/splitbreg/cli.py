@@ -2,9 +2,15 @@
 
 Loads a problem from a JSON config, runs the requested solver, and
 always writes ``trace.csv`` (17-significant-digit columns, byte-stable
-for a fixed config and seed), ``certificates.json`` and ``summary.txt``.
-Exit status is 0 when every emitted certificate passes, 1 when one
-fails, 2 for a malformed config and 3 when the solver fails.
+for a fixed config and seed), ``certificates.json`` and ``summary.txt``;
+:func:`run` formats the summary line and also prints it.  Exit status
+is 0 when every emitted certificate passes, 1 when one fails, 2 for a
+malformed config and 3 when the solver fails.
+
+Every problem comes with an oracle for its optimal value, which returns
+None where no independent value exists (custom_matrix, an uncertified
+least-gradient ``u_true``); the primal certificate then falls back to
+the weak-duality bound at the converged dual point.
 
 The equivalence certificate of an exact run comes from the lockstep
 twin the solver carries (see :func:`splitbreg.asb.asb_iterate`), so no
@@ -41,7 +47,7 @@ from .linops import identity_operator, load_matrix_csv, matrix_operator
 from .oracles import (interior_stationarity_defect, soft_threshold_optimum,
                       taut_string_denoise, taut_string_dirichlet, tv_dual_solve)
 
-__all__ = ["ConfigError", "RunConfig", "SummaryRow", "parse_config", "run", "main"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
 PROBLEMS = ("lasso", "tv1d", "tv2d", "least_gradient", "custom_matrix")
 SOLVERS = ("asb", "drs", "asb_approx")
@@ -66,27 +72,6 @@ class RunConfig:
     solver: str
     params: dict
     schedule: Optional[ErrorSchedule] = None  # asb_approx defaults to geometric(0.5)
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    instance_id: str
-    iterations: int
-    final_residual: float
-    final_energy: float
-    duality_gap: float
-    certificates_passed: int
-    certificates_total: int
-    wall_time: float
-
-    def line(self) -> str:
-        return (
-            f"instance={self.instance_id} iterations={self.iterations} "
-            f"final_residual={self.final_residual:.6e} final_energy={self.final_energy:.12e} "
-            f"duality_gap={self.duality_gap:.6e} "
-            f"certificates={self.certificates_passed}/{self.certificates_total} "
-            f"wall_time={self.wall_time:.3f}s"
-        )
 
 
 def parse_config(payload: dict) -> RunConfig:
@@ -258,10 +243,11 @@ def _parse_schedule(spec: dict, allow_nonsummable: bool) -> ErrorSchedule:
 
 
 def _build_problem(config: RunConfig):
-    """Returns (problem, instance_id, oracle) with oracle possibly None.
+    """Returns (problem, instance_id, oracle).
 
-    ``oracle(problem)`` must return the independently computed optimal
-    value of the instance.
+    ``oracle(problem)`` returns the independently computed optimal value
+    of the instance, or None where there is none (custom_matrix, and a
+    least-gradient ``u_true`` that is not certified optimal).
     """
     p = config.params
     lam = float(p.get("lambda", 1.0))
@@ -339,7 +325,7 @@ def _build_problem(config: RunConfig):
         problem = SplitProblem(g=g, f=f, L=L, lam=lam)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"custom_matrix: {exc}") from exc
-    return problem, f"custom_{L.domain_dim}x{L.codomain_dim}", None
+    return problem, f"custom_{L.domain_dim}x{L.codomain_dim}", lambda prob: None
 
 
 def _stopping(config: RunConfig) -> StoppingRule:
@@ -362,7 +348,7 @@ def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> lis
     lam = problem.lam
     certs = [dual_certificate(problem, final.b, final.d)]
 
-    v_star = oracle(problem) if oracle is not None else None
+    v_star = oracle(problem)
     if v_star is None:
         v_star = dual_value(problem, lam * final.b)
         details_src = "reference value: weak-duality bound at the converged dual point"
@@ -399,26 +385,16 @@ def run(config: RunConfig, out_dir) -> int:
     wall = time.perf_counter() - t0
 
     certs = _certificates_for_run(problem, trace, oracle)
+    passed = sum(c.passed for c in certs)
     gap = duality_gap(problem, trace.final.u, problem.lam * trace.final.b)
-    row = SummaryRow(
-        instance_id=f"{instance_id}_{config.solver}",
-        iterations=trace.n_iter,
-        final_residual=float(trace.residuals[-1]),
-        final_energy=float(trace.energies[-1]),
-        duality_gap=gap,
-        certificates_passed=sum(c.passed for c in certs),
-        certificates_total=len(certs),
-        wall_time=wall,
-    )
-    _emit(out, row, certs, trace)
-    return 0 if all(c.passed for c in certs) else 1
-
-
-def _emit(out: Path, row: SummaryRow, certs, trace: RunTrace) -> None:
+    line = (f"instance={instance_id}_{config.solver} iterations={trace.n_iter} "
+            f"final_residual={trace.residuals[-1]:.6e} final_energy={trace.energies[-1]:.12e} "
+            f"duality_gap={gap:.6e} certificates={passed}/{len(certs)} wall_time={wall:.3f}s")
     write_trace_csv(out / "trace.csv", trace)
     (out / "certificates.json").write_text(certificates_to_json(certs))
-    (out / "summary.txt").write_text(row.line() + "\n")
-    print(row.line())
+    (out / "summary.txt").write_text(line + "\n")
+    print(line)
+    return 0 if passed == len(certs) else 1
 
 
 def main(argv=None) -> int:

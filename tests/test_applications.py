@@ -25,6 +25,17 @@ def test_linear_field():
     assert np.allclose(f1[0], np.linspace(0, 1, 4))
 
 
+@pytest.mark.parametrize("shape,axis", [((4,), 1), ((3, 2), -1)])
+def test_linear_field_rejects_an_axis_outside_the_grid(shape, axis):
+    with pytest.raises(ValueError, match="axis"):
+        linear_field(GridSpec(shape), axis=axis)
+
+
+def test_least_gradient_instance_rejects_an_axis_outside_the_grid():
+    with pytest.raises(ValueError, match="axis"):
+        make_least_gradient_instance((6, 5), axis=2)
+
+
 def test_tv_instance_generation_and_serialization():
     inst = make_tv_instance((32,), mu=0.15, seed=42)
     assert inst.noisy_signal.shape == (32,)

@@ -43,7 +43,7 @@ def test_u_step_identity_operator_no_g():
     prob = sb.SplitProblem(g=zero_functional(3), f=prox_l1(1.0, dim=3),
                            L=identity_operator(3), lam=2.0)
     state = sb.AsbState(d=np.array([1.0, 2.0, 3.0]), b=np.array([0.5, 0.0, -1.0]))
-    u = sb.asb_u_step(prob, state)
+    u = prob._usolver.solve_c(state.b - state.d)
     assert np.allclose(u, state.d - state.b, atol=1e-12)
 
 
@@ -52,13 +52,13 @@ def test_u_step_fully_constrained_indicator():
     prob = sb.SplitProblem(g=sb.prox_indicator_point(anchor), f=prox_l1(1.0, dim=2),
                            L=identity_operator(2), lam=1.0)
     state = sb.AsbState(d=np.array([9.0, 9.0]), b=np.array([-9.0, 9.0]))
-    assert np.array_equal(sb.asb_u_step(prob, state), anchor)
+    assert np.array_equal(prob._usolver.solve_c(state.b - state.d), anchor)
 
 
 def test_u_step_matches_dense_solve(tv1d_problem, tv1d_instance):
     rng = np.random.default_rng(0)
     state = sb.AsbState(d=rng.standard_normal(32), b=rng.standard_normal(32))
-    u = sb.asb_u_step(tv1d_problem, state)
+    u = tv1d_problem._usolver.solve_c(state.b - state.d)
 
     L = tv1d_problem.L
     n = L.domain_dim
@@ -93,7 +93,7 @@ def test_u_step_matches_dense_normal_equations(tv1d_problem, lg_two_phase_proble
             expected = np.where(mask, g.params["anchor"], 0.0)
             expected[free] = np.linalg.solve(ltl[np.ix_(free, free)],
                                              neg_ltc[free] - ltl[np.ix_(free, mask)] @ expected[mask])
-        assert np.linalg.norm(sb.asb_u_step(prob, state) - expected) <= 1e-10
+        assert np.linalg.norm(prob._usolver.solve_c(state.b - state.d) - expected) <= 1e-10
 
 
 def test_u_step_singular_system_raises():
@@ -109,7 +109,8 @@ def test_u_step_singular_system_raises():
         prob = sb.SplitProblem(g=zero_functional(L.domain_dim), f=prox_l1(1.0, dim=L.codomain_dim),
                                L=L, lam=1.0)
         with pytest.raises(ValueError, match="singular"):
-            sb.asb_u_step(prob, sb.initial_state(prob))
+            state = sb.initial_state(prob)
+            prob._usolver.solve_c(state.b - state.d)
 
 
 def test_u_step_factor_follows_the_system_bandwidth():
@@ -385,11 +386,6 @@ def test_run_drs_matches_asb_under_mapping(lasso_problem):
     # the residual and energy columns agree between the two routes
     assert np.allclose(ta.residuals, td.residuals, atol=1e-9)
     assert np.allclose(ta.energies, td.energies, atol=1e-9)
-
-
-def test_initial_state_validates_shapes(lasso_problem):
-    with pytest.raises(ValueError):
-        sb.initial_state(lasso_problem, b0=np.zeros(3))
 
 
 def test_equivalence_holds_on_two_phase_instance(lg_two_phase_problem):

@@ -171,11 +171,14 @@ def test_main_reports_config_errors(tmp_path, capsys):
 def test_main_runs_and_applies_overrides(tmp_path, capsys):
     cfg = _write_config(tmp_path, LASSO_Y3)
     code = main(["--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--max-iter", "4000", "--tol", "1e-12", "--seed", "5"])
+                 "--max-iter", "4000", "--tol", "1e-12", "--seed", "5", "--solver", "drs"])
     assert code == 0
     out = capsys.readouterr().out
     assert "certificates=4/4" in out
     assert "seed5" in out  # --seed override reached the instance
+    # --solver replaced the config's asb, and the summary names the solver that ran
+    assert out.split()[0] == "instance=lasso_n1_seed5_drs"
+    assert (tmp_path / "out" / "summary.txt").read_text() == out
 
 
 def test_drs_solver_via_cli(tmp_path):
@@ -312,6 +315,18 @@ def test_least_gradient_via_cli(tmp_path):
     assert sum(c["passed"] for c in _certs(tmp_path / "out")) == 4
 
 
+@pytest.mark.parametrize("payload", [
+    {"problem": "tv2d", "params": {"grid_shape": [6, 6], "tol": 1e-11}},
+    {"problem": "tv1d", "params": {"grid_shape": [64], "boundary": "free"}},
+], ids=["tv2d_dual_solve", "tv1d_free_taut_string"])
+def test_tv_oracles_via_cli(tmp_path, payload):
+    assert run(parse_config(payload), tmp_path / "out") == 0
+    certs = _certs(tmp_path / "out")
+    assert len(certs) == 4 and all(c["passed"] for c in certs)
+    primal = next(c for c in certs if c["kind"] == "primal_optimal")
+    assert primal["details"].endswith("reference value: independent oracle")
+
+
 def _singular_custom_matrix(tmp_path):
     mpath = tmp_path / "singular.csv"
     mpath.write_text("1,0\n0,0\n")
@@ -392,6 +407,10 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
      "params": {"schedule": {"type": "zero", "scale": 5.0, "ratio": 0.9}}},
     {"problem": "lasso", "solver": "asb_approx",
      "params": {"schedule": {"type": "harmonic", "ratio": 1.5}, "allow_nonsummable": True}},
+    {"problem": "tv2d", "params": {"grid_shape": [6, 6], "spacing": [1.0]}},
+    {"problem": "tv1d", "params": {"boundary": "periodic"}},
+    {"problem": "least_gradient", "params": {"conductivity": "three_phase"}},
+    _custom(g={"label": "indicator_point", "anchor": [1.0, 2.0], "mask": [1, 0]}),
 ], ids=["max_iter_str", "lambda_str", "top_level_list", "missing_matrix_csv", "grid_1_node",
         "tv1d_2d_grid", "grid_str", "max_iter_float", "tol_negative", "y_empty", "params_str",
         "two_phase_1d", "axis_out_of_range", "label_list", "ratio_out_of_range",
@@ -401,7 +420,8 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
         "indicator_mask_length", "quadratic_target_length", "quadratic_scale_str",
         "l1_negative_weight", "zero_unknown_key", "g_l1_no_u_step",
         "g_l21_no_u_step", "csv_empty", "zero_schedule_with_scale_and_ratio",
-        "harmonic_schedule_with_ratio"])
+        "harmonic_schedule_with_ratio", "spacing_per_axis_length", "boundary_unknown",
+        "conductivity_unknown", "mask_not_boolean"])
 def test_main_rejects_malformed_config(tmp_path, capsys, payload):
     if callable(payload):
         payload = payload(tmp_path)

@@ -55,6 +55,20 @@ def test_tv_dual_solve_dirichlet_agrees_with_reflection():
     assert abs(res.primal_value - v_ts) <= 1e-9
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet", "free"])
+def test_tv_dual_solve_in_2d_agrees_with_asb(boundary):
+    # the weighted-l21 dual projection: the only independent value behind tv2d
+    inst = sb.make_tv_instance((6, 6), mu=0.15, seed=0)
+    prob = sb.build_tv_problem(inst, lam=1.0, boundary=boundary)
+    res = tv_dual_solve(prob, gap_tol=1e-12)
+    assert res.gap <= 1e-12 * (1.0 + abs(res.primal_value))
+    w = prob.f.params["weights"]
+    assert np.all(np.linalg.norm(res.b.reshape(-1, 2), axis=1) <= w * (1.0 + 1e-12))
+    trace = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=1e-13), record_stride=0)
+    assert trace.converged
+    assert abs(res.primal_value - trace.energies[-1]) <= 1e-9
+
+
 @pytest.mark.parametrize("make", [gradient_operator, interior_gradient_operator])
 @pytest.mark.parametrize("shape,spacing", [((2,), 1.0), ((17,), 0.3), ((40,), 2.5),
                                            ((2, 2), 1.0), ((6, 9), (0.5, 1.5)),
