@@ -7,9 +7,16 @@ for a fixed config and seed), ``certificates.json`` and ``summary.txt``;
 is 0 when every emitted certificate passes, 1 when one fails, 2 for a
 malformed config and 3 when the solver fails.
 
+The params keys a problem accepts, with their defaults, are one table
+per problem (``_PARAMS``); :func:`parse_config` fills the defaults in
+once.  ``tol`` and ``max_iter`` default to :class:`StoppingRule`'s own,
+and an ``asb_approx`` run without a schedule, or a schedule without
+``ratio`` or ``scale``, takes :class:`ErrorSchedule`'s.
+
 Every problem comes with an oracle for its optimal value, which returns
 None where no independent value exists (custom_matrix, an uncertified
-least-gradient ``u_true``); the primal certificate then falls back to
+least-gradient ``u_true``, a tv2d dual solve whose gap did not reach its
+tolerance); the primal certificate then falls back to
 the weak-duality bound at the converged dual point.
 
 The equivalence certificate of an exact run comes from the lockstep
@@ -21,6 +28,7 @@ solver runs twice.  For both traces of one instance, run it once with
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
@@ -40,26 +48,36 @@ from .diagnostics import (Certificate, RunTrace, certificates_to_json, dual_cert
                           dual_value, duality_gap, equivalence_report, lockstep_certificate,
                           primal_recovery_check)
 from .drs import StoppingRule, inclusion_defect
-from .functionals import (FUNCTIONAL_LABELS, ErrorSchedule, functional_from_label,
-                          geometric_schedule, harmonic_schedule, prox_l1, prox_quadratic,
-                          zero_schedule)
+from .functionals import (FUNCTIONAL_LABELS, ErrorSchedule, functional_from_label, prox_l1,
+                          prox_quadratic, zero_schedule)
 from .linops import identity_operator, load_matrix_csv, matrix_operator
 from .oracles import (interior_stationarity_defect, soft_threshold_optimum,
                       taut_string_denoise, taut_string_dirichlet, tv_dual_solve)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
-PROBLEMS = ("lasso", "tv1d", "tv2d", "least_gradient", "custom_matrix")
 SOLVERS = ("asb", "drs", "asb_approx")
 
-_COMMON_KEYS = {"lambda", "tol", "max_iter", "seed", "schedule", "allow_nonsummable"}
-_PROBLEM_KEYS = {
-    "lasso": {"n", "y", "mu"},
-    "tv1d": {"grid_shape", "spacing", "noise_sigma", "boundary", "mu"},
-    "tv2d": {"grid_shape", "spacing", "noise_sigma", "boundary", "mu"},
-    "least_gradient": {"grid_shape", "spacing", "conductivity", "inclusion", "axis"},
-    "custom_matrix": {"matrix_csv", "g", "f"},
+# The params keys each problem accepts, each with its default; parse_config
+# fills the defaults in, so later readers index params[key].  A key mapped
+# to _UNSET has no default and stays absent unless the config gives it.
+_UNSET = object()
+_COMMON = {"lambda": 1.0, "tol": StoppingRule.tol, "max_iter": StoppingRule.max_iter,
+           "seed": 0, "schedule": None, "allow_nonsummable": False}
+_GRID = {"grid_shape": [16, 16], "spacing": 1.0}
+_TV = {**_GRID, "noise_sigma": None, "boundary": "dirichlet", "mu": 0.15}
+_PARAMS = {
+    "lasso": {**_COMMON, "n": 10, "y": _UNSET, "mu": 1.0},
+    "tv1d": {**_COMMON, **_TV, "grid_shape": [32]},
+    "tv2d": {**_COMMON, **_TV},
+    "least_gradient": {**_COMMON, **_GRID, "conductivity": "linear", "inclusion": 2.0,
+                       "axis": 0},
+    "custom_matrix": {**_COMMON, "matrix_csv": _UNSET, "g": {"label": "quadratic"},
+                      "f": {"label": "l1"}},
 }
+PROBLEMS = tuple(_PARAMS)
+# the values each choice key accepts
+_CHOICES = {"boundary": ("dirichlet", "free"), "conductivity": ("linear", "two_phase")}
 
 
 class ConfigError(ValueError):
@@ -71,14 +89,17 @@ class RunConfig:
     problem: str
     solver: str
     params: dict
-    schedule: Optional[ErrorSchedule] = None  # asb_approx defaults to geometric(0.5)
+    schedule: Optional[ErrorSchedule] = None  # asb_approx defaults to ErrorSchedule's
 
 
 def parse_config(payload: dict) -> RunConfig:
     """Validate the config document; unknown keys are rejected.
 
-    Every key's type and range is checked here; only the custom_matrix
-    CSV is checked later, when :func:`run` loads it (still exit 2).
+    ``params`` comes back with every default of the problem's table filled
+    in; an explicit ``null`` replaces a default like any other value, so
+    it is rejected wherever a key does not take ``null``.  Every key's type
+    and range is checked here; only the custom_matrix CSV is checked later,
+    when :func:`run` loads it (still exit 2).
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
@@ -92,23 +113,31 @@ def parse_config(payload: dict) -> RunConfig:
     solver = payload.get("solver", "asb")
     if solver not in SOLVERS:
         raise ConfigError(f"key 'solver' must be one of {SOLVERS}, got {solver!r}")
-    params = payload.get("params", {})
-    if not isinstance(params, dict):
+    given = payload.get("params", {})
+    if not isinstance(given, dict):
         raise ConfigError("key 'params' must be an object")
-    params = dict(params)
-    allowed = _COMMON_KEYS | _PROBLEM_KEYS[problem]
-    for key in params:
-        if key not in allowed:
+    table = _PARAMS[problem]
+    for key in given:
+        if key not in table:
             raise ConfigError(f"unknown params key {key!r} for problem {problem!r}")
+    params = copy.deepcopy({key: v for key, v in table.items() if v is not _UNSET})
+    params.update(given)
     schedule = _check_params(problem, params)
+    if "y" in params:  # a lasso n is the length of y; a given n must agree
+        n = len(params["y"])
+        if given.get("n", n) != n:
+            raise ConfigError(f"key 'n' must equal len(y) = {n}, got {given['n']!r}")
+        params["n"] = n
     if solver == "asb_approx" and schedule is None:
-        schedule = geometric_schedule(0.5)
+        schedule = ErrorSchedule("geometric")
     return RunConfig(problem=problem, solver=solver, params=params, schedule=schedule)
 
 
 def _number(key: str, v, low: float, *, strict: bool = False, integer: bool = False) -> None:
     """A finite number ``>= low`` (``> low`` if strict), integral if asked."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    # abs(v) <= max is false for nan and inf, and for an int beyond float
+    # range, on which math.isfinite would raise OverflowError
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
         raise ConfigError(f"key {key!r} must be a finite number, got {v!r}")
     if integer and v != int(v):
         raise ConfigError(f"key {key!r} must be an integer, got {v!r}")
@@ -140,45 +169,41 @@ def _check_params(problem: str, p: dict) -> Optional[ErrorSchedule]:
     _optional(p, "mu", 0.0)
     _optional(p, "noise_sigma", 0.0, nullable=True)
     _optional(p, "inclusion", 0.0, strict=True)
-    if not isinstance(p.get("allow_nonsummable", False), bool):
+    if not isinstance(p["allow_nonsummable"], bool):
         raise ConfigError("key 'allow_nonsummable' must be true or false")
-    schedule = None
-    if p.get("schedule") is not None:
-        schedule = _parse_schedule(p["schedule"], p.get("allow_nonsummable", False))
+    schedule = (None if p["schedule"] is None
+                else _parse_schedule(p["schedule"], p["allow_nonsummable"]))
     if "y" in p:
         _numbers("y", p["y"])
-        if p.get("n", len(p["y"])) != len(p["y"]):
-            raise ConfigError(f"key 'n' must equal len(y) = {len(p['y'])}, got {p['n']!r}")
 
-    if problem in ("tv1d", "tv2d", "least_gradient"):
+    if "grid_shape" in p:
         ndims = {"tv1d": (1,), "tv2d": (2,), "least_gradient": (1, 2)}[problem]
-        shape = p.get("grid_shape", [32] if problem == "tv1d" else [16, 16])
+        shape = p["grid_shape"]
         if not isinstance(shape, list) or len(shape) not in ndims:
             raise ConfigError(f"key 'grid_shape' must be a list of {' or '.join(map(str, ndims))} "
                               f"node counts for {problem!r}, got {shape!r}")
         for n in shape:
             _number("grid_shape", n, 2, integer=True)
-        spacing = p.get("spacing", 1.0)
+        spacing = p["spacing"]
         for h in (spacing if isinstance(spacing, list) else [spacing]):
             _number("spacing", h, 0.0, strict=True)
         if isinstance(spacing, list) and len(spacing) != len(shape):
             raise ConfigError("key 'spacing' must give one value per grid axis")
-        if p.get("boundary", "dirichlet") not in ("dirichlet", "free"):
-            raise ConfigError("key 'boundary' must be 'dirichlet' or 'free'")
-        kind = p.get("conductivity", "linear")
-        if kind not in ("linear", "two_phase"):
-            raise ConfigError("key 'conductivity' must be 'linear' or 'two_phase'")
-        if kind == "two_phase" and len(shape) != 2:
+    for key, choices in _CHOICES.items():
+        if key in p and p[key] not in choices:
+            raise ConfigError(f"key {key!r} must be {' or '.join(map(repr, choices))}")
+    if problem == "least_gradient":
+        if p["conductivity"] == "two_phase" and len(shape) != 2:
             raise ConfigError("key 'conductivity': two-phase instances need a 2-D grid_shape")
-        _optional(p, "axis", 0, integer=True)
-        if p.get("axis", 0) >= len(shape):
+        _number("axis", p["axis"], 0, integer=True)
+        if p["axis"] >= len(shape):
             raise ConfigError(f"key 'axis' must name one of the {len(shape)} grid axes")
 
     if problem == "custom_matrix":
         if not isinstance(p.get("matrix_csv"), str):
             raise ConfigError("custom_matrix requires key 'matrix_csv' (a CSV file path)")
         for side in ("g", "f"):
-            spec = p.get(side, {"label": "quadratic" if side == "g" else "l1"})
+            spec = p[side]
             label = spec.get("label") if isinstance(spec, dict) else None
             if not isinstance(label, str) or label not in FUNCTIONAL_LABELS:
                 raise ConfigError(f"key {side!r} must be an object with a 'label' "
@@ -225,13 +250,9 @@ def _parse_schedule(spec: dict, allow_nonsummable: bool) -> ErrorSchedule:
         raise ConfigError(f"unknown schedule keys {sorted(extra)} for type {kind!r}")
     _optional(spec, "ratio", 0.0)
     _optional(spec, "scale", 0.0)
-    makers = {
-        "geometric": lambda: geometric_schedule(spec.get("ratio", 0.5), spec.get("scale", 1.0)),
-        "zero": zero_schedule,
-        "harmonic": lambda: harmonic_schedule(spec.get("scale", 1.0)),
-    }
+    fields = {key: float(spec[key]) for key in _SCHEDULE_KEYS[kind] if key in spec}
     try:
-        schedule = makers[kind]()
+        schedule = zero_schedule() if kind == "zero" else ErrorSchedule(kind, **fields)
     except ValueError as exc:  # e.g. a geometric ratio outside [0, 1)
         raise ConfigError(f"key 'schedule': {exc}") from exc
     if not schedule.summable and not allow_nonsummable:
@@ -246,21 +267,18 @@ def _build_problem(config: RunConfig):
     """Returns (problem, instance_id, oracle).
 
     ``oracle(problem)`` returns the independently computed optimal value
-    of the instance, or None where there is none (custom_matrix, and a
-    least-gradient ``u_true`` that is not certified optimal).
+    of the instance, or None where there is none (custom_matrix, a
+    least-gradient ``u_true`` that is not certified optimal, and a tv2d
+    dual solve that stopped at its iteration cap).
     """
     p = config.params
-    lam = float(p.get("lambda", 1.0))
-    seed = int(p.get("seed", 0))
+    lam = float(p["lambda"])
+    seed = int(p["seed"])
 
     if config.problem == "lasso":
-        n = int(p.get("n", 10))
-        mu = float(p.get("mu", 1.0))
-        if "y" in p:
-            y = np.asarray(p["y"], dtype=float)
-            n = y.shape[0]
-        else:
-            y = 2.0 * np.random.default_rng(seed).standard_normal(n)
+        n, mu = int(p["n"]), float(p["mu"])
+        y = (np.asarray(p["y"], dtype=float) if "y" in p
+             else 2.0 * np.random.default_rng(seed).standard_normal(n))
         problem = SplitProblem(g=prox_quadratic(y, 1.0), f=prox_l1(mu, dim=n),
                                L=identity_operator(n), lam=lam)
 
@@ -271,12 +289,9 @@ def _build_problem(config: RunConfig):
         return problem, f"lasso_n{n}_seed{seed}", oracle
 
     if config.problem in ("tv1d", "tv2d"):
-        default_shape = (32,) if config.problem == "tv1d" else (16, 16)
-        shape = tuple(p.get("grid_shape", default_shape))
-        inst = make_tv_instance(shape=shape, mu=float(p.get("mu", 0.15)), seed=seed,
-                                noise_sigma=p.get("noise_sigma"),
-                                spacing=p.get("spacing", 1.0))
-        boundary = p.get("boundary", "dirichlet")
+        inst = make_tv_instance(shape=tuple(p["grid_shape"]), mu=float(p["mu"]), seed=seed,
+                                noise_sigma=p["noise_sigma"], spacing=p["spacing"])
+        boundary = p["boundary"]
         problem = build_tv_problem(inst, lam=lam, boundary=boundary)
         shape_id = "x".join(str(s) for s in inst.grid.shape)
 
@@ -291,17 +306,16 @@ def _build_problem(config: RunConfig):
                 return prob.g.value(u_star) + prob.f.value(prob.L.apply(u_star))
         else:
             def oracle(prob):
-                return tv_dual_solve(prob, gap_tol=1e-10).primal_value
+                dual = tv_dual_solve(prob, gap_tol=1e-10)
+                return dual.primal_value if dual.certified else None
 
         return problem, f"{config.problem}_{shape_id}_seed{seed}", oracle
 
     if config.problem == "least_gradient":
-        shape = tuple(p.get("grid_shape", (16, 16)))
-        kind = p.get("conductivity", "linear")
-        inst = make_least_gradient_instance(shape=shape, kind=kind,
-                                            spacing=p.get("spacing", 1.0),
-                                            inclusion=float(p.get("inclusion", 2.0)),
-                                            axis=int(p.get("axis", 0)))
+        kind = p["conductivity"]
+        inst = make_least_gradient_instance(shape=tuple(p["grid_shape"]), kind=kind,
+                                            spacing=p["spacing"],
+                                            inclusion=float(p["inclusion"]), axis=int(p["axis"]))
         problem = build_least_gradient_problem(inst, lam=lam)
         shape_id = "x".join(str(s) for s in inst.grid.shape)
 
@@ -318,8 +332,7 @@ def _build_problem(config: RunConfig):
     # custom_matrix: a CSV that is unreadable or does not fit g and f is a config error
     try:
         L = matrix_operator(load_matrix_csv(p["matrix_csv"]))
-        g_spec = dict(p.get("g", {"label": "quadratic"}))
-        f_spec = dict(p.get("f", {"label": "l1"}))
+        g_spec, f_spec = dict(p["g"]), dict(p["f"])
         g = functional_from_label(g_spec.pop("label"), L.domain_dim, g_spec)
         f = functional_from_label(f_spec.pop("label"), L.codomain_dim, f_spec)
         problem = SplitProblem(g=g, f=f, L=L, lam=lam)
@@ -330,9 +343,8 @@ def _build_problem(config: RunConfig):
 
 def _stopping(config: RunConfig) -> StoppingRule:
     p = config.params
-    tol = p.get("tol", 1e-9)
-    return StoppingRule(tol=None if tol is None else float(tol),
-                        max_iter=int(p.get("max_iter", 100_000)))
+    return StoppingRule(tol=None if p["tol"] is None else float(p["tol"]),
+                        max_iter=int(p["max_iter"]))
 
 
 def write_trace_csv(path, trace: RunTrace) -> None:
@@ -381,7 +393,7 @@ def run(config: RunConfig, out_dir) -> int:
         trace = run_drs(problem, stop=stop, record_stride=0)
     else:
         trace = asb_iterate_approx(problem, config.schedule, stop=stop,
-                                   seed=int(config.params.get("seed", 0)), record_stride=0)
+                                   seed=int(config.params["seed"]), record_stride=0)
     wall = time.perf_counter() - t0
 
     certs = _certificates_for_run(problem, trace, oracle)

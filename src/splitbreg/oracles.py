@@ -80,6 +80,7 @@ class DualSolveResult:
     primal_value: float
     gap: float
     iterations: int
+    certified: bool  # gap <= gap_tol * (1 + |primal_value|), the stopping test
 
 
 def _project_dual(f, b: np.ndarray) -> np.ndarray:
@@ -119,7 +120,8 @@ def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10) -> DualSolveRes
     candidate comes from the dual gradient.  The iteration stops when the
     measured duality gap falls below ``gap_tol * (1 + |primal|)``, which
     certifies ``primal_value`` to that accuracy by weak duality, or after
-    200 000 iterations, returning the gap it reached.
+    200 000 iterations, returning the gap it reached; ``certified`` says
+    which.
     """
     if problem.g.label != "quadratic":
         raise ValueError("dual solve needs a quadratic fidelity term")
@@ -131,16 +133,17 @@ def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10) -> DualSolveRes
     step = 1.0 / lip if lip > 0 else 1.0
 
     def primal_pair(b):
-        u = y - L.adjoint_apply(b) / rho
-        primal = problem.g.value(u) + f.value(L.apply(u))
         ltb = L.adjoint_apply(b)
+        u = y - ltb / rho
+        primal = problem.g.value(u) + f.value(L.apply(u))
         dual = -(float(np.dot(ltb, ltb)) / (2.0 * rho) - float(np.dot(ltb, y)))
-        return u, primal, primal - dual
+        gap = primal - dual
+        return u, primal, gap, gap <= gap_tol * (1.0 + abs(primal))
 
     b = np.zeros(f.dim)
     z = b.copy()
     t_acc = 1.0
-    u, primal, gap = primal_pair(b)
+    u, primal, gap, certified = primal_pair(b)
     k = 0
     for k in range(1, _DUAL_MAX_ITER + 1):
         grad = L.apply(L.adjoint_apply(z)) / rho - L.apply(y)
@@ -149,10 +152,11 @@ def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10) -> DualSolveRes
         z = b_new + ((t_acc - 1.0) / t_new) * (b_new - b)
         b, t_acc = b_new, t_new
         if k % 25 == 0 or k == _DUAL_MAX_ITER:
-            u, primal, gap = primal_pair(b)
-            if gap <= gap_tol * (1.0 + abs(primal)):
+            u, primal, gap, certified = primal_pair(b)
+            if certified:
                 break
-    return DualSolveResult(u=u, b=b, primal_value=float(primal), gap=float(gap), iterations=k)
+    return DualSolveResult(u=u, b=b, primal_value=float(primal), gap=float(gap), iterations=k,
+                           certified=bool(certified))
 
 
 def interior_stationarity_defect(problem: SplitProblem, u: np.ndarray) -> float:

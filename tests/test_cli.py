@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 
 import splitbreg.asb
 import splitbreg.cli
-from splitbreg.cli import (_COMMON_KEYS, _PROBLEM_KEYS, PROBLEMS, ConfigError, main,
-                           parse_config, run)
+import splitbreg.oracles
+from splitbreg.cli import _PARAMS, PROBLEMS, ConfigError, main, parse_config, run
 from splitbreg.diagnostics import RunTrace
+from splitbreg.drs import StoppingRule
 from splitbreg.functionals import ErrorSchedule, geometric_schedule
 
 
@@ -207,15 +210,15 @@ def test_asb_approx_solver_via_cli(tmp_path):
 def test_approx_schedule_is_built_once(tmp_path, monkeypatch, params):
     # parse_config builds the schedule; run must reuse it, not build another
     builds = []
-    build = splitbreg.cli.geometric_schedule
-    monkeypatch.setattr(splitbreg.cli, "geometric_schedule",
-                        lambda *a: builds.append(a) or build(*a))
+    check = ErrorSchedule.__post_init__
+    monkeypatch.setattr(ErrorSchedule, "__post_init__",
+                        lambda self: builds.append(self) or check(self))
     payload = {"problem": "lasso", "solver": "asb_approx",
                "params": {"y": [3.0], "tol": 1e-12, "max_iter": 5000, **params}}
     config = parse_config(payload)
+    assert len(builds) == 1 and builds[0] is config.schedule
     assert run(config, tmp_path / "out") == 0
     assert len(builds) == 1
-    assert config.schedule.magnitude(1) == builds[0][0]
 
 
 def test_parse_config_evaluates_no_magnitude(monkeypatch):
@@ -327,6 +330,89 @@ def test_tv_oracles_via_cli(tmp_path, payload):
     assert primal["details"].endswith("reference value: independent oracle")
 
 
+def test_uncertified_tv2d_oracle_falls_back_to_the_weak_duality_bound(tmp_path, monkeypatch):
+    # capped at 25 iterations the dual solve stops with a gap near 1e-2; its
+    # value is no reference, and a correct run must not fail against it
+    monkeypatch.setattr(splitbreg.oracles, "_DUAL_MAX_ITER", 25)
+    payload = {"problem": "tv2d", "params": {"grid_shape": [6, 6], "tol": 1e-11}}
+    assert run(parse_config(payload), tmp_path / "out") == 0
+    primal = next(c for c in _certs(tmp_path / "out") if c["kind"] == "primal_optimal")
+    assert primal["passed"]
+    assert primal["details"].endswith(
+        "reference value: weak-duality bound at the converged dual point")
+
+
+# every default of the params table, spelled out
+_SPELLED_OUT = {
+    "common": {"lambda": 1.0, "tol": 1e-9, "max_iter": 100000, "seed": 0, "schedule": None,
+               "allow_nonsummable": False},
+    "lasso": {"n": 10, "mu": 1.0},
+    "tv1d": {"grid_shape": [32], "spacing": 1.0, "noise_sigma": None, "boundary": "dirichlet",
+             "mu": 0.15},
+    "tv2d": {"grid_shape": [16, 16], "spacing": 1.0, "noise_sigma": None,
+             "boundary": "dirichlet", "mu": 0.15},
+    "least_gradient": {"grid_shape": [16, 16], "spacing": 1.0, "conductivity": "linear",
+                       "inclusion": 2.0, "axis": 0},
+    "custom_matrix": {"g": {"label": "quadratic"}, "f": {"label": "l1"}},
+}
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_spelled_out_defaults_build_what_empty_params_build(tmp_path, problem):
+    spelled = {**_SPELLED_OUT["common"], **_SPELLED_OUT[problem]}
+    required = {}
+    if problem == "custom_matrix":
+        (tmp_path / "m.csv").write_text("1,0\n0,1\n1,1\n")
+        required = {"matrix_csv": str(tmp_path / "m.csv")}
+    assert set(spelled) == {key for key, default in _PARAMS[problem].items()
+                            if default is not splitbreg.cli._UNSET}
+    default, explicit = (parse_config({"problem": problem, "solver": "asb_approx",
+                                       "params": {**required, **p}}) for p in ({}, spelled))
+    (prob_d, id_d, _), (prob_e, id_e, _) = map(splitbreg.cli._build_problem, (default, explicit))
+    assert id_d == id_e
+    assert default.params == explicit.params
+    assert default.schedule == explicit.schedule == ErrorSchedule("geometric", 1.0, 0.5)
+    assert splitbreg.cli._stopping(default) == splitbreg.cli._stopping(explicit)
+    assert splitbreg.cli._stopping(default) == StoppingRule(1e-9, 100000)
+    assert prob_d.lam == prob_e.lam
+    a, b = prob_d.L.matrix, prob_e.L.matrix
+    assert a.shape == b.shape and (a != b).nnz == 0
+    for side in ("g", "f"):
+        fd, fe = getattr(prob_d, side), getattr(prob_e, side)
+        assert fd.label == fe.label and fd.params.keys() == fe.params.keys()
+        for key in fd.params:
+            np.testing.assert_array_equal(fd.params[key], fe.params[key])
+
+
+def test_schedule_fields_default_to_ratio_half_and_scale_one():
+    def schedule(spec):
+        return parse_config({"problem": "lasso", "solver": "asb_approx",
+                             "params": {"schedule": spec, "allow_nonsummable": True}}).schedule
+    assert (schedule(None) == schedule({"type": "geometric"})
+            == schedule({"type": "geometric", "ratio": 0.5, "scale": 1.0}))
+    assert schedule({"type": "harmonic"}) == schedule({"type": "harmonic", "scale": 1.0})
+
+
+def _readme_params_table():
+    """{problem: set of keys} from the README's params table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("`params` keys and their defaults, per problem:", 1)[1]
+    keys, current = {}, ()
+    for line in section.splitlines()[3:]:
+        if not line.startswith("|"):
+            break
+        who, key = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        if who:
+            current = PROBLEMS if who == "every problem" else re.findall(r"`(\w+)`", who)
+        for problem in current:
+            keys.setdefault(problem, set()).update(re.findall(r"`(\w+)`", key.split("(")[0]))
+    return keys
+
+
+def test_readme_params_table_lists_the_accepted_keys():
+    assert _readme_params_table() == {problem: set(table) for problem, table in _PARAMS.items()}
+
+
 def _singular_custom_matrix(tmp_path):
     mpath = tmp_path / "singular.csv"
     mpath.write_text("1,0\n0,0\n")
@@ -411,6 +497,8 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
     {"problem": "tv1d", "params": {"boundary": "periodic"}},
     {"problem": "least_gradient", "params": {"conductivity": "three_phase"}},
     _custom(g={"label": "indicator_point", "anchor": [1.0, 2.0], "mask": [1, 0]}),
+    {"problem": "lasso", "params": {"max_iter": 10**400}},
+    {"problem": "tv1d", "params": {"grid_shape": [10**400]}},
 ], ids=["max_iter_str", "lambda_str", "top_level_list", "missing_matrix_csv", "grid_1_node",
         "tv1d_2d_grid", "grid_str", "max_iter_float", "tol_negative", "y_empty", "params_str",
         "two_phase_1d", "axis_out_of_range", "label_list", "ratio_out_of_range",
@@ -421,7 +509,8 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
         "l1_negative_weight", "zero_unknown_key", "g_l1_no_u_step",
         "g_l21_no_u_step", "csv_empty", "zero_schedule_with_scale_and_ratio",
         "harmonic_schedule_with_ratio", "spacing_per_axis_length", "boundary_unknown",
-        "conductivity_unknown", "mask_not_boolean"])
+        "conductivity_unknown", "mask_not_boolean", "max_iter_beyond_float",
+        "grid_shape_beyond_float"])
 def test_main_rejects_malformed_config(tmp_path, capsys, payload):
     if callable(payload):
         payload = payload(tmp_path)
@@ -432,10 +521,11 @@ def test_main_rejects_malformed_config(tmp_path, capsys, payload):
 
 
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-5, 40) | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers(-5, 40) | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6)
-_PARAM_KEYS = sorted(_COMMON_KEYS.union(*_PROBLEM_KEYS.values()))
+_PARAM_KEYS = sorted(set().union(*_PARAMS.values()))
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import splitbreg as sb
+import splitbreg.oracles
 from splitbreg.linops import GridSpec, gradient_operator, interior_gradient_operator
 from splitbreg.oracles import (_opnorm_sq_bound, interior_stationarity_defect,
                                soft_threshold_optimum, taut_string_denoise, taut_string_dirichlet,
@@ -67,6 +68,17 @@ def test_tv_dual_solve_in_2d_agrees_with_asb(boundary):
     trace = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=1e-13), record_stride=0)
     assert trace.converged
     assert abs(res.primal_value - trace.energies[-1]) <= 1e-9
+
+
+def test_tv_dual_solve_certifies_only_a_gap_below_its_tolerance(monkeypatch):
+    inst = sb.make_tv_instance((6, 6), mu=0.15, seed=0)
+    prob = sb.build_tv_problem(inst, lam=1.0)
+    res = tv_dual_solve(prob, gap_tol=1e-10)
+    assert res.certified and res.gap <= 1e-10 * (1.0 + abs(res.primal_value))
+    monkeypatch.setattr(splitbreg.oracles, "_DUAL_MAX_ITER", 25)
+    capped = tv_dual_solve(prob, gap_tol=1e-10)
+    assert capped.iterations == 25
+    assert not capped.certified and capped.gap > 1e-10 * (1.0 + abs(capped.primal_value))
 
 
 @pytest.mark.parametrize("make", [gradient_operator, interior_gradient_operator])
