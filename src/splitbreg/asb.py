@@ -9,9 +9,13 @@ For ``min g(u) + f(L u)`` with penalty ``lam``, each sweep performs
 Shipped problems restrict g to quadratic / point-indicator / zero, so
 the u-step is a sparse symmetric positive-definite linear system in
 ``L^T L``, factorized once per solver by
-:func:`splitbreg.linops.spd_factor` (LAPACK's tridiagonal LDL^T when
-the system is tridiagonal, as every 1-D grid operator and the identity
-make it, ``splu`` otherwise) and solved directly at every sweep.  That
+:func:`splitbreg.linops.spd_factor` and solved directly at every
+sweep.  The system's structure picks the factor: LAPACK's tridiagonal
+LDL^T when it is tridiagonal, as every 1-D grid operator and the
+identity make it; one eigendecomposition per axis when it is a
+Kronecker sum of two tridiagonals, as 2-D least gradient and Dirichlet
+tv2d make it; ``splu`` otherwise (free-boundary tv2d, custom
+matrices).  That
 keeps the exact algorithm exact, which the runtime equivalence
 instrumentation depends on.
 

@@ -109,10 +109,10 @@ def parse_config(payload: dict) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
     problem = payload.get("problem")
     if problem not in PROBLEMS:
-        raise ConfigError(f"key 'problem' must be one of {PROBLEMS}, got {problem!r}")
+        raise ConfigError(f"key 'problem' must be one of {PROBLEMS}, got {_shown(problem)}")
     solver = payload.get("solver", "asb")
     if solver not in SOLVERS:
-        raise ConfigError(f"key 'solver' must be one of {SOLVERS}, got {solver!r}")
+        raise ConfigError(f"key 'solver' must be one of {SOLVERS}, got {_shown(solver)}")
     given = payload.get("params", {})
     if not isinstance(given, dict):
         raise ConfigError("key 'params' must be an object")
@@ -126,11 +126,20 @@ def parse_config(payload: dict) -> RunConfig:
     if "y" in params:  # a lasso n is the length of y; a given n must agree
         n = len(params["y"])
         if given.get("n", n) != n:
-            raise ConfigError(f"key 'n' must equal len(y) = {n}, got {given['n']!r}")
+            raise ConfigError(f"key 'n' must equal len(y) = {n}, got {_shown(given['n'])}")
         params["n"] = n
     if solver == "asb_approx" and schedule is None:
         schedule = ErrorSchedule("geometric")
     return RunConfig(problem=problem, solver=solver, params=params, schedule=schedule)
+
+
+_SHOWN_CHARS = 40  # a rejected value is echoed up to this many characters
+
+
+def _shown(v) -> str:
+    """``repr(v)``, cut to ``_SHOWN_CHARS`` with an ellipsis, so an error stays one short line."""
+    r = repr(v)
+    return r if len(r) <= _SHOWN_CHARS else r[:_SHOWN_CHARS - 3] + "..."
 
 
 def _number(key: str, v, low: float, *, strict: bool = False, integer: bool = False) -> None:
@@ -138,11 +147,12 @@ def _number(key: str, v, low: float, *, strict: bool = False, integer: bool = Fa
     # abs(v) <= max is false for nan and inf, and for an int beyond float
     # range, on which math.isfinite would raise OverflowError
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-        raise ConfigError(f"key {key!r} must be a finite number, got {v!r}")
+        raise ConfigError(f"key {key!r} must be a finite number, got {_shown(v)}")
     if integer and v != int(v):
-        raise ConfigError(f"key {key!r} must be an integer, got {v!r}")
+        raise ConfigError(f"key {key!r} must be an integer, got {_shown(v)}")
     if v < low or (strict and v == low):
-        raise ConfigError(f"key {key!r} must be {'>' if strict else '>='} {low:g}, got {v!r}")
+        raise ConfigError(f"key {key!r} must be {'>' if strict else '>='} {low:g}, "
+                          f"got {_shown(v)}")
 
 
 def _optional(p: dict, key: str, low: float, *, nullable: bool = False, prefix: str = "",
@@ -181,7 +191,7 @@ def _check_params(problem: str, p: dict) -> Optional[ErrorSchedule]:
         shape = p["grid_shape"]
         if not isinstance(shape, list) or len(shape) not in ndims:
             raise ConfigError(f"key 'grid_shape' must be a list of {' or '.join(map(str, ndims))} "
-                              f"node counts for {problem!r}, got {shape!r}")
+                              f"node counts for {problem!r}, got {_shown(shape)}")
         for n in shape:
             _number("grid_shape", n, 2, integer=True)
         spacing = p["spacing"]
@@ -244,12 +254,12 @@ def _parse_schedule(spec: dict, allow_nonsummable: bool) -> ErrorSchedule:
         raise ConfigError("key 'schedule' must be an object with a 'type'")
     kind = spec["type"]
     if not isinstance(kind, str) or kind not in _SCHEDULE_KEYS:
-        raise ConfigError(f"unknown schedule type {kind!r}")
+        raise ConfigError(f"unknown schedule type {_shown(kind)}")
     extra = set(spec) - {"type", *_SCHEDULE_KEYS[kind]}
     if extra:
         raise ConfigError(f"unknown schedule keys {sorted(extra)} for type {kind!r}")
-    _optional(spec, "ratio", 0.0)
-    _optional(spec, "scale", 0.0)
+    _optional(spec, "ratio", 0.0, prefix="schedule.")
+    _optional(spec, "scale", 0.0, prefix="schedule.")
     fields = {key: float(spec[key]) for key in _SCHEDULE_KEYS[kind] if key in spec}
     try:
         schedule = zero_schedule() if kind == "zero" else ErrorSchedule(kind, **fields)

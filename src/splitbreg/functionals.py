@@ -198,11 +198,12 @@ def dual_resolvent(F: ProxFunctional, x: np.ndarray, lam: float) -> np.ndarray:
         w = F.params["weights"]
         return np.minimum(np.maximum(x, -w), w)
     if F.label == "weighted_l21":
-        w = F.params["weights"]
         blocks = x.reshape(-1, F.params["block_size"])
-        nrm = kernels._block_norms(blocks)
-        scale = np.divide(w, nrm, out=np.ones_like(nrm), where=nrm > w)
-        return (blocks * scale[:, None]).reshape(-1)
+        # w / nrm where nrm > w, else 1: fmin caps the quotient at 1 and takes
+        # 1 over the nan of 0/0 (a zero-weight block of norm 0) or of a nan norm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = F.params["weights"] / kernels._block_norms(blocks)
+        return (blocks * np.fmin(scale, 1.0, out=scale)[:, None]).reshape(-1)
     if F.label == "zero":
         return np.zeros_like(x)
     return x - lam * F.prox(x / lam, 1.0 / lam)

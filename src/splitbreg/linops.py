@@ -19,11 +19,14 @@ other axis, and the components are interleaved per node.  A
 :class:`GridSpec` holds integral node counts and finite positive
 spacings; anything else is rejected.
 :func:`spd_factor` is the one factorization used for symmetric
-positive-definite solves (the u-step and the forward model): a
-symmetric tridiagonal system, which every 1-D grid operator and the
-identity give, is factored as LDL^T by LAPACK ``dpttrf``; any other is
-factored once with ``splu``.  :func:`load_matrix_csv` reads the
-custom_matrix CSV.
+positive-definite solves (the u-step and the forward model), and the
+matrix's structure picks one of three kinds: a symmetric tridiagonal
+system, which every 1-D grid operator and the identity give, is
+factored as LDL^T by LAPACK ``dpttrf``; a Kronecker sum of two
+tridiagonals, which the 2-D zero-ghost gradient and the interior nodes
+of the cell-origin one give, is diagonalized by one
+``eigh_tridiagonal`` per axis; any other is factored once with
+``splu``.  :func:`load_matrix_csv` reads the custom_matrix CSV.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import SuperLU, splu
@@ -260,19 +264,17 @@ class _TridiagonalFactor:
         return x
 
 
-def _pivot_check(pivots: np.ndarray, what: str) -> None:
+def _pivot_check(pivots: np.ndarray, what: str, kind: str = "pivot") -> None:
     floor = pivots.shape[0] * np.finfo(float).eps * float(np.max(pivots, initial=0.0))
     if not np.all(pivots > floor):
-        raise ValueError(f"{what} is singular: smallest pivot {float(np.min(pivots)):.3e}, "
+        raise ValueError(f"{what} is singular: smallest {kind} {float(np.min(pivots)):.3e}, "
                          f"floor {floor:.3e}")
 
 
-def _tridiagonal_factor(system: sp.spmatrix, what: str) -> Optional[_TridiagonalFactor]:
+def _tridiagonal_factor(system: sp.csc_matrix, offsets: np.ndarray,
+                        what: str) -> Optional[_TridiagonalFactor]:
     """LDL^T through ``dpttrf`` when ``system`` is symmetric with bandwidth <= 1, else None."""
-    # the column of each stored entry, read from the CSC pointers
-    cols = np.repeat(np.arange(system.shape[1], dtype=system.indices.dtype),
-                     np.diff(system.indptr))
-    if (np.abs(system.indices - cols) > 1).any():
+    if (np.abs(offsets) > 1).any():
         return None
     sub = system.diagonal(-1)
     if not np.array_equal(sub, system.diagonal(1)):
@@ -287,23 +289,95 @@ def _tridiagonal_factor(system: sp.spmatrix, what: str) -> Optional[_Tridiagonal
     return _TridiagonalFactor(d, e)
 
 
-def spd_factor(system, what: str = "system") -> "_TridiagonalFactor | SuperLU":
+class _KroneckerSumFactor:
+    """``A = T0 (x) I + I (x) T1`` through one eigendecomposition per axis.
+
+    With ``T_k = V_k diag(w_k) V_k^T`` and the right-hand side reshaped
+    to ``(n0, n1)`` in row-major node order, ``A^-1 R`` is
+    ``V0 ((V0^T R V1) / (w0 (+) w1)) V1^T``: four small dense products
+    and one division by the eigenvalue sums ``eigsum``.
+    """
+
+    def __init__(self, v0: np.ndarray, v1: np.ndarray, eigsum: np.ndarray):
+        self._v0, self._v0t = v0, np.ascontiguousarray(v0.T)
+        self._v1, self._v1t = v1, np.ascontiguousarray(v1.T)
+        self._eigsum = eigsum
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        coeffs = self._v0t @ np.reshape(rhs, self._eigsum.shape) @ self._v1
+        coeffs /= self._eigsum
+        return (self._v0 @ coeffs @ self._v1t).reshape(-1)
+
+
+# a Kronecker sum read back from the system must match it entrywise to this
+# many ulps of its largest entry: the assembly may round the diagonal's sums
+_KRONECKER_ULPS = 4
+
+
+def _kronecker_sum_factor(system: sp.csc_matrix, offsets: np.ndarray,
+                          what: str) -> Optional[_KroneckerSumFactor]:
+    """The spectral factor when ``system`` is ``T0 (x) I_m + I_n0 (x) T1``, else None.
+
+    The nonzero entries must sit at offsets 0, +-1 and +-m for one m > 1
+    dividing the order.  ``T1`` (m x m) is read from the first diagonal
+    block, ``T0`` (n0 x n0) from the first column of every block; the
+    split is accepted only if their Kronecker sum reproduces ``system``
+    to within ``_KRONECKER_ULPS`` ulps of its largest entry.
+    """
+    n = system.shape[0]
+    far = np.unique(np.abs(offsets[(np.abs(offsets) > 1) & (system.data != 0)]))
+    if far.size != 1 or n % far[0]:
+        return None
+    m = int(far[0])
+    n0 = n // m
+    diag = system.diagonal().reshape(n0, m)
+    d1 = diag[0]
+    d0 = diag[:, 0] - diag[0, 0]
+    e1 = system.diagonal(1)[:m - 1]
+    e0 = system.diagonal(m)[::m]
+    t0 = sp.diags([e0, d0, e0], [-1, 0, 1])
+    t1 = sp.diags([e1, d1, e1], [-1, 0, 1])
+    rebuilt = sp.kron(t0, sp.identity(m)) + sp.kron(sp.identity(n0), t1)
+    scale = float(abs(system).max())
+    if not abs(rebuilt - system).max() <= _KRONECKER_ULPS * np.finfo(float).eps * scale:
+        return None
+    w0, v0 = eigh_tridiagonal(d0, e0)
+    w1, v1 = eigh_tridiagonal(d1, e1)
+    eigsum = w0[:, None] + w1[None, :]
+    _pivot_check(eigsum.reshape(-1), what, kind="eigenvalue")
+    return _KroneckerSumFactor(v0, v1, eigsum)
+
+
+def spd_factor(system, what: str = "system") -> \
+        "_TridiagonalFactor | _KroneckerSumFactor | SuperLU":
     """Factor of a symmetric positive-definite matrix; ``.solve(rhs)`` solves with it.
 
-    A symmetric tridiagonal matrix (bandwidth <= 1, diagonal included) is
-    factored as ``L D L^T`` by LAPACK ``dpttrf`` and solved by ``dpttrs``.
-    Any other is a sparse LU from ``splu``: the fill-reducing ordering is
-    symmetric and no off-diagonal pivot is taken, so the factor is a
-    Cholesky-like ``P A P^T = L U``.  A semidefinite matrix can still
-    factor without error and return solutions of size ~1e15, so every
-    pivot (``D``, or the diagonal of ``U``) must exceed
-    ``n * eps * max pivot``; otherwise, as on an exactly singular
-    matrix, ``ValueError("<what> is singular ...")`` is raised.
+    The factor is chosen by the matrix's structure, first match wins:
+
+    - symmetric tridiagonal (bandwidth <= 1, diagonal included): ``L D L^T``
+      by LAPACK ``dpttrf``, solved by ``dpttrs``;
+    - a Kronecker sum ``T0 (x) I + I (x) T1`` of two tridiagonals, the
+      2-D grid systems with an identity or zero-ghost structure on each
+      axis (:func:`_kronecker_sum_factor` checks the reproduction):
+      one ``eigh_tridiagonal`` per axis, solved by four dense products;
+    - any other: a sparse LU from ``splu``; the fill-reducing ordering is
+      symmetric and no off-diagonal pivot is taken, so the factor is a
+      Cholesky-like ``P A P^T = L U``.
+
+    A semidefinite matrix can still factor without error and return
+    solutions of size ~1e15, so every pivot (``D``, the eigenvalue sums,
+    or the diagonal of ``U``) must exceed ``n * eps * max pivot``;
+    otherwise, as on an exactly singular matrix,
+    ``ValueError("<what> is singular ...")`` is raised.
     """
     system = sp.csc_matrix(system, dtype=float)
-    tridiagonal = _tridiagonal_factor(system, what)
-    if tridiagonal is not None:
-        return tridiagonal
+    # row minus column of each stored entry, the column read from the CSC pointers
+    offsets = system.indices - np.repeat(np.arange(system.shape[1], dtype=system.indices.dtype),
+                                         np.diff(system.indptr))
+    for structured in (_tridiagonal_factor, _kronecker_sum_factor):
+        factor = structured(system, offsets, what)
+        if factor is not None:
+            return factor
     try:
         lu = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                   options={"SymmetricMode": True})

@@ -114,7 +114,9 @@ def test_u_step_singular_system_raises():
 
 
 def test_u_step_factor_follows_the_system_bandwidth():
-    # tridiagonal normal systems take LAPACK's LDL^T, every other SuperLU
+    # tridiagonal normal systems take LAPACK's LDL^T, Kronecker sums of two
+    # tridiagonals (2-D grids with an identity or zero-ghost structure per
+    # axis) the per-axis eigendecomposition, every other SuperLU
     rng = np.random.default_rng(6)
     tridiagonal = [
         sb.build_tv_problem(sb.make_tv_instance((32,), seed=1)),
@@ -122,14 +124,19 @@ def test_u_step_factor_follows_the_system_bandwidth():
                         L=identity_operator(5)),
         sb.build_least_gradient_problem(sb.make_least_gradient_instance((20,))),
     ]
-    general = [
+    kronecker_sum = [
         sb.build_tv_problem(sb.make_tv_instance((8, 8), seed=1)),
         sb.build_least_gradient_problem(sb.make_least_gradient_instance((8, 8))),
+    ]
+    general = [
+        # the cell-origin selection makes the free-boundary system no Kronecker sum
+        sb.build_tv_problem(sb.make_tv_instance((8, 8), seed=1), boundary="free"),
         sb.SplitProblem(g=prox_quadratic(np.ones(4), 1.0), f=prox_l1(1.0, dim=6),
                         L=matrix_operator(rng.standard_normal((6, 4)))),
     ]
     assert [type(p._usolver._factor) for p in tridiagonal] == [linops._TridiagonalFactor] * 3
-    assert [type(p._usolver._factor) for p in general] == [SuperLU] * 3
+    assert [type(p._usolver._factor) for p in kronecker_sum] == [linops._KroneckerSumFactor] * 2
+    assert [type(p._usolver._factor) for p in general] == [SuperLU] * 2
 
 
 def test_quadratic_u_step_factor_is_that_of_the_summed_system():
@@ -159,6 +166,9 @@ def test_quadratic_u_step_factor_is_that_of_the_summed_system():
             for part in ("L", "U"):
                 assert np.array_equal(getattr(factor, part).toarray(),
                                       getattr(reference, part).toarray())
+        elif isinstance(factor, linops._KroneckerSumFactor):
+            for part in ("_v0", "_v1", "_eigsum"):
+                assert np.array_equal(getattr(factor, part), getattr(reference, part))
         else:
             assert np.array_equal(factor._d, reference._d)
             assert np.array_equal(factor._e, reference._e)

@@ -184,6 +184,23 @@ def test_main_runs_and_applies_overrides(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.txt").read_text() == out
 
 
+@pytest.mark.parametrize("field,value", [("scale", -1), ("ratio", -0.5), ("scale", "x")])
+def test_schedule_field_errors_name_the_schedule(field, value):
+    spec = {"type": "geometric", field: value}
+    with pytest.raises(ConfigError, match=rf"^key 'schedule\.{field}' must be "):
+        parse_config({"problem": "lasso", "solver": "asb_approx", "params": {"schedule": spec}})
+
+
+def test_a_400_digit_value_gives_one_short_error_line(tmp_path, capsys):
+    # the CI's config: the rejected value is echoed cut short, with an ellipsis
+    cfg = tmp_path / "max_iter_400_digits.json"
+    cfg.write_text('{"problem": "lasso", "params": {"max_iter": 1%s}}' % ("0" * 400))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: key 'max_iter' must be a finite number, got 1000")
+    assert line.endswith("...") and len(line) < 120
+
+
 def test_drs_solver_via_cli(tmp_path):
     payload = {"problem": "lasso", "solver": "drs",
                "params": {"y": [3.0], "mu": 1.0, "tol": 1e-12, "max_iter": 5000}}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,31 @@ def test_dual_resolvent_against_conjugate_closed_forms():
         expect = np.zeros(6)
         expect[mask] = x[mask] - lam * anchor[mask]
         assert np.allclose(dual_resolvent(ind, x, lam), expect, atol=1e-12)
+
+
+def test_weighted_l21_dual_resolvent_scale_at_zero_weights_and_norms():
+    # the per-block scale is w / ||x_b|| where the norm exceeds w, else 1,
+    # bit for bit, and without a warning: blocks of zero weight and zero
+    # norm (exact, or underflowed from entries ~1e-170), zero norm alone,
+    # zero weight alone, norm at the weight, an infinite and a nan norm
+    w = np.array([0.0, 0.0, 2.0, 0.0, 1.5, 1.5, 0.5, 0.5, 2.0])
+    x = np.array([0.0, -0.0, 1e-170, -2e-170, 0.0, 0.0, 3.0, -4.0, 0.9, 1.2,
+                  3.0, -4.0, 1e300, 1e300, np.nan, 1.0, 0.3, 0.4])
+    f = prox_weighted_l21(w, block_size=2)
+    blocks = x.reshape(-1, 2)
+    with np.errstate(all="ignore"):  # the reference divides 0 by 0 where it does not select
+        nrm = kernels._block_norms(blocks)
+        scale = np.divide(w, nrm, out=np.ones_like(nrm), where=nrm > w)
+    expected = (blocks * scale[:, None]).reshape(-1)
+    assert nrm[1] == 0.0 and nrm[6] == np.inf and np.isnan(nrm[7])
+    with warnings.catch_warnings(), np.errstate(over="ignore"):  # the norm's square overflows
+        warnings.simplefilter("error")
+        got = dual_resolvent(f, x, 0.7)
+    assert got.tobytes() == expected.tobytes()
+    assert got[:2].tobytes() == np.array([0.0, -0.0]).tobytes()
+    assert np.array_equal(got[2:4], x[2:4])  # an underflowed norm leaves the block as it is
+    assert got[6:8].tobytes() == np.array([0.0, -0.0]).tobytes()
+    assert np.allclose(got[10:14], [0.9, -1.2, 0.0, 0.0], rtol=1e-15, atol=0.0)
 
 
 def test_moreau_identity_across_catalogue():

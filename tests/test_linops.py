@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU, splu
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -204,6 +205,87 @@ def _gram(L: LinearMap) -> np.ndarray:
 def test_spd_factor_rejects_singular_tridiagonal(system, reason):
     with pytest.raises(ValueError, match=f"^gram system is singular{reason}"):
         spd_factor(sp.csr_matrix(system), what="gram system")
+
+
+def _random_tridiagonal(rng: np.random.Generator, n: int, h: float) -> sp.dia_matrix:
+    # diagonally dominant, so SPD and well conditioned, scaled like a 1/h^2 stencil
+    e = rng.standard_normal(n - 1)
+    d = rng.uniform(0.1, 2.0, n)
+    d[:-1] += np.abs(e)
+    d[1:] += np.abs(e)
+    return sp.diags([e, d, e], [-1, 0, 1]) / h**2
+
+
+def _kronecker_sum(t0, t1, c: float = 0.0) -> sp.csr_matrix:
+    n0, n1 = t0.shape[0], t1.shape[0]
+    return sp.csr_matrix(sp.kron(t0, sp.identity(n1)) + sp.kron(sp.identity(n0), t1)
+                         + c * sp.identity(n0 * n1))
+
+
+def _splu_solve(system, rhs):
+    return splu(sp.csc_matrix(system), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                options={"SymmetricMode": True}).solve(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n0=st.integers(2, 24), n1=st.integers(2, 24),
+       h0=st.floats(0.05, 20.0), h1=st.floats(0.05, 20.0),
+       c=st.sampled_from([0.0, 1e-3, 1.0, 50.0]), seed=st.integers(0, 2**16))
+@example(n0=2, n1=2, h0=1.0, h1=1.0, c=0.0, seed=0)
+def test_spd_kronecker_sum_factor_matches_splu(n0, n1, h0, h1, c, seed):
+    rng = np.random.default_rng(seed)
+    system = _kronecker_sum(_random_tridiagonal(rng, n0, h0), _random_tridiagonal(rng, n1, h1), c)
+    rhs = rng.standard_normal(n0 * n1)
+    factor = spd_factor(system)
+    assert isinstance(factor, linops._KroneckerSumFactor)
+    expected = _splu_solve(system, rhs)
+    assert np.linalg.norm(factor.solve(rhs) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("where", ["diagonal", "axis0_coupling", "axis1_coupling",
+                                   "block_wraparound"])
+def test_spd_factor_falls_back_to_splu_off_a_kronecker_sum(where):
+    # one entry (or its symmetric pair) inside the band breaks the sum: splu
+    # must take the system, and still solve it
+    rng = np.random.default_rng(11)
+    n0, n1 = 5, 7
+    system = _kronecker_sum(_random_tridiagonal(rng, n0, 0.5), _random_tridiagonal(rng, n1, 2.0),
+                            0.3).tolil()
+    k = 2 * n1 + 3
+    if where == "diagonal":
+        system[k, k] *= 1.0 + 1e-9
+    else:
+        j = {"axis0_coupling": k + n1, "axis1_coupling": k + 1,
+             "block_wraparound": 2 * n1 - 1}[where]
+        i = k if where != "block_wraparound" else n1 - 1
+        system[i, j] = system[j, i] = system[i, j] + 1e-3
+    factor = spd_factor(system)
+    assert isinstance(factor, SuperLU)
+    rhs = rng.standard_normal(n0 * n1)
+    assert np.allclose(factor.solve(rhs), np.linalg.solve(system.toarray(), rhs),
+                       rtol=1e-12, atol=1e-12)
+
+
+def test_spd_factor_rejects_a_singular_kronecker_sum():
+    # Neumann (+) Neumann with no shift: the constants span its null space
+    neumann = [_gram(interior_gradient_operator(GridSpec((n,), 0.7))) for n in (6, 4)]
+    system = _kronecker_sum(sp.csr_matrix(neumann[0]), sp.csr_matrix(neumann[1]))
+    with pytest.raises(ValueError, match="^gram system is singular: smallest eigenvalue"):
+        spd_factor(system, what="gram system")
+
+
+def test_grid_normal_systems_take_their_structural_factor():
+    # zero-ghost 2-D gradients give Kronecker sums; the cell-origin selection
+    # of the interior gradient does not; 1-D grids stay tridiagonal
+    grid2 = GridSpec((6, 5), (0.5, 2.0))
+    dirichlet, free = (L.matrix.T @ L.matrix + 0.2 * sp.identity(30)
+                       for L in (gradient_operator(grid2), interior_gradient_operator(grid2)))
+    assert isinstance(spd_factor(dirichlet), linops._KroneckerSumFactor)
+    assert isinstance(spd_factor(free), SuperLU)
+    grid1 = GridSpec((9,), 0.3)
+    for L in (gradient_operator(grid1), interior_gradient_operator(grid1)):
+        assert isinstance(spd_factor(L.matrix.T @ L.matrix + 0.2 * sp.identity(9)),
+                          linops._TridiagonalFactor)
 
 
 def test_operator_catalogue_adjoint_budget():
