@@ -14,7 +14,7 @@ sweep.  The system's structure picks the factor: LAPACK's tridiagonal
 LDL^T when it is tridiagonal, as every 1-D grid operator and the
 identity make it; one eigendecomposition per axis when it is a
 Kronecker sum of two tridiagonals, as 2-D least gradient and Dirichlet
-tv2d make it; ``splu`` otherwise (free-boundary tv2d, custom
+tv2d make it; ``splu`` otherwise (free-boundary tv2d, most custom
 matrices).  That
 keeps the exact algorithm exact, which the runtime equivalence
 instrumentation depends on.

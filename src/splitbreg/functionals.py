@@ -155,10 +155,11 @@ def prox_indicator_point(anchor, mask=None) -> ProxFunctional:
         if m.shape != a.shape:
             raise ValueError("mask must match the anchor shape")
     anchored = a[m]
+    pinned = np.flatnonzero(m)
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return 0.0 if np.array_equal(x[m], anchored) else np.inf
+        return 0.0 if (x[pinned] == anchored).all() else np.inf
 
     def prox(x, t):
         out = np.array(x, dtype=float, copy=True)

@@ -27,14 +27,40 @@ def soft_threshold(x, thresh):
     return np.maximum(x - thresh, np.minimum(x + thresh, 0.0))
 
 
-def _block_norms(blocks):
-    # Euclidean norm of each row, its squares summed column by column: the
-    # same bits as np.linalg.norm(blocks, axis=1) for rows of up to 7
+_TINY = np.finfo(float).tiny
+
+
+def _squares(blocks):
+    # Each row's squares summed column by column: the sum whose root
+    # np.linalg.norm(blocks, axis=1) takes, bit for bit, for rows of up to 7
     # entries (numpy sums 8 or more pairwise), without its overhead.
     sq = blocks[:, 0] * blocks[:, 0]
     for j in range(1, blocks.shape[1]):
         sq += blocks[:, j] * blocks[:, j]
-    return np.sqrt(sq)
+    return sq
+
+
+def _block_norms(blocks):
+    # Euclidean norm of each row, sqrt of _squares.  When a square under- or
+    # overflows, the rows whose sum is below the smallest normal float or
+    # infinite are summed again from their entries over their largest
+    # magnitude; every other row keeps its bits.  An all-zero or infinite
+    # row gives 0/0 or inf/inf there and keeps its plain norm, 0 or inf.
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return np.sqrt(_squares(blocks))
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sq = _squares(blocks)
+        nrm = np.sqrt(sq)
+        lost = (sq < _TINY) | (sq == np.inf)
+        rows = blocks[lost]
+        big = np.abs(rows).max(axis=1)
+        unit = rows / big[:, None]
+        rescaled = big * np.sqrt((unit * unit).sum(axis=1))
+    nrm[lost] = np.where(np.isnan(rescaled), nrm[lost], rescaled)
+    return nrm
 
 
 def block_shrink(y, thresh, block_size):

@@ -20,12 +20,15 @@ other axis, and the components are interleaved per node.  A
 spacings; anything else is rejected.
 :func:`spd_factor` is the one factorization used for symmetric
 positive-definite solves (the u-step and the forward model), and the
-matrix's structure picks one of three kinds: a symmetric tridiagonal
-system, which every 1-D grid operator and the identity give, is
-factored as LDL^T by LAPACK ``dpttrf``; a Kronecker sum of two
-tridiagonals, which the 2-D zero-ghost gradient and the interior nodes
-of the cell-origin one give, is diagonalized by one
-``eigh_tridiagonal`` per axis; any other is factored once with
+matrix's structure picks its kind.  One reader, :func:`_axis_split`,
+reads a Kronecker sum ``T0 (x) I + I (x) T1`` of two tridiagonals from
+the system's own diagonals and accepts it only if every stored diagonal
+matches the one it implies to within 4 ulps of the largest entry; no
+matrix is rebuilt.  With one axis the system is tridiagonal, as every
+1-D grid operator and the identity give, and is factored as LDL^T by
+LAPACK ``dpttrf``; with two, as the 2-D zero-ghost gradient and the
+interior nodes of the cell-origin one give, it is diagonalized by one
+``eigh_tridiagonal`` per axis; any other system is factored once with
 ``splu``.  :func:`load_matrix_csv` reads the custom_matrix CSV.
 """
 
@@ -57,6 +60,7 @@ __all__ = [
 ]
 
 _FLOAT64 = np.dtype(np.float64)
+_EPS = np.finfo(float).eps
 
 
 def as_vector(data, dim: Optional[int] = None) -> np.ndarray:
@@ -265,28 +269,10 @@ class _TridiagonalFactor:
 
 
 def _pivot_check(pivots: np.ndarray, what: str, kind: str = "pivot") -> None:
-    floor = pivots.shape[0] * np.finfo(float).eps * float(np.max(pivots, initial=0.0))
-    if not np.all(pivots > floor):
+    floor = pivots.shape[0] * _EPS * float(pivots.max(initial=0.0))
+    if not (pivots > floor).all():
         raise ValueError(f"{what} is singular: smallest {kind} {float(np.min(pivots)):.3e}, "
                          f"floor {floor:.3e}")
-
-
-def _tridiagonal_factor(system: sp.csc_matrix, offsets: np.ndarray,
-                        what: str) -> Optional[_TridiagonalFactor]:
-    """LDL^T through ``dpttrf`` when ``system`` is symmetric with bandwidth <= 1, else None."""
-    if (np.abs(offsets) > 1).any():
-        return None
-    sub = system.diagonal(-1)
-    if not np.array_equal(sub, system.diagonal(1)):
-        return None
-    # f2py rejects an empty off-diagonal; at n = 1 LAPACK reads none
-    d, e, info = dpttrf(system.diagonal(), sub if sub.size else np.zeros(1),
-                        overwrite_d=1, overwrite_e=1)
-    if info != 0:
-        raise ValueError(f"{what} is singular (leading minor of order {info} "
-                         "is not positive definite)")
-    _pivot_check(d, what)
-    return _TridiagonalFactor(d, e)
 
 
 class _KroneckerSumFactor:
@@ -309,57 +295,64 @@ class _KroneckerSumFactor:
         return (self._v0 @ coeffs @ self._v1t).reshape(-1)
 
 
-# a Kronecker sum read back from the system must match it entrywise to this
-# many ulps of its largest entry: the assembly may round the diagonal's sums
+# a split read back from the system must match it entrywise to this many ulps
+# of its largest entry: the assembly may round the diagonal's sums
 _KRONECKER_ULPS = 4
 
 
-def _kronecker_sum_factor(system: sp.csc_matrix, offsets: np.ndarray,
-                          what: str) -> Optional[_KroneckerSumFactor]:
-    """The spectral factor when ``system`` is ``T0 (x) I_m + I_n0 (x) T1``, else None.
+def _axis_split(system: sp.csc_matrix, offsets: np.ndarray) -> "tuple | None":
+    """``(d0, e0, d1, e1)`` when ``system`` is ``T0 (x) I_m + I_n0 (x) T1``, else None.
 
-    The nonzero entries must sit at offsets 0, +-1 and +-m for one m > 1
-    dividing the order.  ``T1`` (m x m) is read from the first diagonal
-    block, ``T0`` (n0 x n0) from the first column of every block; the
-    split is accepted only if their Kronecker sum reproduces ``system``
-    to within ``_KRONECKER_ULPS`` ulps of its largest entry.
+    ``T_k`` is the symmetric tridiagonal with diagonal ``d_k`` and
+    off-diagonal ``e_k``.  The nonzero entries must sit at offsets 0, +-1
+    and +-m for one m > 1 dividing the order n.  With no entry stored
+    beyond +-1 the system is tridiagonal: the one-axis case n0 = 1, m = n,
+    ``d0 = [0]``.  ``T1`` is read from the first diagonal block and ``T0``
+    from the first column of every block, and the split is accepted only
+    if each stored diagonal matches the diagonal it implies to within
+    ``_KRONECKER_ULPS`` ulps of the largest entry.  With one axis the
+    diagonal and super-diagonal are ``T1`` as read, so only the
+    sub-diagonal is compared.
     """
     n = system.shape[0]
-    far = np.unique(np.abs(offsets[(np.abs(offsets) > 1) & (system.data != 0)]))
-    if far.size != 1 or n % far[0]:
+    far = np.abs(offsets) > 1
+    spans = np.unique(np.abs(offsets[far & (system.data != 0)])) if far.any() else [n]
+    if len(spans) != 1 or n % max(spans[0], 1):  # n = 0: the empty system is tridiagonal
         return None
-    m = int(far[0])
-    n0 = n // m
-    diag = system.diagonal().reshape(n0, m)
-    d1 = diag[0]
-    d0 = diag[:, 0] - diag[0, 0]
-    e1 = system.diagonal(1)[:m - 1]
-    e0 = system.diagonal(m)[::m]
-    t0 = sp.diags([e0, d0, e0], [-1, 0, 1])
-    t1 = sp.diags([e1, d1, e1], [-1, 0, 1])
-    rebuilt = sp.kron(t0, sp.identity(m)) + sp.kron(sp.identity(n0), t1)
-    scale = float(abs(system).max())
-    if not abs(rebuilt - system).max() <= _KRONECKER_ULPS * np.finfo(float).eps * scale:
-        return None
-    w0, v0 = eigh_tridiagonal(d0, e0)
-    w1, v1 = eigh_tridiagonal(d1, e1)
-    eigsum = w0[:, None] + w1[None, :]
-    _pivot_check(eigsum.reshape(-1), what, kind="eigenvalue")
-    return _KroneckerSumFactor(v0, v1, eigsum)
+    m = int(spans[0])
+    diag, up, down = system.diagonal(), system.diagonal(1), system.diagonal(-1)
+    d1, e1 = diag[:m], up[:m - 1]
+    if m == n:  # one axis: T1 is the diagonal and super-diagonal as read
+        d0, e0, pairs = np.zeros(1), np.empty(0), [(down, up)]
+    else:
+        far_up = system.diagonal(m)
+        d0, e0 = diag[::m] - diag[0], far_up[::m]
+        coupling = np.tile(np.append(e1, 0.0), n // m)[:-1]
+        pairs = [(diag, (d0[:, None] + d1).reshape(-1)), (up, coupling), (down, coupling),
+                 (far_up, np.repeat(e0, m)), (system.diagonal(-m), np.repeat(e0, m))]
+    for stored, implied in pairs:
+        defect = np.abs(stored - implied).max(initial=0.0)
+        # an exact match needs no scale; a nan defect fails the bound
+        if defect and not defect <= _KRONECKER_ULPS * _EPS * np.abs(system.data).max(initial=0.0):
+            return None
+    return d0, e0, d1, e1
 
 
 def spd_factor(system, what: str = "system") -> \
         "_TridiagonalFactor | _KroneckerSumFactor | SuperLU":
     """Factor of a symmetric positive-definite matrix; ``.solve(rhs)`` solves with it.
 
-    The factor is chosen by the matrix's structure, first match wins:
+    The factor is chosen by the matrix's structure, which one reader,
+    :func:`_axis_split`, finds and checks against the system's own
+    diagonals under one rule (each within ``_KRONECKER_ULPS`` ulps of the
+    largest entry):
 
-    - symmetric tridiagonal (bandwidth <= 1, diagonal included): ``L D L^T``
-      by LAPACK ``dpttrf``, solved by ``dpttrs``;
+    - symmetric tridiagonal, the one-axis split: ``L D L^T`` by LAPACK
+      ``dpttrf``, solved by ``dpttrs``;
     - a Kronecker sum ``T0 (x) I + I (x) T1`` of two tridiagonals, the
       2-D grid systems with an identity or zero-ghost structure on each
-      axis (:func:`_kronecker_sum_factor` checks the reproduction):
-      one ``eigh_tridiagonal`` per axis, solved by four dense products;
+      axis: one ``eigh_tridiagonal`` per axis, solved by four dense
+      products;
     - any other: a sparse LU from ``splu``; the fill-reducing ordering is
       symmetric and no off-diagonal pivot is taken, so the factor is a
       Cholesky-like ``P A P^T = L U``.
@@ -374,17 +367,29 @@ def spd_factor(system, what: str = "system") -> \
     # row minus column of each stored entry, the column read from the CSC pointers
     offsets = system.indices - np.repeat(np.arange(system.shape[1], dtype=system.indices.dtype),
                                          np.diff(system.indptr))
-    for structured in (_tridiagonal_factor, _kronecker_sum_factor):
-        factor = structured(system, offsets, what)
-        if factor is not None:
-            return factor
-    try:
-        lu = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise ValueError(f"{what} is singular ({exc})") from exc
-    _pivot_check(lu.U.diagonal(), what)
-    return lu
+    split = _axis_split(system, offsets)
+    if split is None:
+        try:
+            lu = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise ValueError(f"{what} is singular ({exc})") from exc
+        _pivot_check(lu.U.diagonal(), what)
+        return lu
+    d0, e0, d1, e1 = split
+    if d0.size == 1:
+        # f2py rejects an empty off-diagonal; at n = 1 LAPACK reads none
+        d, e, info = dpttrf(d1, e1 if e1.size else np.zeros(1), overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise ValueError(f"{what} is singular (leading minor of order {info} "
+                             "is not positive definite)")
+        _pivot_check(d, what)
+        return _TridiagonalFactor(d, e)
+    w0, v0 = eigh_tridiagonal(d0, e0)
+    w1, v1 = eigh_tridiagonal(d1, e1)
+    eigsum = w0[:, None] + w1[None, :]
+    _pivot_check(eigsum.reshape(-1), what, kind="eigenvalue")
+    return _KroneckerSumFactor(v0, v1, eigsum)
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -84,6 +84,19 @@ def test_indicator_examples():
     assert np.array_equal(mixed.prox(np.array([1.0, 2.0]), 1.0), [7.0, 2.0])
 
 
+def test_indicator_value_is_equality_on_the_pinned_coordinates():
+    # value equality, not bit equality, on the pinned coordinates only;
+    # +inf anywhere off the set, a nan there included
+    mixed = prox_indicator_point(np.array([0.0, 5.0, -2.0, 1.0]),
+                                 np.array([True, False, True, False]))
+    assert mixed.value(np.array([-0.0, 9.0, -2.0, np.nan])) == 0.0
+    assert mixed.value([0.0, 5.0, -2.0, 1.0]) == 0.0
+    assert mixed.value(np.array([0.0, 5.0, np.nextafter(-2.0, 0.0), 1.0])) == np.inf
+    assert mixed.value(np.array([np.nan, 5.0, -2.0, 1.0])) == np.inf
+    assert prox_indicator_point(np.array([1.0, 2.0])).value(np.array([1.0, 2.5])) == np.inf
+    assert prox_indicator_point(np.array([1.0]), np.array([False])).value(np.array([3.0])) == 0.0
+
+
 def test_zero_functional():
     f = zero_functional(3)
     x = np.array([1.0, -2.0, 3.0])
@@ -139,26 +152,84 @@ def test_dual_resolvent_against_conjugate_closed_forms():
 def test_weighted_l21_dual_resolvent_scale_at_zero_weights_and_norms():
     # the per-block scale is w / ||x_b|| where the norm exceeds w, else 1,
     # bit for bit, and without a warning: blocks of zero weight and zero
-    # norm (exact, or underflowed from entries ~1e-170), zero norm alone,
-    # zero weight alone, norm at the weight, an infinite and a nan norm
+    # norm, zero weight and a norm of ~1e-170 (its squares underflow),
+    # zero norm alone, zero weight alone, norm at the weight, an infinite
+    # and a nan norm
     w = np.array([0.0, 0.0, 2.0, 0.0, 1.5, 1.5, 0.5, 0.5, 2.0])
     x = np.array([0.0, -0.0, 1e-170, -2e-170, 0.0, 0.0, 3.0, -4.0, 0.9, 1.2,
-                  3.0, -4.0, 1e300, 1e300, np.nan, 1.0, 0.3, 0.4])
+                  3.0, -4.0, 1.5e308, 1.5e308, np.nan, 1.0, 0.3, 0.4])
     f = prox_weighted_l21(w, block_size=2)
     blocks = x.reshape(-1, 2)
     with np.errstate(all="ignore"):  # the reference divides 0 by 0 where it does not select
         nrm = kernels._block_norms(blocks)
         scale = np.divide(w, nrm, out=np.ones_like(nrm), where=nrm > w)
     expected = (blocks * scale[:, None]).reshape(-1)
-    assert nrm[1] == 0.0 and nrm[6] == np.inf and np.isnan(nrm[7])
-    with warnings.catch_warnings(), np.errstate(over="ignore"):  # the norm's square overflows
+    assert nrm[0] == 0.0 and nrm[1] > 0.0 and nrm[6] == np.inf and np.isnan(nrm[7])
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = dual_resolvent(f, x, 0.7)
     assert got.tobytes() == expected.tobytes()
     assert got[:2].tobytes() == np.array([0.0, -0.0]).tobytes()
-    assert np.array_equal(got[2:4], x[2:4])  # an underflowed norm leaves the block as it is
+    assert got[2:4].tobytes() == np.array([0.0, -0.0]).tobytes()  # onto the zero ball
     assert got[6:8].tobytes() == np.array([0.0, -0.0]).tobytes()
     assert np.allclose(got[10:14], [0.9, -1.2, 0.0, 0.0], rtol=1e-15, atol=0.0)
+
+
+def test_weighted_l21_oracles_where_squares_underflow():
+    # entries ~1e-170 square to 0: the norm must still be their norm
+    f = prox_weighted_l21(np.array([1e-200]), block_size=1)
+    x = np.array([1e-170])
+    assert f.prox(x, 1.0)[0] == pytest.approx(1e-170, rel=1e-15, abs=0.0)
+    # projected onto the ball's edge
+    assert dual_resolvent(f, x, 1.0)[0] == pytest.approx(1e-200, rel=1e-15, abs=0.0)
+    g = prox_weighted_l21(np.array([1.0, 2.0]), block_size=2)
+    y = np.array([3e-170, 4e-170, 0.0, 0.0])
+    assert g.value(y) == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+    assert np.allclose(g.prox(y, 1.0), 0.0, rtol=0, atol=0)  # inside the threshold
+    # a dual point far inside the ball at any scale is feasible (the
+    # feasibility slack hides this case from the conjugate either way)
+    assert f.conjugate_value(x) == 0.0 and g.conjugate_value(y) == 0.0
+
+
+def test_weighted_l21_oracles_where_squares_overflow():
+    # entries ~1e200 square to inf: the norm must still be finite
+    g = prox_weighted_l21(np.array([1.0]), block_size=2)
+    x = np.array([3e200, 4e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(dual_resolvent(g, x, 1.0), [0.6, 0.8], rtol=1e-15, atol=0)
+        assert g.value(x) == pytest.approx(5e200, rel=1e-15, abs=0.0)
+        assert np.array_equal(g.prox(x, 1.0), x)  # a shrink by 1 of 5e200 rounds to nothing
+        assert g.conjugate_value(x) == np.inf
+        assert prox_weighted_l21(np.array([1e201]), block_size=2).conjugate_value(x) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=arrays(float, st.integers(1, 20), elements=st.floats(allow_nan=False)))
+def test_block_norms_of_single_entries_are_magnitudes(x):
+    # sqrt(x * x) is |x| wherever the square neither under- nor overflows;
+    # where it does, the row is rescaled to |x| too, so every row is |x|
+    assert kernels._block_norms(x.reshape(-1, 1)).tobytes() == np.abs(x).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), block_size=st.integers(1, 3), n_blocks=st.integers(1, 12))
+def test_block_norms_rescale_only_rows_that_under_or_overflow(data, block_size, n_blocks):
+    # rows mixing magnitudes from 1e-320 to 1e300: every row whose sum of
+    # squares stays normal keeps the plain column-by-column bits, and every
+    # row gets its norm to a few ulps of the scaled reference
+    magnitude = st.sampled_from([0.0, 1e-320, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e300])
+    x = np.array([data.draw(magnitude) * data.draw(st.floats(-1.0, 1.0))
+                  for _ in range(n_blocks * block_size)]).reshape(n_blocks, block_size)
+    got = kernels._block_norms(x)
+    with np.errstate(all="ignore"):
+        sq = (x * x).sum(axis=1)
+        plain = np.sqrt(sq)
+        big = np.abs(x).max(axis=1)
+        reference = big * np.linalg.norm(x / np.where(big > 0, big, 1.0)[:, None], axis=1)
+    normal = (sq >= np.finfo(float).tiny) & (sq < np.inf)
+    assert got[normal].tobytes() == plain[normal].tobytes()
+    assert np.allclose(got, reference, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_moreau_identity_across_catalogue():

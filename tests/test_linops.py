@@ -266,6 +266,139 @@ def test_spd_factor_falls_back_to_splu_off_a_kronecker_sum(where):
                        rtol=1e-12, atol=1e-12)
 
 
+def _offsets(system: sp.csc_matrix) -> np.ndarray:
+    return system.indices - np.repeat(np.arange(system.shape[1], dtype=system.indices.dtype),
+                                      np.diff(system.indptr))
+
+
+def _rebuild_split(system: sp.csc_matrix):
+    """The two structure checks that ``linops._axis_split`` replaced, as its reference.
+
+    A system with nothing stored beyond offset +-1 is the one-axis split
+    when its sub- and super-diagonals are equal bit for bit.  Otherwise
+    the nonzero entries must sit at offsets 0, +-1 and +-m for one m > 1
+    dividing n, and the Kronecker sum of the per-axis tridiagonals read
+    back, rebuilt as a sparse matrix, must reproduce the system to within
+    4 ulps of its largest entry.
+    """
+    offsets = _offsets(system)
+    n = system.shape[0]
+    if not (np.abs(offsets) > 1).any():
+        sub, sup = system.diagonal(-1), system.diagonal(1)
+        return (np.zeros(1), np.empty(0), system.diagonal(), sup) if np.array_equal(sub, sup) \
+            else None
+    far = np.unique(np.abs(offsets[(np.abs(offsets) > 1) & (system.data != 0)]))
+    if far.size != 1 or n % far[0]:
+        return None
+    m = int(far[0])
+    n0 = n // m
+    diag = system.diagonal().reshape(n0, m)
+    d1, d0 = diag[0], diag[:, 0] - diag[0, 0]
+    e1, e0 = system.diagonal(1)[:m - 1], system.diagonal(m)[::m]
+    t0 = sp.diags([e0, d0, e0], [-1, 0, 1])
+    t1 = sp.diags([e1, d1, e1], [-1, 0, 1])
+    rebuilt = sp.kron(t0, sp.identity(m)) + sp.kron(sp.identity(n0), t1)
+    scale = float(abs(system).max())
+    if not abs(rebuilt - system).max() <= 4 * np.finfo(float).eps * scale:
+        return None
+    return d0, e0, d1, e1
+
+
+_PERTURBATIONS = ["none", "diagonal", "axis1_coupling", "axis0_coupling", "one_sided",
+                  "block_wraparound", "stored_zero"]
+
+
+def _perturbed_kronecker_sum(n0, n1, h0, h1, c, where, ulps, seed) -> sp.csc_matrix:
+    """A Kronecker sum (tridiagonal when n0 = 1) with one entry moved by ``ulps`` of its largest.
+
+    ``one_sided`` moves a sub-diagonal entry without its super-diagonal
+    pair; ``block_wraparound`` sets the +-1 pair that crosses from one
+    block into the next; ``stored_zero`` stores an explicit zero at an
+    offset that is neither 0, +-1 nor +-n1.
+    """
+    rng = np.random.default_rng(seed)
+    t0 = _random_tridiagonal(rng, n0, h0).toarray()
+    t1 = _random_tridiagonal(rng, n1, h1).toarray()
+    a = np.kron(t0, np.eye(n1)) + np.kron(np.eye(n0), t1) + c * np.eye(n0 * n1)
+    n = a.shape[0]
+    delta = ulps * np.finfo(float).eps * np.abs(a).max()
+    k = int(rng.integers(n))
+    if where == "diagonal":
+        a[k, k] += delta
+    elif where in ("axis1_coupling", "one_sided") and n1 > 1:
+        k = k // n1 * n1 + k % (n1 - 1)
+        a[k + 1, k] += delta
+        if where == "axis1_coupling":
+            a[k, k + 1] += delta
+    elif where == "axis0_coupling" and n0 > 1:
+        k %= n - n1
+        a[k, k + n1] += delta
+        a[k + n1, k] += delta
+    elif where == "block_wraparound" and n0 > 1 and n1 > 1:
+        k = (k % (n0 - 1) + 1) * n1
+        a[k - 1, k] = a[k, k - 1] = delta
+    system = sp.csc_matrix(a)
+    if where == "stored_zero":
+        spare = [(i, j) for i in range(n) for j in range(n) if abs(i - j) not in (0, 1, n1)]
+        if spare:
+            i, j = spare[k % len(spare)]
+            coo = system.tocoo()
+            system = sp.csc_matrix((np.append(coo.data, 0.0),
+                                    (np.append(coo.row, i), np.append(coo.col, j))), shape=(n, n))
+            assert system.nnz == coo.nnz + 1
+    return system
+
+
+@settings(max_examples=300, deadline=None)
+@given(n0=st.integers(1, 5), n1=st.integers(1, 7), h0=st.floats(0.05, 20.0),
+       h1=st.floats(0.05, 20.0), c=st.sampled_from([0.0, 1e-3, 1.0, 50.0]),
+       where=st.sampled_from(_PERTURBATIONS),
+       ulps=st.sampled_from([0.5, 1.0, 2.0, 3.0, 3.5, 4.0, 4.5, 5.0, 8.0, 1e6]),
+       negative=st.booleans(), seed=st.integers(0, 2**16))
+@example(n0=1, n1=1, h0=1.0, h1=1.0, c=0.0, where="none", ulps=1.0, negative=False, seed=0)
+@example(n0=3, n1=4, h0=1.0, h1=1.0, c=0.0, where="block_wraparound", ulps=2.0, negative=False,
+         seed=0)
+@example(n0=3, n1=4, h0=1.0, h1=1.0, c=0.0, where="stored_zero", ulps=1.0, negative=False, seed=0)
+@example(n0=1, n1=6, h0=1.0, h1=1.0, c=0.0, where="stored_zero", ulps=1.0, negative=False, seed=0)
+def test_axis_split_matches_the_rebuild_check(n0, n1, h0, h1, c, where, ulps, negative, seed):
+    # the same accept or reject decision and, when accepted, the same
+    # (d0, e0, d1, e1) bits as the rebuild, except for a tridiagonal system
+    # whose sub- and super-diagonals differ by at most 4 ulps: the rebuild's
+    # tridiagonal check wanted them bit-equal, the reader applies 4 ulps
+    system = _perturbed_kronecker_sum(n0, n1, h0, h1, c, where, -ulps if negative else ulps,
+                                      seed)
+    expected, split = _rebuild_split(system), linops._axis_split(system, _offsets(system))
+    if expected is None and split is not None:
+        sub, sup = system.diagonal(-1), system.diagonal(1)
+        assert split[0].size == 1 and not np.array_equal(sub, sup)
+        assert np.abs(sub - sup).max() <= 4 * np.finfo(float).eps * np.abs(system.data).max()
+        expected = (np.zeros(1), np.empty(0), system.diagonal(), sup)
+    assert (split is None) == (expected is None)
+    if split is not None:
+        assert [v.tobytes() for v in split] == [v.tobytes() for v in expected]
+
+
+def test_a_tridiagonal_system_within_four_ulps_of_symmetric_takes_dpttrf():
+    # the reader's one decision change: a sub-diagonal a few ulps off the
+    # super-diagonal used to send a tridiagonal system to splu
+    a = _random_tridiagonal(np.random.default_rng(4), 9, 0.5).toarray()
+    a[4, 3] = np.nextafter(np.nextafter(a[4, 3], np.inf), np.inf)
+    system = sp.csc_matrix(a)
+    assert _rebuild_split(system) is None
+    factor = spd_factor(system)
+    assert isinstance(factor, linops._TridiagonalFactor)
+    rhs = np.random.default_rng(5).standard_normal(9)
+    assert np.allclose(factor.solve(rhs), np.linalg.solve(a, rhs), rtol=1e-12, atol=0)
+    a[4, 3] *= 1.0 + 1e-9
+    assert isinstance(spd_factor(sp.csc_matrix(a)), SuperLU)
+
+
+def test_spd_factor_of_the_empty_system_is_tridiagonal():
+    factor = spd_factor(sp.csr_matrix((0, 0)))
+    assert isinstance(factor, linops._TridiagonalFactor)
+    assert factor.solve(np.zeros(0)).shape == (0,)
+
+
 def test_spd_factor_rejects_a_singular_kronecker_sum():
     # Neumann (+) Neumann with no shift: the constants span its null space
     neumann = [_gram(interior_gradient_operator(GridSpec((n,), 0.7))) for n in (6, 4)]
