@@ -219,7 +219,6 @@ class _Step(NamedTuple):
     u: np.ndarray
     Lu: np.ndarray
     alpha: float = 0.0
-    beta: float = 0.0
 
 
 class _Recursion:
@@ -270,16 +269,14 @@ class _AsbSweep(_Recursion):
 
         z = b + Lu
         d_new = f.prox(z, 1.0 / lam)
-        beta = 0.0
         if m_k > 0.0:
             d_new = d_new + _unit_perturbation(self.rng, f.dim) * m_k
-            beta = m_k
         b_new = z - d_new
 
         self._bd = (b_new, d_new)
         self.x, self.p = lam * (b_new + d_new), lam * b_new
         return _Step(finite=(("u", u_exact), ("d", d_new), ("b", b_new)), u=u, Lu=Lu,
-                     alpha=alpha, beta=beta)
+                     alpha=alpha)
 
 
 class _DrsStep(_Recursion):
@@ -369,7 +366,7 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     stop = stop or StoppingRule()
     g, f = run.problem.g, run.problem.f
     records = [_record(run, 0, None)]
-    residuals, energies, defects, x_incs, alphas, betas = ([] for _ in range(6))
+    residuals, energies, defects, x_incs, alphas = ([] for _ in range(5))
     twin_defect = None if twin is None else max(_mismatch(run, twin))
     converged = False
     k = 0
@@ -389,7 +386,6 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         residuals.append(residual)
         energies.append(energy)
         alphas.append(step.alpha)
-        betas.append(step.beta)
         x_incs.append(x_inc)
 
         defect = np.nan
@@ -415,8 +411,8 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         kind=kind, iterates=records,
         residuals=np.array(residuals), energies=np.array(energies),
         setzer_defects=np.array(defects), x_increments=np.array(x_incs),
-        alpha_injected=np.array(alphas), beta_injected=np.array(betas),
-        converged=converged, n_iter=k, twin_defect=twin_defect,
+        alpha_injected=np.array(alphas), converged=converged, n_iter=k,
+        twin_defect=twin_defect,
         twin_iterates=0 if twin is None else min(k, _TWIN_ITERATIONS) + 1,
     )
 
@@ -440,9 +436,9 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     its energy is ``g(u) + f(L u)``.  When no free direction is left
     (every coordinate pinned, or ``L w = 0``) nothing is injected.  The
     d-step result is displaced by ``m_k`` in place.  ``alpha_injected``
-    records ``||L u - L u_exact||`` (``m_k`` up to roundoff, or 0) and
-    ``beta_injected`` records ``m_k``; a zero magnitude skips injection
-    entirely, so a zero schedule reproduces the exact trace bit for bit.
+    records ``||L u - L u_exact||`` (``m_k`` up to roundoff, or 0); a
+    zero magnitude skips injection entirely, so a zero schedule
+    reproduces the exact trace bit for bit.
     No twin runs: the correspondence is an exact-mode property.
     """
     sweep = _AsbSweep(problem, init, schedule=schedule, rng=np.random.default_rng(seed))
@@ -472,7 +468,7 @@ def dual_resolvents(problem: SplitProblem) -> ResolventPair:
             raise ValueError(f"resolvent pair was built for lam={lam}, got {lam_arg}")
         return dual_resolvent(f, y, lam)
 
-    return ResolventPair(JA=JA, JB=JB, dim=f.dim)
+    return ResolventPair(JA=JA, JB=JB)
 
 
 def run_drs(problem: SplitProblem, init: Optional[AsbState] = None,

@@ -13,8 +13,8 @@ once.  ``tol`` and ``max_iter`` default to :class:`StoppingRule`'s own,
 and an ``asb_approx`` run without a schedule, or a schedule without
 ``ratio`` or ``scale``, takes :class:`ErrorSchedule`'s.
 
-Every problem comes with an oracle for its optimal value, which returns
-None where no independent value exists (custom_matrix, an uncertified
+Every problem comes with an oracle for a minimizer, which returns
+None where no independent one exists (custom_matrix, an uncertified
 least-gradient ``u_true``, a tv2d dual solve whose gap did not reach its
 tolerance); the primal certificate then falls back to
 the weak-duality bound at the converged dual point.
@@ -276,8 +276,8 @@ def _parse_schedule(spec: dict, allow_nonsummable: bool) -> ErrorSchedule:
 def _build_problem(config: RunConfig):
     """Returns (problem, instance_id, oracle).
 
-    ``oracle(problem)`` returns the independently computed optimal value
-    of the instance, or None where there is none (custom_matrix, a
+    ``oracle(problem)`` returns an independently computed minimizer of
+    the instance, or None where there is none (custom_matrix, a
     least-gradient ``u_true`` that is not certified optimal, and a tv2d
     dual solve that stopped at its iteration cap).
     """
@@ -293,8 +293,7 @@ def _build_problem(config: RunConfig):
                                L=identity_operator(n), lam=lam)
 
         def oracle(prob):
-            u_star = soft_threshold_optimum(y, mu)
-            return prob.g.value(u_star) + prob.f.value(prob.L.apply(u_star))
+            return soft_threshold_optimum(y, mu)
 
         return problem, f"lasso_n{n}_seed{seed}", oracle
 
@@ -310,14 +309,12 @@ def _build_problem(config: RunConfig):
                 h = inst.grid.spacing[0]
                 mu_eff = inst.mu / h
                 if boundary == "dirichlet":
-                    u_star = taut_string_dirichlet(inst.noisy_signal, mu_eff)
-                else:
-                    u_star = taut_string_denoise(inst.noisy_signal, mu_eff)
-                return prob.g.value(u_star) + prob.f.value(prob.L.apply(u_star))
+                    return taut_string_dirichlet(inst.noisy_signal, mu_eff)
+                return taut_string_denoise(inst.noisy_signal, mu_eff)
         else:
             def oracle(prob):
                 dual = tv_dual_solve(prob, gap_tol=1e-10)
-                return dual.primal_value if dual.certified else None
+                return dual.u if dual.certified else None
 
         return problem, f"{config.problem}_{shape_id}_seed{seed}", oracle
 
@@ -331,11 +328,9 @@ def _build_problem(config: RunConfig):
 
         def oracle(prob):
             # u_true is certified optimal when the dual-field stationarity
-            # defect vanishes; otherwise no independent value exists here.
+            # defect vanishes; otherwise no independent minimizer exists here.
             defect = interior_stationarity_defect(prob, inst.u_true)
-            if defect <= 1e-10:
-                return prob.g.value(inst.u_true) + prob.f.value(prob.L.apply(inst.u_true))
-            return None
+            return inst.u_true if defect <= 1e-10 else None
 
         return problem, f"least_gradient_{kind}_{shape_id}", oracle
 
@@ -370,11 +365,12 @@ def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> lis
     lam = problem.lam
     certs = [dual_certificate(problem, final.b, final.d)]
 
-    v_star = oracle(problem)
-    if v_star is None:
+    u_star = oracle(problem)
+    if u_star is None:
         v_star = dual_value(problem, lam * final.b)
         details_src = "reference value: weak-duality bound at the converged dual point"
     else:
+        v_star = problem.g.value(u_star) + problem.f.value(problem.L.apply(u_star))
         details_src = "reference value: independent oracle"
     cert_primal = primal_recovery_check(problem, final.u, final.d, v_star)
     certs.append(replace(cert_primal, details=f"{cert_primal.details}; {details_src}"))

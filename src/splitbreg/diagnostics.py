@@ -70,7 +70,6 @@ class RunTrace:
     setzer_defects: np.ndarray
     x_increments: np.ndarray
     alpha_injected: np.ndarray
-    beta_injected: np.ndarray
     converged: bool
     n_iter: int
     twin_defect: Optional[float] = None

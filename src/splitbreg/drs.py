@@ -6,11 +6,12 @@ built from the two resolvents and tracks the shadow point ``p = JB(x)``:
     x_next = JA(2 p - x) + x - p
     p_next = JB(x_next)
 
-The same step optionally perturbs the two resolvent evaluations by
-explicit vectors; with zero perturbations it is the exact step, bit for
-bit.  Perturbations are injected here as vectors, not as inexact inner
-solvers: the alternating-splitting layer is responsible for turning
-subproblem tolerances into such vectors.
+This is the exact reference recursion: run over the resolvents that
+:func:`splitbreg.asb.dual_resolvents` builds, it reproduces the
+instrumented :func:`splitbreg.asb.run_drs` bit for bit.  The inexact
+algorithm's errors live in one place, the approximate ASB sweep
+(:func:`splitbreg.asb.asb_iterate_approx`), which Setzer's
+correspondence maps to an inexact DRS.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class ResolventPair:
 
     JA: Callable[[np.ndarray, float], np.ndarray]
     JB: Callable[[np.ndarray, float], np.ndarray]
-    dim: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,29 +91,16 @@ def _require_finite(v: np.ndarray, k: int, what: str) -> None:
         raise NonFiniteIterateError(k, what)
 
 
-def drs_step(
-    state: DrsState,
-    pair: ResolventPair,
-    lam: float,
-    alpha_k: Optional[np.ndarray] = None,
-    beta_k: Optional[np.ndarray] = None,
-) -> DrsState:
-    """One Douglas-Rachford update; beta shifts the JB value, alpha the x update.
+def drs_step(state: DrsState, pair: ResolventPair, lam: float) -> DrsState:
+    """One exact Douglas-Rachford update.
 
-    The stored ``state.p`` stands in for ``JB(state.x)`` (the exact step
-    maintains that identity).  Without perturbations, or with zero ones,
-    this is the exact update.  The returned ``p`` is the unperturbed
-    shadow ``JB(x_new)``.
+    The stored ``state.p`` stands in for ``JB(state.x)``; the step
+    maintains that identity, returning ``p = JB(x_new)``.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     k = state.k + 1
-    p_tilde = state.p
-    if beta_k is not None and np.any(beta_k != 0.0):
-        p_tilde = p_tilde + beta_k
-    x_new = state.x + pair.JA(2.0 * p_tilde - state.x, lam) - p_tilde
-    if alpha_k is not None and np.any(alpha_k != 0.0):
-        x_new = x_new + alpha_k
+    x_new = state.x + pair.JA(2.0 * state.p - state.x, lam) - state.p
     _require_finite(x_new, k, "x")
     p_new = pair.JB(x_new, lam)
     _require_finite(p_new, k, "p")
@@ -168,10 +155,10 @@ def fejer_check(trace: Sequence, x_hat: np.ndarray) -> FejerReport:
     """Quantitative Fejer monotonicity along an exact-mode trace.
 
     Checks ``||x_{k+1}-xh||^2 + ||x_{k+1}-x_k||^2 <= ||x_k-xh||^2 + 1e-9``
-    at every step; ``trace`` is a sequence of states with an ``x`` field
-    or of raw x vectors.
+    at every step; ``trace`` is a sequence of states or records, each
+    with an ``x`` field.
     """
-    xs = [np.asarray(getattr(s, "x", s), dtype=float) for s in trace]
+    xs = [np.asarray(s.x, dtype=float) for s in trace]
     if len(xs) < 2:
         raise ValueError("trace must contain at least two iterates")
     x_hat = np.asarray(x_hat, dtype=float)

@@ -66,7 +66,10 @@ def _block_norms(blocks):
 def block_shrink(y, thresh, block_size):
     blocks = y.reshape(-1, block_size)
     nrm = _block_norms(blocks)
-    scale = np.where(nrm > thresh, 1.0 - thresh / np.where(nrm > 0.0, nrm, 1.0), 0.0)
+    # the divisor is nrm wherever the quotient is kept, and 1 elsewhere, so a
+    # tiny nonzero norm below thresh cannot overflow the division
+    shrinks = nrm > thresh
+    scale = np.where(shrinks, 1.0 - thresh / np.where(shrinks, nrm, 1.0), 0.0)
     return (blocks * scale[:, None]).reshape(-1)
 
 

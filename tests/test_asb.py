@@ -358,9 +358,11 @@ def test_approx_injects_nothing_without_a_free_direction(make):
         trace = sb.asb_iterate_approx(prob, schedule, seed=1,
                                       stop=sb.StoppingRule(tol=None, max_iter=20))
     assert np.all(trace.alpha_injected == 0.0)
-    assert np.allclose(trace.beta_injected, [schedule.magnitude(k) for k in range(1, 21)])
     exact = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=None, max_iter=1), record_stride=1)
     assert np.array_equal(trace.iterates[1].u, exact.iterates[1].u)
+    # the d-step error is still injected, at the scheduled norm
+    d_error = np.linalg.norm(trace.iterates[1].d - exact.iterates[1].d)
+    assert d_error == pytest.approx(schedule.magnitude(1), rel=1e-12)
     assert np.all(np.isfinite(trace.energies))
 
 
@@ -414,8 +416,8 @@ def test_dual_resolvents_are_firmly_nonexpansive(lasso_problem, tv1d_problem):
         lam = prob.lam
         for J in (pair.JA, pair.JB):
             for _ in range(20):
-                x = 3.0 * rng.standard_normal(pair.dim)
-                y = 3.0 * rng.standard_normal(pair.dim)
+                x = 3.0 * rng.standard_normal(prob.f.dim)
+                y = 3.0 * rng.standard_normal(prob.f.dim)
                 dj = J(x, lam) - J(y, lam)
                 assert float(np.dot(dj, dj)) <= float(np.dot(dj, x - y)) + 1e-10
 

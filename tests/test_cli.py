@@ -123,7 +123,7 @@ def test_write_trace_csv_matches_the_row_loop(tmp_path):
     trace = RunTrace(
         kind="asb", iterates=[], residuals=columns[0], energies=columns[1],
         setzer_defects=columns[2], x_increments=columns[3],
-        alpha_injected=np.zeros(n), beta_injected=np.zeros(n), converged=False, n_iter=n)
+        alpha_injected=np.zeros(n), converged=False, n_iter=n)
     splitbreg.cli.write_trace_csv(tmp_path / "fast.csv", trace)
     _write_trace_csv_loop(tmp_path / "loop.csv", trace)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()

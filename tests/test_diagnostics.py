@@ -159,5 +159,4 @@ def test_run_trace_validates_lengths(lasso_problem):
         sb.RunTrace(kind="asb", iterates=trace.iterates,
                     residuals=trace.residuals[:-1], energies=trace.energies,
                     setzer_defects=trace.setzer_defects, x_increments=trace.x_increments,
-                    alpha_injected=trace.alpha_injected,
-                    beta_injected=trace.beta_injected, converged=False, n_iter=5)
+                    alpha_injected=trace.alpha_injected, converged=False, n_iter=5)

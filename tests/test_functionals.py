@@ -204,6 +204,21 @@ def test_weighted_l21_oracles_where_squares_overflow():
         assert prox_weighted_l21(np.array([1e201]), block_size=2).conjugate_value(x) == 0.0
 
 
+def test_weighted_l21_oracles_at_tiny_nonzero_norms_do_not_warn():
+    # a block norm of 1e-310 is exact, so w / nrm overflows where it is not
+    # used: the prox shrinks the block to 0 and the projection keeps it
+    f = prox_weighted_l21(np.array([1.0, 2.0, 2.0]), block_size=2)
+    x = np.array([1e-310, 0.0, 3e-310, -4e-310, 3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shrunk = f.prox(x, 1.0)
+        projected = dual_resolvent(f, x, 1.0)
+    assert shrunk[:4].tobytes() == np.array([0.0, 0.0, 0.0, -0.0]).tobytes()
+    assert np.allclose(shrunk[4:], [1.8, 2.4], rtol=1e-15, atol=0.0)
+    assert projected[:4].tobytes() == x[:4].tobytes()
+    assert np.allclose(projected[4:], [1.2, 1.6], rtol=1e-15, atol=0.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(x=arrays(float, st.integers(1, 20), elements=st.floats(allow_nan=False)))
 def test_block_norms_of_single_entries_are_magnitudes(x):
