@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import splitbreg as sb
 from splitbreg.drs import (DrsState, NonFiniteIterateError, ResolventPair, StoppingRule,
                            drs_iterate, drs_step, fejer_check, inclusion_defect)
-from splitbreg.functionals import prox_l1, prox_quadratic
+from splitbreg.functionals import (geometric_schedule, harmonic_schedule, prox_l1,
+                                   prox_quadratic, zero_schedule)
 from splitbreg.oracles import soft_threshold_optimum
 
 
@@ -44,6 +46,54 @@ def test_drs_solves_small_lasso():
     run = drs_iterate(pair, x0=rng.standard_normal(2), lam=1.0,
                       stop=StoppingRule(tol=None, max_iter=500))
     assert np.linalg.norm(run.final.p - soft_threshold_optimum(y, mu)) <= 1e-8
+
+
+def _reference_fixed_point(prob):
+    # the exact reference recursion over the problem's dual resolvents
+    zero = np.zeros(prob.f.dim)
+    return drs_iterate(sb.dual_resolvents(prob), zero, zero, lam=prob.lam,
+                       stop=StoppingRule(tol=None, max_iter=1000)).final
+
+
+# The inexact DRS is the approximate sweep seen through Setzer's
+# correspondence: its (x, p) view is checked against the exact recursion.
+
+def test_inexact_zero_perturbation_is_bit_identical(lasso_problem):
+    stop = StoppingRule(tol=None, max_iter=300)
+    exact = sb.asb_iterate(lasso_problem, stop=stop)
+    zero = np.zeros(lasso_problem.f.dim)
+    ref = drs_iterate(sb.dual_resolvents(lasso_problem), zero, zero, lam=lasso_problem.lam,
+                      stop=stop)
+    for seed in (1, 99):  # a zero schedule draws nothing
+        inexact = sb.asb_iterate_approx(lasso_problem, zero_schedule(), stop=stop, seed=seed)
+        for rec, twin, state in zip(inexact.iterates, exact.iterates, ref.states):
+            assert np.array_equal(rec.x, twin.x) and np.array_equal(rec.p, twin.p)
+            assert np.linalg.norm(rec.x - state.x) <= 1e-12
+            assert np.linalg.norm(rec.p - state.p) <= 1e-12
+
+
+def test_inexact_summable_perturbations_converge(lasso_problem):
+    pair = sb.dual_resolvents(lasso_problem)
+    hat = _reference_fixed_point(lasso_problem)
+    for seed in (0, 3, 7):
+        run = sb.asb_iterate_approx(lasso_problem, geometric_schedule(0.5), seed=seed,
+                                    stop=StoppingRule(tol=None, max_iter=200))
+        assert run.alpha_injected[0] == pytest.approx(0.5, rel=1e-9)
+        assert np.linalg.norm(run.final.x - hat.x) <= 1e-10
+        assert np.linalg.norm(run.final.p - hat.p) <= 1e-10
+        assert inclusion_defect(pair, run.final.x, run.final.p, lasso_problem.lam) <= 1e-10
+
+
+def test_inexact_harmonic_perturbation_negative_control(lasso_problem):
+    # 1/k errors are not summable: the dual iterate keeps its distance from
+    # the fixed point, and stays finite
+    hat = _reference_fixed_point(lasso_problem)
+    for seed in (0, 3, 7):
+        run = sb.asb_iterate_approx(lasso_problem, harmonic_schedule(), seed=seed,
+                                    stop=StoppingRule(tol=None, max_iter=500))
+        dists = [np.linalg.norm(rec.x - hat.x) for rec in run.iterates[100:]]
+        assert np.all(np.isfinite(dists))
+        assert 1e-4 < min(dists) and max(dists) < 1.0
 
 
 def test_increment_decay_on_small_problems():
