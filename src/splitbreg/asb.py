@@ -6,9 +6,13 @@ For ``min g(u) + f(L u)`` with penalty ``lam``, each sweep performs
     2. d-step:  d = prox_f(b + L u, 1/lam)
     3. update:  b = b + L u - d
 
-Shipped problems restrict g to quadratic / point-indicator / zero, so
-the u-step is a sparse symmetric positive-definite linear system in
-``L^T L``, factorized once per solver by
+Shipped problems restrict g to quadratic / point-indicator / zero, each
+a pinned set plus a curvature (the indicator's mask, with no curvature;
+nothing pinned, with ``scale/lam`` for the quadratic and 0 for zero g).
+So the u-step, the first resolvent of the dual Douglas-Rachford
+iteration, is one sparse symmetric positive-definite linear system,
+``L^T L`` on the coordinates g leaves free plus the curvature on its
+diagonal (empty when g pins every coordinate), factorized once per solver by
 :func:`splitbreg.linops.spd_factor` and solved directly at every
 sweep.  The system's structure picks the factor: LAPACK's tridiagonal
 LDL^T when it is tridiagonal, as every 1-D grid operator and the
@@ -121,15 +125,17 @@ def initial_state(problem: SplitProblem) -> AsbState:
 class _UStepSolver:
     """Minimizes ``g(u) + (lam/2) ||L u + c||^2`` for the supported g.
 
-    One instance per problem: the sparse normal matrix ``L^T L`` (restricted
-    to the free coordinates for the point indicator, plus ``(rho/lam) I``
-    for the quadratic) is factorized once with :func:`spd_factor`, and
-    every solve reuses the factor.  The right-hand side's constant part,
-    ``(rho/lam) target`` (0 for zero g) or the negated anchor term, is
-    computed here too, so a solve is one adjoint apply, one subtraction and
-    the factor's solve.
-    ``pinned`` marks the coordinates g fixes: the point indicator's mask,
-    none for the other g.
+    Every supported g is a pinned set plus a curvature: the point
+    indicator pins its mask at its anchor, with no curvature; the
+    quadratic pins nothing and has curvature ``scale/lam``; zero g has
+    neither.  ``pinned`` marks the pinned coordinates and ``_anchor``
+    holds their values, zero elsewhere.  One instance per problem builds,
+    once, the factor of ``L_F^T L_F`` (``L`` on the free coordinates F)
+    plus the curvature on its diagonal, with :func:`spd_factor`, and the
+    right-hand side's constant part, ``-L_F^T (L anchor)`` plus
+    ``(scale/lam) target`` when the curvature is nonzero.  A solve is one
+    adjoint apply, one subtraction and the factor's solve on F; a g that
+    pins every coordinate factors the empty system.
     """
 
     def __init__(self, problem: SplitProblem):
@@ -140,33 +146,23 @@ class _UStepSolver:
                 "only these make the subproblem an SPD linear solve"
             )
         self.L = L
-        self.mode = g.label
+        # only the point indicator has a mask and an anchor, only the quadratic a scale
+        self.pinned = np.zeros(L.domain_dim, dtype=bool) | g.params.get("mask", False)
+        self._anchor = np.where(self.pinned, g.params.get("anchor", 0.0), 0.0)
+        curvature = g.params.get("scale", 0.0) / problem.lam
+        # nothing pinned: a slice, so the solve's gather is a view
+        self._free = np.flatnonzero(~self.pinned) if self.pinned.any() else slice(None)
         a = L.matrix
-        self._factor = None
-        self.pinned = np.zeros(L.domain_dim, dtype=bool)
-
-        if self.mode == "indicator_point":
-            self.pinned = mask = np.asarray(g.params["mask"], dtype=bool)
-            self.anchor_ext = np.zeros(L.domain_dim)
-            self.anchor_ext[mask] = np.asarray(g.params["anchor"], dtype=float)[mask]
-            self.free = ~mask
-            if not np.any(self.free):
-                return  # fully constrained: no system to solve
-            a_free = a[:, np.flatnonzero(self.free)]
-            system = a_free.T @ a_free
-            self._rhs0 = -(a_free.T @ (a @ self.anchor_ext))
-        else:
-            # zero g is the quadratic at scale 0: its constant part is 0 and it
-            # skips the diagonal update, so the matrix keeps its sparsity
-            rho_lam = float(g.params.get("scale", 0.0)) / problem.lam
-            self._rhs0 = rho_lam * np.asarray(g.params.get("target", 0.0), dtype=float)
-            system = a.T @ a
-            if rho_lam:
-                # + (rho/lam) I in place; a zero column of L leaves a diagonal entry
-                # to insert, which older scipy releases warn about
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
-                    system.setdiag(system.diagonal() + rho_lam)
+        a_free = a[:, self._free]
+        system = a_free.T @ a_free
+        self._rhs0 = -(a_free.T @ (a @ self._anchor))
+        if curvature:
+            self._rhs0 += curvature * g.params["target"]
+            # + curvature I in place; a zero column of L leaves a diagonal entry
+            # to insert, which older scipy releases warn about
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+                system.setdiag(system.diagonal() + curvature)
         try:
             self._factor = spd_factor(system, what="u-step normal system")
         except ValueError as exc:
@@ -179,14 +175,11 @@ class _UStepSolver:
     def solve_c(self, c: np.ndarray) -> np.ndarray:
         """argmin_u g(u) + (lam/2) ||L u + c||^2."""
         ltc = self.L.adjoint_apply(c)
+        u = self._anchor.copy()
         # rhs0 - v is rhs0 + (-v) bit for bit (up to the sign of a zero
-        # entry when rhs0 is 0), so the negation folds into the subtraction
-        if self.mode == "indicator_point":
-            u = self.anchor_ext.copy()
-            if self._factor is not None:
-                u[self.free] = self._factor.solve(self._rhs0 - ltc[self.free])
-            return u
-        return self._factor.solve(self._rhs0 - ltc)
+        # entry), so the negation folds into the subtraction
+        u[self._free] = self._factor.solve(self._rhs0 - ltc[self._free])
+        return u
 
 
 def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -225,8 +218,10 @@ class _Recursion:
     """One solver form's iterate, from ``x0 = lam (b0 + d0)``, ``p0 = lam b0``.
 
     ``init`` None is the zero start of :func:`initial_state`.  ``x``/``p``
-    are attributes; ``bd()`` gives ``(b, d)``.  Steps rebind to fresh
-    arrays, so records may keep references.
+    are attributes; ``bd()`` gives ``(b, d)``, mapped from (x, p) by
+    ``b = p/lam``, ``d = x/lam - b`` when the last step left them unset,
+    as a DRS step does.  Steps rebind to fresh arrays, so records may keep
+    references.
     """
 
     def __init__(self, problem: SplitProblem, init: Optional[AsbState]):
@@ -239,6 +234,10 @@ class _Recursion:
         self._bd = (b, d)
 
     def bd(self) -> tuple:
+        if self._bd is None:
+            lam = self.problem.lam
+            b = self.p / lam
+            self._bd = (b, self.x / lam - b)
         return self._bd
 
 
@@ -282,16 +281,9 @@ class _AsbSweep(_Recursion):
 class _DrsStep(_Recursion):
     """The dual Douglas-Rachford step: ``JA`` is one u-solve, ``JB`` the Moreau resolvent.
 
-    (b, d) come from (x, p) by the inverse map ``b = p/lam``, ``d = x/lam - b``,
-    computed only when ``bd()`` is called: a twin never calls it.
+    A step leaves (b, d) unset; ``bd()`` maps them from (x, p), and a twin
+    never calls it.
     """
-
-    def bd(self) -> tuple:
-        if self._bd is None:
-            lam = self.problem.lam
-            b = self.p / lam
-            self._bd = (b, self.x / lam - b)
-        return self._bd
 
     def step(self, k: int) -> _Step:
         lam, L, f = self.problem.lam, self.problem.L, self.problem.f

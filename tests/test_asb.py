@@ -1,9 +1,12 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import SuperLU
 
 import splitbreg as sb
@@ -181,6 +184,139 @@ def test_u_step_rejects_unsupported_g():
                            L=identity_operator(2), lam=1.0)
     with pytest.raises(ValueError, match="u-step"):
         _UStepSolver(prob)
+
+
+class _TwoPathUStep:
+    """Reference u-step with one path per kind of g.
+
+    The point indicator solves ``L^T L`` on its free coordinates, or
+    returns the anchor when every coordinate is pinned; the quadratic
+    solves ``L^T L + (rho/lam) I``, and zero g is its rho = 0 case.
+    """
+
+    def __init__(self, problem):
+        g, L = problem.g, problem.L
+        self.L = L
+        self.mode = g.label
+        a = L.matrix
+        self._factor = None
+        if self.mode == "indicator_point":
+            mask = np.asarray(g.params["mask"], dtype=bool)
+            self.anchor_ext = np.zeros(L.domain_dim)
+            self.anchor_ext[mask] = np.asarray(g.params["anchor"], dtype=float)[mask]
+            self.free = ~mask
+            if not np.any(self.free):
+                return
+            a_free = a[:, np.flatnonzero(self.free)]
+            system = a_free.T @ a_free
+            self._rhs0 = -(a_free.T @ (a @ self.anchor_ext))
+        else:
+            rho_lam = float(g.params.get("scale", 0.0)) / problem.lam
+            self._rhs0 = rho_lam * np.asarray(g.params.get("target", 0.0), dtype=float)
+            system = a.T @ a
+            if rho_lam:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+                    system.setdiag(system.diagonal() + rho_lam)
+        self._factor = linops.spd_factor(system, what="u-step normal system")
+
+    def solve_c(self, c):
+        ltc = self.L.adjoint_apply(c)
+        if self.mode == "indicator_point":
+            u = self.anchor_ext.copy()
+            if self._factor is not None:
+                u[self.free] = self._factor.solve(self._rhs0 - ltc[self.free])
+            return u
+        return self._factor.solve(self._rhs0 - ltc)
+
+
+def _u_step_systems():
+    rng = np.random.default_rng(11)
+    tv1 = sb.make_tv_instance((32,), mu=0.15, seed=2)
+    tv2 = sb.make_tv_instance((6, 7), mu=0.15, seed=2)
+    a = rng.standard_normal((7, 4))
+    anchor = rng.standard_normal(4)
+
+    def custom(g):
+        return sb.SplitProblem(g=g, f=prox_l1(0.5, dim=7), L=matrix_operator(a), lam=1.7)
+
+    return {
+        "tv1d_dirichlet": sb.build_tv_problem(tv1, boundary="dirichlet"),
+        "tv1d_free": sb.build_tv_problem(tv1, boundary="free"),
+        "tv2d_dirichlet": sb.build_tv_problem(tv2, boundary="dirichlet"),
+        "tv2d_free": sb.build_tv_problem(tv2, boundary="free"),
+        "lg_1d": sb.build_least_gradient_problem(sb.make_least_gradient_instance((20,))),
+        "lg_2d": sb.build_least_gradient_problem(
+            sb.make_least_gradient_instance((8, 6), kind="two_phase")),
+        "lasso": lasso3(),
+        "custom_quadratic": custom(prox_quadratic(rng.standard_normal(4), 0.6)),
+        "custom_zero": custom(zero_functional(4)),
+        "custom_pins_none": custom(prox_indicator_point(anchor, np.zeros(4, dtype=bool))),
+        "custom_pins_some": custom(prox_indicator_point(anchor, [True, False, False, True])),
+        "custom_pins_all": custom(prox_indicator_point(anchor)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_u_step_systems()))
+def test_one_u_step_path_matches_the_two_path_reference(name):
+    # values, not bytes: zero g's constant part is -0.0 where the
+    # reference's is a scalar +0.0, so a zero entry may differ in sign
+    prob = _u_step_systems()[name]
+    reference = _TwoPathUStep(prob)
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 1e-3, 1e4):
+        c = scale * rng.standard_normal(prob.f.dim)
+        assert np.array_equal(prob._usolver.solve_c(c), reference.solve_c(c))
+
+
+def _well_conditioned(rng, m, n):
+    # singular values in [0.5, 2], so every column subset has full rank
+    # and the dense reference solve is accurate to the tolerance below
+    q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * rng.uniform(0.5, 2.0, n)) @ v.T
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.integers(1, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+       lam=st.floats(0.1, 10.0), kind=st.sampled_from(["quadratic", "zero", "indicator_point"]),
+       mask_bits=st.integers(0, 2**8 - 1), seed=st.integers(0, 2**16))
+@example(shape=(5, 3), lam=1.0, kind="indicator_point", mask_bits=0, seed=0)
+@example(shape=(5, 3), lam=1.0, kind="indicator_point", mask_bits=2**8 - 1, seed=0)
+def test_one_u_step_path_solves_the_free_normal_equations(shape, lam, kind, mask_bits, seed):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    a = _well_conditioned(rng, m, n)
+    target, anchor = 3.0 * rng.standard_normal(n), 3.0 * rng.standard_normal(n)
+    mask = np.zeros(n, dtype=bool)
+    curvature = 0.0
+    if kind == "quadratic":
+        scale = rng.uniform(0.1, 5.0)
+        g, curvature = prox_quadratic(target, scale), scale / lam
+    elif kind == "zero":
+        g = zero_functional(n)
+    else:
+        mask = (mask_bits >> np.arange(n)) & 1 == 1
+        g = prox_indicator_point(anchor, mask)
+    prob = sb.SplitProblem(g=g, f=prox_l1(1.0, dim=m), L=matrix_operator(a), lam=lam)
+
+    c = 3.0 * rng.standard_normal(m)
+    u = prob._usolver.solve_c(c)
+    free = ~mask
+    assert np.array_equal(u[mask], anchor[mask])
+    a_free = a[:, free]
+    expected = np.linalg.solve(
+        a_free.T @ a_free + curvature * np.eye(a_free.shape[1]),
+        curvature * target[free] - a_free.T @ (c + a[:, mask] @ anchor[mask]))
+    assert np.linalg.norm(u[free] - expected) <= 1e-10 * (1.0 + np.linalg.norm(expected))
+
+    # the first dual resolvent is firmly nonexpansive
+    JA = sb.dual_resolvents(prob).JA
+    y1, y2 = 3.0 * rng.standard_normal(m), 3.0 * rng.standard_normal(m)
+    j1, j2 = JA(y1, lam), JA(y2, lam)
+    dj = j1 - j2
+    scale = 1.0 + np.dot(j1, j1) + np.dot(j2, j2)
+    assert np.dot(dj, dj) <= np.dot(dj, y1 - y2) + 1e-10 * scale
 
 
 def test_asb_solves_scalar_lasso():
