@@ -16,9 +16,8 @@ from .diagnostics import (Certificate, RunTrace, dual_certificate, duality_gap,
                           weak_duality_probe)
 from .drs import (DrsState, ResolventPair, StoppingRule, drs_iterate, drs_step, fejer_check,
                   inclusion_defect)
-from .functionals import (ErrorSchedule, ProxFunctional, dual_resolvent, geometric_schedule,
-                          harmonic_schedule, prox_indicator_point, prox_l1, prox_quadratic,
-                          prox_weighted_l21, zero_functional, zero_schedule)
+from .functionals import (ErrorSchedule, ProxFunctional, dual_resolvent, prox_indicator_point,
+                          prox_l1, prox_quadratic, prox_weighted_l21, zero_functional)
 from .linops import (GridSpec, LinearMap, check_adjoint, gradient_operator, identity_operator,
                      interior_gradient_operator, matrix_operator)
 
@@ -32,10 +31,10 @@ __all__ = [
     "build_least_gradient_problem", "build_tv_problem", "check_adjoint",
     "drs_iterate", "drs_step", "dual_certificate", "dual_resolvent",
     "dual_resolvents", "duality_gap", "equivalence_report", "fejer_check", "forward_model",
-    "geometric_schedule", "gradient_operator", "harmonic_schedule", "identity_operator",
+    "gradient_operator", "identity_operator",
     "inclusion_defect", "initial_state", "interior_gradient_operator",
     "make_least_gradient_instance", "make_tv_instance", "matrix_operator",
     "prox_indicator_point", "prox_l1", "prox_quadratic", "prox_weighted_l21",
     "primal_recovery_check", "run_drs", "summability_report",
-    "weak_duality_probe", "zero_functional", "zero_schedule",
+    "weak_duality_probe", "zero_functional",
 ]

@@ -36,9 +36,10 @@ the shared factor; their mapped mismatch per iterate is the
 k = 0 included, is ``RunTrace.twin_defect``, the correspondence's certificate.
 The twin advances only its iterate; the run's residual, energy and
 increment series are measured on the run alone, and a DRS twin never
-maps its iterate back to (b, d).  Finiteness is tested on the scalars
-the driver computes anyway; the iterate vectors are scanned only when
-one of those is not finite (the argument is in ``_drive``).
+maps its iterate back to (b, d).  Finiteness is tested once per
+iteration, on the sum of the scalars the driver computes anyway; the
+iterate vectors are scanned only when that sum is not finite (the
+argument is in ``_drive``).
 A problem's u-step factor is built once, on first use, and shared by
 its runs, their twins and :func:`dual_resolvents`.
 
@@ -163,14 +164,7 @@ class _UStepSolver:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
                 system.setdiag(system.diagonal() + curvature)
-        try:
-            self._factor = spd_factor(system, what="u-step normal system")
-        except ValueError as exc:
-            raise ValueError(
-                f"{exc}: the normal operator L*L "
-                "(restricted to free coordinates, plus any quadratic curvature) "
-                "must be invertible for this subproblem to have a unique minimizer"
-            ) from exc
+        self._factor = spd_factor(system, what="u-step normal system")
 
     def solve_c(self, c: np.ndarray) -> np.ndarray:
         """argmin_u g(u) + (lam/2) ||L u + c||^2."""
@@ -205,7 +199,7 @@ class _Step(NamedTuple):
     Only the run measures it: its residual is ``||d - Lu||``, with the d
     the u-step was paired with, and its energy ``g(u) + f(Lu)``.  A
     twin's step is otherwise dropped; either step's ``finite`` vectors
-    are scanned only when a scalar is not finite.
+    are scanned only when the iteration's scalar sum is not finite.
     """
 
     finite: tuple  # (name, vector) pairs that must be finite, in check order
@@ -320,16 +314,18 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     ``setzer_defects`` (``nan`` where no twin ran), and ``twin_defect``
     is its worst value, k = 0 included.
 
-    Finiteness is tested scalar first.  The run's residual, energy and
-    two increments are tested; only if one is not finite are the run's
-    ``step.finite`` vectors scanned, in order, and the first non-finite
-    one raises :class:`~splitbreg.drs.NonFiniteIterateError`.  The
-    twin's scalars are the two mismatch norms; only if one is not
-    finite are the run's vectors scanned and then the twin's.  That
-    raises for the same vector at the same k as scanning every step
-    would, because a non-finite entry of any scanned vector reaches a
-    tested scalar (non-finite values are absorbing under ``+``, ``-``,
-    ``*`` and a sum of squares, and ``inf - inf`` is nan):
+    Finiteness is tested once per iteration, on one sum: the run's
+    residual, energy and two increments, plus the two mismatch norms
+    inside the twin window, where the twin steps first.  Only if the sum
+    is not finite are vectors scanned, the run's ``step.finite`` in
+    order and then the twin step's, and the first non-finite one raises
+    :class:`~splitbreg.drs.NonFiniteIterateError`.  The twin's step
+    reads only its own state, finite at k - 1, so stepping it before the
+    scan changes nothing the scan sees.  That raises for the same vector
+    at the same k as scanning every step would, because a non-finite
+    entry of any scanned vector reaches a summand (non-finite values are
+    absorbing under ``+``, ``-``, ``*`` and a sum of squares, and
+    ``inf - inf`` is nan):
 
     - the run's u: for a quadratic g its value ``g(u)`` (scale > 0,
       finite target) is not finite.  For the other g the u-step system
@@ -348,11 +344,11 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
       coordinate is decoupled from the others and solves to the same
       value at every step, the run's, which its energy tested.  The
       twin's d, b, x and p reach its ``(x, p)`` as above, and so a
-      mismatch norm.  The two norms' sum is tested, not their max:
-      Python's ``max(a, nan)`` is ``a``.
+      mismatch norm.  The norms enter the sum, not their max: Python's
+      ``max(a, nan)`` is ``a``.
 
-    A finite vector whose norm overflows (the ±1e300 lasso) makes a
-    scalar ``inf``; the scan then finds every vector finite and the run
+    A finite vector whose norm overflows (the ±1e300 lasso) makes the
+    sum ``inf``; the scan then finds every vector finite and the run
     goes on.
     """
     stop = stop or StoppingRule()
@@ -372,23 +368,22 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         energy = g.value(u) + f.value(step.Lu)
         x_inc = _norm(run.x - x_prev)
         p_inc = _norm(run.p - p_prev)
-        if not math.isfinite(residual + energy + x_inc + p_inc):
-            for what, v in step.finite:
+        total = residual + energy + x_inc + p_inc
+        finite, defect = step.finite, np.nan
+        if twin is not None and k <= _TWIN_ITERATIONS:
+            twin_step = twin.step(k)
+            dx, dp = _mismatch(run, twin)
+            total += dx + dp
+            finite += twin_step.finite
+            defect = max(dx, dp)
+            twin_defect = max(twin_defect, defect)
+        if not math.isfinite(total):
+            for what, v in finite:
                 _require_finite(v, k, what)
         residuals.append(residual)
         energies.append(energy)
         alphas.append(step.alpha)
         x_incs.append(x_inc)
-
-        defect = np.nan
-        if twin is not None and k <= _TWIN_ITERATIONS:
-            twin_step = twin.step(k)
-            dx, dp = _mismatch(run, twin)
-            if not math.isfinite(dx + dp):
-                for what, v in step.finite + twin_step.finite:
-                    _require_finite(v, k, what)
-            defect = max(dx, dp)
-            twin_defect = max(twin_defect, defect)
         defects.append(defect)
         if record_stride and k % record_stride == 0:
             records.append(_record(run, k, u))

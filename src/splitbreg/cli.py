@@ -49,7 +49,7 @@ from .diagnostics import (Certificate, RunTrace, certificates_to_json, dual_cert
                           primal_recovery_check)
 from .drs import StoppingRule, inclusion_defect
 from .functionals import (FUNCTIONAL_LABELS, ErrorSchedule, functional_from_label, prox_l1,
-                          prox_quadratic, zero_schedule)
+                          prox_quadratic)
 from .linops import identity_operator, load_matrix_csv, matrix_operator
 from .oracles import (interior_stationarity_defect, soft_threshold_optimum,
                       taut_string_denoise, taut_string_dirichlet, tv_dual_solve)
@@ -262,7 +262,8 @@ def _parse_schedule(spec: dict, allow_nonsummable: bool) -> ErrorSchedule:
     _optional(spec, "scale", 0.0, prefix="schedule.")
     fields = {key: float(spec[key]) for key in _SCHEDULE_KEYS[kind] if key in spec}
     try:
-        schedule = zero_schedule() if kind == "zero" else ErrorSchedule(kind, **fields)
+        schedule = (ErrorSchedule("geometric", scale=0.0) if kind == "zero"
+                    else ErrorSchedule(kind, **fields))
     except ValueError as exc:  # e.g. a geometric ratio outside [0, 1)
         raise ConfigError(f"key 'schedule': {exc}") from exc
     if not schedule.summable and not allow_nonsummable:

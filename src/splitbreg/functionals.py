@@ -29,9 +29,6 @@ __all__ = [
     "dual_resolvent",
     "functional_from_label",
     "FUNCTIONAL_LABELS",
-    "geometric_schedule",
-    "harmonic_schedule",
-    "zero_schedule",
 ]
 
 # Feasibility tolerance for indicator-type conjugate values: a point this
@@ -294,15 +291,3 @@ class ErrorSchedule:
             return self.scale / k
         return self.scale * self.ratio**k
 
-
-def geometric_schedule(ratio: float, scale: float = 1.0) -> ErrorSchedule:
-    return ErrorSchedule("geometric", scale=float(scale), ratio=float(ratio))
-
-
-def harmonic_schedule(scale: float = 1.0) -> ErrorSchedule:
-    """1/k magnitudes: not summable, shipped only as a negative control."""
-    return ErrorSchedule("harmonic", scale=float(scale))
-
-
-def zero_schedule() -> ErrorSchedule:
-    return ErrorSchedule("geometric", scale=0.0)

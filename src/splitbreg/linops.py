@@ -20,16 +20,17 @@ other axis, and the components are interleaved per node.  A
 spacings; anything else is rejected.
 :func:`spd_factor` is the one factorization used for symmetric
 positive-definite solves (the u-step and the forward model), and the
-matrix's structure picks its kind.  One reader, :func:`_axis_split`,
-reads a Kronecker sum ``T0 (x) I + I (x) T1`` of two tridiagonals from
-the system's own diagonals and accepts it only if every stored diagonal
-matches the one it implies to within 4 ulps of the largest entry; no
-matrix is rebuilt.  With one axis the system is tridiagonal, as every
-1-D grid operator and the identity give, and is factored as LDL^T by
-LAPACK ``dpttrf``; with two, as the 2-D zero-ghost gradient and the
-interior nodes of the cell-origin one give, it is diagonalized by one
-``eigh_tridiagonal`` per axis; any other system is factored once with
-``splu``.  :func:`load_matrix_csv` reads the custom_matrix CSV.
+matrix's structure picks its kind.  A system with a non-finite entry
+(an assembly that overflowed) is refused before any factor is tried.
+One reader, :func:`_axis_split`, reads a Kronecker sum
+``T0 (x) I + I (x) T1`` of two tridiagonals from the system's own
+diagonals and accepts it only if every stored diagonal matches the one
+it implies to within 4 ulps of the largest entry; no matrix is rebuilt.
+With one axis the system is tridiagonal, as every 1-D grid operator and
+the identity give, and is factored as LDL^T by LAPACK ``dpttrf``; with
+two, as the 2-D zero-ghost gradient and the interior nodes of the
+cell-origin one give, it is diagonalized by one ``eigh_tridiagonal`` per
+axis; any other system is factored once with ``splu``.  :func:`load_matrix_csv` reads the custom_matrix CSV.
 """
 
 from __future__ import annotations
@@ -361,9 +362,14 @@ def spd_factor(system, what: str = "system") -> \
     solutions of size ~1e15, so every pivot (``D``, the eigenvalue sums,
     or the diagonal of ``U``) must exceed ``n * eps * max pivot``;
     otherwise, as on an exactly singular matrix,
-    ``ValueError("<what> is singular ...")`` is raised.
+    ``ValueError("<what> is singular ...")`` is raised.  A matrix with a
+    non-finite entry, such as one whose assembly overflowed, is refused
+    with ``ValueError("<what> has non-finite entries")`` before any
+    structure is read or factor tried.
     """
     system = sp.csc_matrix(system, dtype=float)
+    if not np.isfinite(system.data).all():
+        raise ValueError(f"{what} has non-finite entries")
     # row minus column of each stored entry, the column read from the CSC pointers
     offsets = system.indices - np.repeat(np.arange(system.shape[1], dtype=system.indices.dtype),
                                          np.diff(system.indptr))

@@ -13,7 +13,7 @@ import pytest
 
 import splitbreg as sb
 from splitbreg.drs import fejer_check
-from splitbreg.functionals import dual_resolvent, geometric_schedule, zero_schedule
+from splitbreg.functionals import ErrorSchedule, dual_resolvent
 from splitbreg.linops import GridSpec, check_adjoint
 from splitbreg.oracles import (interior_stationarity_defect, soft_threshold_optimum,
                                taut_string_dirichlet)
@@ -157,7 +157,7 @@ def test_criterion_6_inexact_convergence(problems, runs_converged):
     for name in ("lasso", "tv1d"):
         prob = problems[name]
         exact_u = runs_converged[name].final.u
-        approx = sb.asb_iterate_approx(prob, geometric_schedule(0.5),
+        approx = sb.asb_iterate_approx(prob, ErrorSchedule("geometric", ratio=0.5),
                                        stop=sb.StoppingRule(tol=1e-12, max_iter=30_000),
                                        seed=11)
         err = float(np.linalg.norm(approx.final.u - exact_u))
@@ -166,7 +166,8 @@ def test_criterion_6_inexact_convergence(problems, runs_converged):
 
         stop = sb.StoppingRule(tol=None, max_iter=150)
         exact = sb.asb_iterate(prob, stop=stop)
-        zero = sb.asb_iterate_approx(prob, zero_schedule(), stop=stop, seed=11)
+        zero = sb.asb_iterate_approx(prob, ErrorSchedule("geometric", scale=0.0), stop=stop,
+                                     seed=11)
         assert np.array_equal(exact.residuals, zero.residuals)
         assert np.array_equal(exact.energies, zero.energies)
         for ra, rb in zip(exact.iterates, zero.iterates):

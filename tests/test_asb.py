@@ -14,8 +14,8 @@ from splitbreg import linops
 from splitbreg.asb import _UStepSolver
 from splitbreg.diagnostics import lockstep_certificate
 from splitbreg.drs import NonFiniteIterateError
-from splitbreg.functionals import (geometric_schedule, harmonic_schedule, prox_indicator_point,
-                                   prox_l1, prox_quadratic, zero_functional, zero_schedule)
+from splitbreg.functionals import (ErrorSchedule, prox_indicator_point, prox_l1,
+                                   prox_quadratic, zero_functional)
 from splitbreg.linops import (GridSpec, identity_operator, interior_gradient_operator,
                               matrix_operator)
 from splitbreg.oracles import taut_string_dirichlet
@@ -365,7 +365,7 @@ def test_setzer_column_is_the_twin_mismatch(tv1d_problem, lg_linear_problem):
             o0 = other(prob, stop=sb.StoppingRule(tol=None, max_iter=1)).iterates[0]
             k0 = max(float(np.linalg.norm(r0.x - o0.x)), float(np.linalg.norm(r0.p - o0.p)))
             assert max(k0, *window) == trace.twin_defect
-        approx = sb.asb_iterate_approx(prob, geometric_schedule(0.5), stop=stop)
+        approx = sb.asb_iterate_approx(prob, ErrorSchedule("geometric", ratio=0.5), stop=stop)
         assert np.all(np.isnan(approx.setzer_defects))
 
 
@@ -394,7 +394,8 @@ def test_record_stride_thins_snapshots(tv1d_problem):
 def test_approx_zero_schedule_is_bit_identical(tv1d_problem):
     stop = sb.StoppingRule(tol=None, max_iter=120)
     exact = sb.asb_iterate(tv1d_problem, stop=stop)
-    approx = sb.asb_iterate_approx(tv1d_problem, zero_schedule(), stop=stop, seed=99)
+    approx = sb.asb_iterate_approx(tv1d_problem, ErrorSchedule("geometric", scale=0.0),
+                                   stop=stop, seed=99)
     assert np.array_equal(exact.residuals, approx.residuals)
     assert np.array_equal(exact.energies, approx.energies)
     for ra, rb in zip(exact.iterates, approx.iterates):
@@ -405,7 +406,7 @@ def test_approx_zero_schedule_is_bit_identical(tv1d_problem):
 
 def test_approx_geometric_schedule_converges(tv1d_problem):
     exact = sb.asb_iterate(tv1d_problem, stop=sb.StoppingRule(tol=1e-12, max_iter=20_000))
-    approx = sb.asb_iterate_approx(tv1d_problem, geometric_schedule(0.5),
+    approx = sb.asb_iterate_approx(tv1d_problem, ErrorSchedule("geometric", ratio=0.5),
                                    stop=sb.StoppingRule(tol=1e-12, max_iter=20_000), seed=3)
     assert np.linalg.norm(approx.final.u - exact.final.u) <= 1e-6
     # injected image-space magnitudes follow the schedule
@@ -414,7 +415,7 @@ def test_approx_geometric_schedule_converges(tv1d_problem):
 
 def test_approx_harmonic_schedule_negative_control(tv1d_problem):
     exact = sb.asb_iterate(tv1d_problem, stop=sb.StoppingRule(tol=1e-12, max_iter=20_000))
-    rough = sb.asb_iterate_approx(tv1d_problem, harmonic_schedule(),
+    rough = sb.asb_iterate_approx(tv1d_problem, ErrorSchedule("harmonic"),
                                   stop=sb.StoppingRule(tol=None, max_iter=500), seed=3)
     err = np.linalg.norm(rough.final.u - exact.final.u)
     assert np.isfinite(err)
@@ -429,7 +430,7 @@ def test_approx_noninjective_operator_energy_is_the_iterates():
     rng = np.random.default_rng(0)
     prob = sb.SplitProblem(g=prox_quadratic(rng.standard_normal(12), 1.0),
                            f=prox_l1(0.2, dim=L.codomain_dim), L=L, lam=1.0)
-    trace = sb.asb_iterate_approx(prob, geometric_schedule(0.5),
+    trace = sb.asb_iterate_approx(prob, ErrorSchedule("geometric", ratio=0.5),
                                   stop=sb.StoppingRule(tol=None, max_iter=30), seed=0)
     for prev, rec, energy, alpha in zip(trace.iterates, trace.iterates[1:], trace.energies,
                                         trace.alpha_injected):
@@ -467,7 +468,7 @@ def test_approx_u_step_error_is_feasible_and_measured_through_L():
     # every shipped family, and a custom matrix with a pinned coordinate:
     # the recorded u satisfies g's constraint, and its image is off the
     # exact u-step's image by the scheduled magnitude
-    schedule = geometric_schedule(0.5, 2.0)
+    schedule = ErrorSchedule("geometric", scale=2.0, ratio=0.5)
     for name, prob in _approx_families().items():
         trace = sb.asb_iterate_approx(prob, schedule, seed=7,
                                       stop=sb.StoppingRule(tol=None, max_iter=25))
@@ -489,7 +490,7 @@ def test_approx_u_step_error_is_feasible_and_measured_through_L():
 ], ids=["fully_pinned", "zero_operator"])
 def test_approx_injects_nothing_without_a_free_direction(make):
     prob = make()
-    schedule = geometric_schedule(0.5)
+    schedule = ErrorSchedule("geometric", ratio=0.5)
     with np.errstate(all="raise"):
         trace = sb.asb_iterate_approx(prob, schedule, seed=1,
                                       stop=sb.StoppingRule(tol=None, max_iter=20))
@@ -637,6 +638,8 @@ def test_driver_flags_the_first_non_finite_vector(lasso_problem):
 # NaN or inf would arise, must raise for the same vector at the same k as
 # scanning every vector at every step did.  "b" needs Lu poisoned and a
 # prox that returns finite values there, so that u and d stay finite.
+# When the run and the twin both go non-finite at k, the run's vector is
+# the one named.
 _K = 3
 _POISON_SITES = {  # (solver, vector) -> {site: call index to poison}
     ("asb_iterate", "run u"): {"solve": 2 * _K - 1},
@@ -651,6 +654,8 @@ _POISON_SITES = {  # (solver, vector) -> {site: call index to poison}
     ("run_drs", "twin u"): {"solve": 2 * _K},
     ("run_drs", "twin d"): {"prox": _K},
     ("run_drs", "twin b"): {"apply": 2 * _K, "prox_zero": _K},
+    ("asb_iterate", "run d + twin p"): {"prox": _K, "resolvent": _K},
+    ("run_drs", "run p + twin d"): {"resolvent": _K, "prox": _K},
 }
 
 
@@ -690,7 +695,7 @@ def test_scalar_first_checks_flag_each_vector_where_the_scan_did(
 
 
 def test_approximate_run_carries_no_twin(tv1d_problem):
-    trace = sb.asb_iterate_approx(tv1d_problem, zero_schedule(),
+    trace = sb.asb_iterate_approx(tv1d_problem, ErrorSchedule("geometric", scale=0.0),
                                   stop=sb.StoppingRule(tol=None, max_iter=5))
     assert trace.twin_defect is None and trace.twin_iterates == 0
     with pytest.raises(ValueError, match="no lockstep twin"):

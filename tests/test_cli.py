@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import splitbreg.oracles
 from splitbreg.cli import _PARAMS, PROBLEMS, ConfigError, main, parse_config, run
 from splitbreg.diagnostics import RunTrace
 from splitbreg.drs import StoppingRule
-from splitbreg.functionals import ErrorSchedule, geometric_schedule
+from splitbreg.functionals import ErrorSchedule
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -327,6 +328,33 @@ def test_lasso_overflowing_to_a_non_finite_u_exits_3(tmp_path, capsys, solver):
     assert err[-1] == "run failed: non-finite u at iteration 4"
 
 
+def _overflowing_custom_matrix(tmp_path):
+    mpath = tmp_path / "huge.csv"
+    mpath.write_text("1e200,0\n0,1e200\n1,1\n")
+    return {"problem": "custom_matrix", "params": {"matrix_csv": str(mpath)}}
+
+
+@pytest.mark.parametrize("payload,system", [
+    ({"problem": "tv1d", "params": {"spacing": 1e-170}}, "u-step normal system"),
+    ({"problem": "least_gradient", "params": {"grid_shape": [6, 6], "spacing": [1e-200, 1.0]}},
+     "conductivity system"),
+    (_overflowing_custom_matrix, "u-step normal system"),
+], ids=["tv1d", "least_gradient", "custom_matrix"])
+def test_an_overflowed_normal_system_exits_3_without_a_warning(tmp_path, capsys, payload,
+                                                                system):
+    # 1/h^2 or 1e200^2 overflows to inf in the assembled system, which is
+    # refused as such, not read as a split and called singular
+    if callable(payload):
+        payload = payload(tmp_path)
+    cfg = _write_config(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"run failed: {system} has non-finite entries"
+    assert "Warning" not in err
+
+
 def test_least_gradient_via_cli(tmp_path):
     payload = {"problem": "least_gradient", "solver": "asb",
                "params": {"grid_shape": [8, 8], "tol": 1e-12, "max_iter": 20000}}
@@ -408,6 +436,16 @@ def test_schedule_fields_default_to_ratio_half_and_scale_one():
     assert (schedule(None) == schedule({"type": "geometric"})
             == schedule({"type": "geometric", "ratio": 0.5, "scale": 1.0}))
     assert schedule({"type": "harmonic"}) == schedule({"type": "harmonic", "scale": 1.0})
+
+
+@pytest.mark.parametrize("spec,expected", [
+    ({"type": "zero"}, ErrorSchedule("geometric", scale=0.0)),
+    ({"type": "harmonic"}, ErrorSchedule("harmonic")),
+], ids=["zero", "harmonic"])
+def test_schedule_types_parse_to_their_error_schedules(spec, expected):
+    payload = {"problem": "lasso", "solver": "asb_approx",
+               "params": {"schedule": spec, "allow_nonsummable": True}}
+    assert parse_config(payload).schedule == expected
 
 
 def _readme_params_table():
@@ -567,7 +605,7 @@ def test_every_geometric_schedule_in_range_parses_summable(ratio, scale):
     schedule = parse_config({"problem": "lasso", "solver": "asb_approx",
                              "params": {"schedule": spec}}).schedule
     assert schedule.summable
-    assert schedule == geometric_schedule(ratio, scale)
+    assert schedule == ErrorSchedule("geometric", scale=scale, ratio=ratio)
 
 
 _READS = {"geometric": {"ratio", "scale"}, "harmonic": {"scale"}, "zero": set()}
@@ -607,7 +645,7 @@ def test_schedule_specs_parse_or_raise_config_error(spec, allow):
     payload = {"problem": "lasso", "solver": "asb_approx",
                "params": {"schedule": spec, "allow_nonsummable": allow}}
     if spec is None:  # a null schedule means the default
-        assert parse_config(payload).schedule == geometric_schedule(0.5)
+        assert parse_config(payload).schedule == ErrorSchedule("geometric", ratio=0.5)
         return
     accepted = _well_formed(spec) and (spec["type"] != "harmonic" or allow)
     try:

@@ -6,8 +6,7 @@ import pytest
 import splitbreg as sb
 from splitbreg.drs import (DrsState, NonFiniteIterateError, ResolventPair, StoppingRule,
                            drs_iterate, drs_step, fejer_check, inclusion_defect)
-from splitbreg.functionals import (geometric_schedule, harmonic_schedule, prox_l1,
-                                   prox_quadratic, zero_schedule)
+from splitbreg.functionals import ErrorSchedule, prox_l1, prox_quadratic
 from splitbreg.oracles import soft_threshold_optimum
 
 
@@ -65,7 +64,8 @@ def test_inexact_zero_perturbation_is_bit_identical(lasso_problem):
     ref = drs_iterate(sb.dual_resolvents(lasso_problem), zero, zero, lam=lasso_problem.lam,
                       stop=stop)
     for seed in (1, 99):  # a zero schedule draws nothing
-        inexact = sb.asb_iterate_approx(lasso_problem, zero_schedule(), stop=stop, seed=seed)
+        inexact = sb.asb_iterate_approx(lasso_problem, ErrorSchedule("geometric", scale=0.0),
+                                        stop=stop, seed=seed)
         for rec, twin, state in zip(inexact.iterates, exact.iterates, ref.states):
             assert np.array_equal(rec.x, twin.x) and np.array_equal(rec.p, twin.p)
             assert np.linalg.norm(rec.x - state.x) <= 1e-12
@@ -76,7 +76,7 @@ def test_inexact_summable_perturbations_converge(lasso_problem):
     pair = sb.dual_resolvents(lasso_problem)
     hat = _reference_fixed_point(lasso_problem)
     for seed in (0, 3, 7):
-        run = sb.asb_iterate_approx(lasso_problem, geometric_schedule(0.5), seed=seed,
+        run = sb.asb_iterate_approx(lasso_problem, ErrorSchedule("geometric", ratio=0.5), seed=seed,
                                     stop=StoppingRule(tol=None, max_iter=200))
         assert run.alpha_injected[0] == pytest.approx(0.5, rel=1e-9)
         assert np.linalg.norm(run.final.x - hat.x) <= 1e-10
@@ -89,7 +89,7 @@ def test_inexact_harmonic_perturbation_negative_control(lasso_problem):
     # the fixed point, and stays finite
     hat = _reference_fixed_point(lasso_problem)
     for seed in (0, 3, 7):
-        run = sb.asb_iterate_approx(lasso_problem, harmonic_schedule(), seed=seed,
+        run = sb.asb_iterate_approx(lasso_problem, ErrorSchedule("harmonic"), seed=seed,
                                     stop=StoppingRule(tol=None, max_iter=500))
         dists = [np.linalg.norm(rec.x - hat.x) for rec in run.iterates[100:]]
         assert np.all(np.isfinite(dists))

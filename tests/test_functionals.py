@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 from splitbreg import kernels
 from splitbreg.functionals import (FUNCTIONAL_LABELS, ErrorSchedule, dual_resolvent,
                                    functional_from_label,
-                                   geometric_schedule, harmonic_schedule,
                                    prox_indicator_point, prox_l1, prox_quadratic,
-                                   prox_weighted_l21, zero_functional, zero_schedule)
+                                   prox_weighted_l21, zero_functional)
 
 
 def _catalogue(dim=8):
@@ -398,21 +397,21 @@ def test_prox_optimality_probes():
 
 
 def test_error_schedule_validation():
-    geometric_schedule(0.5)
-    zero_schedule()
-    harmonic_schedule()  # non-summable, and the type says so: fine
+    ErrorSchedule("geometric", ratio=0.5)
+    ErrorSchedule("geometric", scale=0.0)
+    ErrorSchedule("harmonic")  # non-summable, and the type says so: fine
     with pytest.raises(ValueError):
-        geometric_schedule(1.0)
+        ErrorSchedule("geometric", ratio=1.0)
     with pytest.raises(ValueError):
-        geometric_schedule(0.5, scale=-1.0)
+        ErrorSchedule("geometric", scale=-1.0, ratio=0.5)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: harmonic_schedule(-1.0),
-    lambda: harmonic_schedule(float("inf")),
-    lambda: geometric_schedule(float("nan")),
-    lambda: geometric_schedule(-0.5),
-    lambda: geometric_schedule(0.5, scale=float("nan")),
+    lambda: ErrorSchedule("harmonic", scale=-1.0),
+    lambda: ErrorSchedule("harmonic", scale=float("inf")),
+    lambda: ErrorSchedule("geometric", ratio=float("nan")),
+    lambda: ErrorSchedule("geometric", ratio=-0.5),
+    lambda: ErrorSchedule("geometric", scale=float("nan"), ratio=0.5),
     lambda: ErrorSchedule("harmonic", ratio=1.5),
     lambda: ErrorSchedule("cubic"),
 ], ids=["harmonic_negative_scale", "harmonic_inf_scale", "ratio_nan", "ratio_negative",
@@ -423,11 +422,13 @@ def test_error_schedule_rejects_malformed_numbers(build):
 
 
 def test_schedule_summability_follows_from_the_kind():
-    assert geometric_schedule(0.5).summable and geometric_schedule(0.0, scale=3.0).summable
+    assert ErrorSchedule("geometric", ratio=0.5).summable
+    assert ErrorSchedule("geometric", scale=3.0, ratio=0.0).summable
     # sum scale * ratio**k = scale * ratio / (1 - ratio) is finite for any ratio < 1
-    assert geometric_schedule(0.99995).summable
-    assert zero_schedule().summable
-    assert not harmonic_schedule().summable and not harmonic_schedule(0.0).summable
+    assert ErrorSchedule("geometric", ratio=0.99995).summable
+    assert ErrorSchedule("geometric", scale=0.0).summable
+    assert not ErrorSchedule("harmonic").summable
+    assert not ErrorSchedule("harmonic", scale=0.0).summable
 
 
 def _bits(values):
@@ -438,12 +439,13 @@ def test_schedule_magnitudes_match_the_closed_forms_bitwise():
     ks = range(1, 501)
     for ratio, scale in ((0.5, 1.0), (0.25, 1.0), (0.9, 0.1), (0.99995, 3.0), (0.0, 2.0),
                          (0.7, 0.0), (1.0 / 3.0, 1e-3)):
-        schedule = geometric_schedule(ratio, scale)
+        schedule = ErrorSchedule("geometric", scale=scale, ratio=ratio)
         assert _bits([schedule.magnitude(k) for k in ks]) == _bits([scale * ratio**k for k in ks])
     for scale in (1.0, 0.01, 0.0, 7.5):
-        schedule = harmonic_schedule(scale)
+        schedule = ErrorSchedule("harmonic", scale=scale)
         assert _bits([schedule.magnitude(k) for k in ks]) == _bits([scale / k for k in ks])
-    assert _bits([zero_schedule().magnitude(k) for k in ks]) == _bits([0.0] * 500)
+    zero = ErrorSchedule("geometric", scale=0.0)
+    assert _bits([zero.magnitude(k) for k in ks]) == _bits([0.0] * 500)
 
 
 def test_functional_from_label():

@@ -407,6 +407,32 @@ def test_spd_factor_rejects_a_singular_kronecker_sum():
         spd_factor(system, what="gram system")
 
 
+def _spd_of_each_kind(kind: str) -> sp.csr_matrix:
+    rng = np.random.default_rng(6)
+    if kind == "tridiagonal":
+        return sp.csr_matrix(_random_tridiagonal(rng, 9, 0.5))
+    if kind == "kronecker_sum":
+        return _kronecker_sum(_random_tridiagonal(rng, 5, 0.5), _random_tridiagonal(rng, 7, 2.0))
+    a = rng.standard_normal((12, 12))
+    return sp.csr_matrix(a @ a.T + 12 * np.eye(12))
+
+
+@pytest.mark.parametrize("kind,factor_type", [
+    ("tridiagonal", linops._TridiagonalFactor), ("kronecker_sum", linops._KroneckerSumFactor),
+    ("splu", SuperLU)])
+def test_spd_factor_refuses_a_non_finite_entry_before_reading_its_structure(kind, factor_type):
+    # an assembly that overflowed holds inf: refused as such, without the
+    # structure reader's inf - inf warning or a "singular" verdict
+    system = _spd_of_each_kind(kind)
+    assert isinstance(spd_factor(system), factor_type)
+    system = system.tolil()
+    system[4, 4] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^gram system has non-finite entries$"):
+            spd_factor(system, what="gram system")
+
+
 def test_grid_normal_systems_take_their_structural_factor():
     # zero-ghost 2-D gradients give Kronecker sums; the cell-origin selection
     # of the interior gradient does not; 1-D grids stay tridiagonal
