@@ -35,8 +35,11 @@ the shared factor; their mapped mismatch per iterate is the
 ``setzer_defects`` series (``nan`` where no twin ran), and its worst,
 k = 0 included, is ``RunTrace.twin_defect``, the correspondence's certificate.
 The twin advances only its iterate; the run's residual, energy and
-increment series are measured on the run alone, and a DRS twin never
-maps its iterate back to (b, d).  Finiteness is tested once per
+increment series are measured on the run alone.  The residual
+``||d_k - L u_{k+1}||`` is the x-increment over ``lam`` in every form
+(``x_{k+1} - x_k = lam (L u_{k+1} - d_k)``), so it is recorded as that
+quotient; a DRS run maps (x, p) back to (b, d) only for its snapshots
+and its final iterate.  Finiteness is tested once per
 iteration, on the sum of the scalars the driver computes anyway; the
 iterate vectors are scanned only when that sum is not finite (the
 argument is in ``_drive``).
@@ -72,7 +75,7 @@ import scipy.sparse as sp
 from .diagnostics import IterateRecord, RunTrace
 from .drs import ResolventPair, StoppingRule, _require_finite
 from .functionals import ErrorSchedule, ProxFunctional, dual_resolvent
-from .linops import LinearMap, spd_factor
+from .linops import LinearMap, _matvec, spd_factor
 
 __all__ = [
     "SplitProblem",
@@ -130,13 +133,17 @@ class _UStepSolver:
     indicator pins its mask at its anchor, with no curvature; the
     quadratic pins nothing and has curvature ``scale/lam``; zero g has
     neither.  ``pinned`` marks the pinned coordinates and ``_anchor``
-    holds their values, zero elsewhere.  One instance per problem builds,
-    once, the factor of ``L_F^T L_F`` (``L`` on the free coordinates F)
-    plus the curvature on its diagonal, with :func:`spd_factor`, and the
-    right-hand side's constant part, ``-L_F^T (L anchor)`` plus
-    ``(scale/lam) target`` when the curvature is nonzero.  A solve is one
-    adjoint apply, one subtraction and the factor's solve on F; a g that
-    pins every coordinate factors the empty system.
+    holds their values, zero elsewhere.  One instance per problem builds
+    once: the CSR rows of ``L^T`` at F, the free coordinates, which serve
+    as ``L_F^T``; the factor of ``L_F^T L_F`` plus the curvature on its
+    diagonal, with :func:`spd_factor`; and the right-hand side's constant
+    part, ``-L_F^T (L anchor)`` plus ``(scale/lam) target`` when the
+    curvature is nonzero.  A solve is one apply of ``L_F^T``, one
+    subtraction and the factor's solve on F.  Each row of ``L_F^T`` sums
+    in the order the full adjoint's row does, so ``L_F^T c`` is
+    ``(L^T c)[F]`` bit for bit, without the gather.  With nothing pinned
+    F keeps every row; a g that pins every coordinate factors the empty
+    system.
     """
 
     def __init__(self, problem: SplitProblem):
@@ -146,17 +153,22 @@ class _UStepSolver:
                 f"u-step needs g in {_U_STEP_LABELS}, got {g.label!r}: "
                 "only these make the subproblem an SPD linear solve"
             )
-        self.L = L
         # only the point indicator has a mask and an anchor, only the quadratic a scale
         self.pinned = np.zeros(L.domain_dim, dtype=bool) | g.params.get("mask", False)
         self._anchor = np.where(self.pinned, g.params.get("anchor", 0.0), 0.0)
         curvature = g.params.get("scale", 0.0) / problem.lam
-        # nothing pinned: a slice, so the solve's gather is a view
+        # nothing pinned: a slice, so the solve writes u[F] as a plain slice
         self._free = np.flatnonzero(~self.pinned) if self.pinned.any() else slice(None)
         a = L.matrix
         a_free = a[:, self._free]
-        system = a_free.T @ a_free
-        self._rhs0 = -(a_free.T @ (a @ self._anchor))
+        # the rows of L^T at F, each summed in the adjoint's stored order; the
+        # system product needs this transpose too, so it is formed once.  The
+        # product is symmetric, so its CSR arrays read as CSC (``.T``, no copy)
+        # are the system itself, in the format spd_factor reads
+        at_free = a_free.T.tocsr()
+        self._adjoint_free = _matvec(at_free)
+        system = (at_free @ a_free).T
+        self._rhs0 = -self._adjoint_free(a @ self._anchor)
         if curvature:
             self._rhs0 += curvature * g.params["target"]
             # + curvature I in place; a zero column of L leaves a diagonal entry
@@ -168,11 +180,10 @@ class _UStepSolver:
 
     def solve_c(self, c: np.ndarray) -> np.ndarray:
         """argmin_u g(u) + (lam/2) ||L u + c||^2."""
-        ltc = self.L.adjoint_apply(c)
         u = self._anchor.copy()
         # rhs0 - v is rhs0 + (-v) bit for bit (up to the sign of a zero
         # entry), so the negation folds into the subtraction
-        u[self._free] = self._factor.solve(self._rhs0 - ltc[self._free])
+        u[self._free] = self._factor.solve(self._rhs0 - self._adjoint_free(c))
         return u
 
 
@@ -196,9 +207,10 @@ def _norm(v: np.ndarray) -> float:
 class _Step(NamedTuple):
     """What one iteration of either recursion hands the driver.
 
-    Only the run measures it: its residual is ``||d - Lu||``, with the d
-    the u-step was paired with, and its energy ``g(u) + f(Lu)``.  A
-    twin's step is otherwise dropped; either step's ``finite`` vectors
+    Only the run measures it: its energy is ``g(u) + f(Lu)``, and its
+    residual ``||d - Lu||``, with the d the u-step was paired with, is
+    the driver's x-increment over ``lam``, so a step need not return d.
+    A twin's step is otherwise dropped; either step's ``finite`` vectors
     are scanned only when the iteration's scalar sum is not finite.
     """
 
@@ -214,8 +226,8 @@ class _Recursion:
     ``init`` None is the zero start of :func:`initial_state`.  ``x``/``p``
     are attributes; ``bd()`` gives ``(b, d)``, mapped from (x, p) by
     ``b = p/lam``, ``d = x/lam - b`` when the last step left them unset,
-    as a DRS step does.  Steps rebind to fresh arrays, so records may keep
-    references.
+    as a DRS step does; only snapshots call it.  Steps rebind to fresh
+    arrays, so records may keep references.
     """
 
     def __init__(self, problem: SplitProblem, init: Optional[AsbState]):
@@ -275,8 +287,8 @@ class _AsbSweep(_Recursion):
 class _DrsStep(_Recursion):
     """The dual Douglas-Rachford step: ``JA`` is one u-solve, ``JB`` the Moreau resolvent.
 
-    A step leaves (b, d) unset; ``bd()`` maps them from (x, p), and a twin
-    never calls it.
+    A step leaves (b, d) unset; ``bd()`` maps them from (x, p) for a
+    snapshot only, and a twin never calls it.
     """
 
     def step(self, k: int) -> _Step:
@@ -285,7 +297,12 @@ class _DrsStep(_Recursion):
         y = 2.0 * p - x
         u = self.usolver.solve_c(y / lam)
         Lu = L.apply(u)
-        x_new = x + (y + lam * Lu) - p
+        # x + (y + lam Lu) - p on one fresh array: each in-place add swaps
+        # the operands of the same IEEE sum, which commutes bit for bit
+        x_new = lam * Lu
+        x_new += y
+        x_new += x
+        x_new -= p
         p_new = dual_resolvent(f, x_new, lam)
 
         self.x, self.p, self._bd = x_new, p_new, None
@@ -308,14 +325,19 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     """The one iteration loop: series, snapshots, finiteness checks, stopping.
 
     The series (residual, energy, increments) are measured on ``run``
-    only.  A ``twin`` of the other solver form, from the same start,
-    advances only its iterate, in lockstep for the first
+    only.  The residual ``||d_{k-1} - L u_k||`` is recorded as
+    ``||x_k - x_{k-1}|| / lam``: for the ASB sweep
+    ``x_k - x_{k-1} = lam (b_{k-1} + L u_k) - lam (b_{k-1} + d_{k-1})``,
+    and a DRS step makes ``x_k = p_{k-1} + lam L u_k``, which is the same
+    under ``d = (x - p)/lam``.  The two agree to roundoff.  A ``twin``
+    of the other solver form, from the same start, advances only its
+    iterate, in lockstep for the first
     ``_TWIN_ITERATIONS`` iterations; their mapped mismatch fills
     ``setzer_defects`` (``nan`` where no twin ran), and ``twin_defect``
     is its worst value, k = 0 included.
 
     Finiteness is tested once per iteration, on one sum: the run's
-    residual, energy and two increments, plus the two mismatch norms
+    energy and two increments, plus the two mismatch norms
     inside the twin window, where the twin steps first.  Only if the sum
     is not finite are vectors scanned, the run's ``step.finite`` in
     order and then the twin step's, and the first non-finite one raises
@@ -330,14 +352,16 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     - the run's u: for a quadratic g its value ``g(u)`` (scale > 0,
       finite target) is not finite.  For the other g the u-step system
       is ``L^T L`` on the free coordinates and SPD, so every free column
-      of L is nonzero and the entry reaches ``Lu`` and the residual
-      ``||d - Lu||``; pinned coordinates are copied from the finite
-      anchor.  The approximate sweep's u is ``u_exact`` plus a finite
-      vector.
+      of L is nonzero and the entry reaches ``Lu``; pinned coordinates
+      are copied from the finite anchor.  From ``Lu`` it reaches x, and
+      so the x-increment: the DRS x is ``x + (y + lam Lu) - p``, and the
+      ASB sweep's ``b = (b_prev + Lu) - d`` and then ``x = lam (b + d)``
+      are not finite whatever the prox returns.  The approximate sweep's
+      u is ``u_exact`` plus a finite vector, and its ``Lu`` is recomputed
+      from that u.
     - the ASB run's d or b reaches ``x = lam (b + d)``, and b reaches
       ``p = lam b``, so an increment.  The DRS run's x and p are the
-      increments' own vectors, and its u reaches the residual or the
-      energy as above.
+      increments' own vectors.
     - the twin's u reaches ``Lu`` through a nonzero column, and then x
       (DRS: ``x + (y + lam Lu) - p``; ASB: ``b + Lu - d``, whatever the
       prox returns).  A zero column occurs only for a quadratic g; its
@@ -352,7 +376,7 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     goes on.
     """
     stop = stop or StoppingRule()
-    g, f = run.problem.g, run.problem.f
+    g, f, lam = run.problem.g, run.problem.f, run.problem.lam
     records = [_record(run, 0, None)]
     residuals, energies, defects, x_incs, alphas = ([] for _ in range(5))
     twin_defect = None if twin is None else max(_mismatch(run, twin))
@@ -361,14 +385,13 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     u = None
 
     for k in range(1, stop.max_iter + 1):
-        x_prev, p_prev, d_prev = run.x, run.p, run.bd()[1]
+        x_prev, p_prev = run.x, run.p
         step = run.step(k)
         u = step.u
-        residual = _norm(d_prev - step.Lu)
         energy = g.value(u) + f.value(step.Lu)
         x_inc = _norm(run.x - x_prev)
         p_inc = _norm(run.p - p_prev)
-        total = residual + energy + x_inc + p_inc
+        total = energy + x_inc + p_inc
         finite, defect = step.finite, np.nan
         if twin is not None and k <= _TWIN_ITERATIONS:
             twin_step = twin.step(k)
@@ -380,7 +403,7 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         if not math.isfinite(total):
             for what, v in finite:
                 _require_finite(v, k, what)
-        residuals.append(residual)
+        residuals.append(x_inc / lam)
         energies.append(energy)
         alphas.append(step.alpha)
         x_incs.append(x_inc)
@@ -463,7 +486,7 @@ def run_drs(problem: SplitProblem, init: Optional[AsbState] = None,
     """Douglas-Rachford run on the dual problem, fully instrumented.
 
     Starts from ``x0 = lam (b0 + d0)``, ``p0 = lam b0`` and advances the
-    dual recursion, mapping each iterate back by ``b = p/lam``,
+    dual recursion, mapping each snapshot back by ``b = p/lam``,
     ``d = x/lam - b``, so the trace carries the same columns as the
     alternating sweep.  An alternating-sweep twin runs in lockstep for the
     first 200 iterations; their mapped mismatch fills ``setzer_defects``.

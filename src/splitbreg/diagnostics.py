@@ -54,7 +54,11 @@ class RunTrace:
 
     Scalar series have one entry per iteration performed; entry ``j``
     refers to the pair ``(d^j, u^{j+1})`` for residuals and to the
-    iterate produced by iteration ``j+1`` for energies.  ``iterates``
+    iterate produced by iteration ``j+1`` for energies.  The residual
+    ``||d^j - L u^{j+1}||`` is ``x_increments[j] / lam`` under
+    ``x = lam (b + d)``, and is recorded as that quotient; Boyd et al.'s
+    primal residual ``||L u^{j+1} - d^{j+1}||`` is the p-increment over
+    ``lam``.  ``iterates``
     holds the k=0 initialization plus the snapshots the run asked for
     (always the final one).  Exact runs advance a lockstep twin of the
     other solver form over ``twin_iterates`` iterates (k = 0 included):

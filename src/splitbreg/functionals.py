@@ -202,7 +202,7 @@ def dual_resolvent(F: ProxFunctional, x: np.ndarray, lam: float) -> np.ndarray:
         # zero-weight block of norm 0) or of a nan norm
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             scale = F.params["weights"] / kernels._block_norms(blocks)
-        return (blocks * np.fmin(scale, 1.0, out=scale)[:, None]).reshape(-1)
+        return kernels._scale_rows(blocks, np.fmin(scale, 1.0, out=scale))
     if F.label == "zero":
         return np.zeros_like(x)
     return x - lam * F.prox(x / lam, 1.0 / lam)

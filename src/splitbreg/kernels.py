@@ -40,6 +40,15 @@ def _squares(blocks):
     return sq
 
 
+def _scale_rows(blocks, scale):
+    # blocks * scale[:, None], bit for bit, as one strided multiply per
+    # column into one C-ordered output, flattened without a copy
+    out = np.empty(blocks.shape)
+    for j in range(blocks.shape[1]):
+        np.multiply(blocks[:, j], scale, out=out[:, j])
+    return out.reshape(-1)
+
+
 def _block_norms(blocks):
     # Euclidean norm of each row, sqrt of _squares.  When a square under- or
     # overflows, the rows whose sum is below the smallest normal float or
@@ -70,7 +79,7 @@ def block_shrink(y, thresh, block_size):
     # tiny nonzero norm below thresh cannot overflow the division
     shrinks = nrm > thresh
     scale = np.where(shrinks, 1.0 - thresh / np.where(shrinks, nrm, 1.0), 0.0)
-    return (blocks * scale[:, None]).reshape(-1)
+    return _scale_rows(blocks, scale)
 
 
 def taut_string_slopes(lo, hi):

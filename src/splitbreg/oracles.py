@@ -35,6 +35,12 @@ def taut_string_denoise(y: np.ndarray, mu: float) -> np.ndarray:
     the running sums of y (pinned at both ends); its increments are the
     denoised signal.
     """
+    return _taut_string(y, mu)
+
+
+def _taut_string(y: np.ndarray, mu: float, total=None) -> np.ndarray:
+    # total, when given, is the exact value of the running sums' end, which
+    # cumsum's roundoff would otherwise leave slightly off
     y = np.ascontiguousarray(y, dtype=float)
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -44,6 +50,8 @@ def taut_string_denoise(y: np.ndarray, mu: float) -> np.ndarray:
     r = np.empty(n + 1)
     r[0] = 0.0
     np.cumsum(y, out=r[1:])
+    if total is not None:
+        r[n] = total
     lo = r - mu
     hi = r + mu
     lo[0] = hi[0] = r[0]
@@ -58,12 +66,14 @@ def taut_string_dirichlet(y: np.ndarray, mu: float) -> np.ndarray:
     zero past its last sample.  Solved by odd reflection: the problem on
     the antisymmetric extension ``(y, 0, -reverse(y))`` has a unique,
     antisymmetric minimizer whose middle sample is exactly zero, and its
-    first n samples minimize the pinned objective.
+    first n samples minimize the pinned objective.  The extension sums to
+    0, so its running sums end at exactly 0.0: a string left straight by a
+    large ``mu`` is then exactly 0, not the roundoff of the sum.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     extended = np.concatenate([y, [0.0], -y[::-1]])
-    u_ext = taut_string_denoise(extended, mu)
+    u_ext = _taut_string(extended, mu, total=0.0)
     return u_ext[:n]
 
 

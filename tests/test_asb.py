@@ -342,6 +342,28 @@ def test_b_update_identity_holds_bitwise(tv1d_problem):
         assert np.array_equal(cur.b, recomputed)
 
 
+@pytest.mark.parametrize("solver", ["asb", "drs", "asb_approx"])
+@pytest.mark.parametrize("name", ["lasso_problem", "tv1d_problem", "lg_two_phase_problem"])
+def test_residual_is_the_split_mismatch_of_the_snapshots(request, name, solver):
+    # the driver records ||x_{k+1} - x_k|| / lam; under x = lam (b + d) that
+    # is ||d_k - L u_{k+1}||, recomputed here from the snapshots themselves
+    prob = dataclasses.replace(request.getfixturevalue(name), lam=0.4)
+    stop = sb.StoppingRule(tol=None, max_iter=80)
+    if solver == "asb_approx":
+        trace = sb.asb_iterate_approx(prob, ErrorSchedule("geometric", scale=0.3, ratio=0.9),
+                                      stop=stop, seed=4, record_stride=1)
+        assert np.all(trace.alpha_injected > 0.0)
+    else:
+        trace = {"asb": sb.asb_iterate, "drs": sb.run_drs}[solver](prob, stop=stop,
+                                                                   record_stride=1)
+    recs = trace.iterates
+    assert [r.k for r in recs] == list(range(81))
+    mismatch = [np.linalg.norm(prev.d - prob.L.apply(cur.u))
+                for prev, cur in zip(recs[:-1], recs[1:])]
+    scale = (1.0 + max(np.linalg.norm(r.x) for r in recs)) / prob.lam
+    assert np.max(np.abs(trace.residuals - mismatch)) <= 1e-12 * scale
+
+
 def test_tv1d_energy_converges_to_taut_string(tv1d_problem, tv1d_instance):
     trace = sb.asb_iterate(tv1d_problem, stop=sb.StoppingRule(tol=1e-12, max_iter=20_000))
     h = tv1d_instance.grid.spacing[0]

@@ -355,6 +355,17 @@ def test_an_overflowed_normal_system_exits_3_without_a_warning(tmp_path, capsys,
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("spacing", [1e-15, 1e-50, 1e-150])
+def test_tv1d_at_tiny_spacing_certifies_against_an_exact_oracle(tmp_path, spacing):
+    # mu/h is so large that the minimizer is 0; the taut-string oracle must
+    # return exactly that, or the boundary jump inflates its energy by mu/h
+    cfg = _write_config(tmp_path, {"problem": "tv1d", "params": {"spacing": spacing}})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert all(c["passed"] for c in _certs(tmp_path / "out"))
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert " certificates=4/4 " in summary
+
+
 def test_least_gradient_via_cli(tmp_path):
     payload = {"problem": "least_gradient", "solver": "asb",
                "params": {"grid_shape": [8, 8], "tol": 1e-12, "max_iter": 20000}}

@@ -246,6 +246,30 @@ def test_block_norms_rescale_only_rows_that_under_or_overflow(data, block_size, 
     assert np.allclose(got, reference, rtol=4 * np.finfo(float).eps, atol=0)
 
 
+_SCALE_MAGNITUDE = st.sampled_from([0.0, 1e-170, 3e-170, 1.0, 1e200, 3e200])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), block_size=st.integers(1, 4), n_blocks=st.integers(1, 12),
+       lam=st.floats(1e-3, 1e3))
+def test_weighted_l21_projection_scales_rows_as_the_broadcast_did(data, block_size, n_blocks,
+                                                                  lam):
+    # one strided multiply per block column gives blocks * scale[:, None]
+    # bit for bit: zero weights, zero-norm blocks, and entries near 1e-170
+    # (squares underflow) and 1e200 (squares overflow)
+    entry = st.tuples(_SCALE_MAGNITUDE, st.floats(-1.0, 1.0)).map(lambda p: p[0] * p[1])
+    blocks = np.array(data.draw(st.lists(entry, min_size=n_blocks * block_size,
+                                         max_size=n_blocks * block_size)))
+    blocks = blocks.reshape(n_blocks, block_size)
+    blocks[data.draw(st.lists(st.booleans(), min_size=n_blocks, max_size=n_blocks))] = 0.0
+    w = np.array(data.draw(st.lists(_SCALE_MAGNITUDE, min_size=n_blocks, max_size=n_blocks)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = w / kernels._block_norms(blocks)
+    expected = (blocks * np.fmin(scale, 1.0)[:, None]).reshape(-1)
+    got = dual_resolvent(prox_weighted_l21(w, block_size), blocks.reshape(-1), lam)
+    assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+
+
 def test_moreau_identity_across_catalogue():
     # x must recompose as prox_{lam F}(x) + lam * prox_{F*/lam}(x/lam),
     # the conjugate prox being reconstructed through dual_resolvent

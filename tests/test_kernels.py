@@ -255,6 +255,30 @@ def test_soft_threshold_is_sign_times_shrunk_magnitude(pairs):
         assert np.array_equal(kernels.soft_threshold(x, t), reference, equal_nan=True)
 
 
+_SCALE_MAGNITUDE = st.sampled_from([0.0, 1e-170, 3e-170, 1.0, 1e200, 3e200])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), block_size=st.integers(1, 4), n_blocks=st.integers(1, 12))
+def test_block_shrink_scales_rows_as_the_broadcast_did(data, block_size, n_blocks):
+    # one strided multiply per block column gives blocks * scale[:, None]
+    # bit for bit: zero thresholds, zero-norm blocks, and entries near 1e-170
+    # (squares underflow) and 1e200 (squares overflow)
+    entry = st.tuples(_SCALE_MAGNITUDE, st.floats(-1.0, 1.0)).map(lambda p: p[0] * p[1])
+    blocks = np.array(data.draw(st.lists(entry, min_size=n_blocks * block_size,
+                                         max_size=n_blocks * block_size)))
+    blocks = blocks.reshape(n_blocks, block_size)
+    blocks[data.draw(st.lists(st.booleans(), min_size=n_blocks, max_size=n_blocks))] = 0.0
+    thresh = np.array(data.draw(st.lists(_SCALE_MAGNITUDE, min_size=n_blocks,
+                                         max_size=n_blocks)))
+    nrm = kernels._block_norms(blocks)
+    shrinks = nrm > thresh
+    scale = np.where(shrinks, 1.0 - thresh / np.where(shrinks, nrm, 1.0), 0.0)
+    expected = (blocks * scale[:, None]).reshape(-1)
+    got = kernels.block_shrink(blocks.reshape(-1), thresh, block_size)
+    assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+
+
 def test_grad_dirichlet_1d_stencil():
     # forward differences with a zero ghost past the last node
     u = np.array([1.0, 2.0, 4.0])

@@ -30,6 +30,18 @@ def test_dirichlet_variant_reflection_midpoint_is_zero():
     assert np.array_equal(u, u_ext[:21])
 
 
+@pytest.mark.parametrize("spacing", [1e-15, 1e-50, 1e-150])
+def test_dirichlet_string_left_straight_is_exactly_zero(spacing):
+    # mu/h large straightens the string from 0 to the extension's total, 0;
+    # cumsum's roundoff of that total (-2.3e-17 here) must not survive, since
+    # the zero-ghost boundary jump multiplies it by mu/h in the energy
+    inst = sb.make_tv_instance((32,), mu=0.15, seed=0, spacing=spacing)
+    assert np.cumsum(np.concatenate([inst.noisy_signal, [0.0],
+                                     -inst.noisy_signal[::-1]]))[-1] != 0.0
+    u = taut_string_dirichlet(inst.noisy_signal, inst.mu / spacing)
+    assert np.array_equal(u, np.zeros(32))
+
+
 def test_taut_string_agrees_with_dual_solve():
     # two independent exact-ish routes to the same optimum
     rng = np.random.default_rng(5)
