@@ -44,7 +44,11 @@ iteration, on the sum of the scalars the driver computes anyway; the
 iterate vectors are scanned only when that sum is not finite (the
 argument is in ``_drive``).
 A problem's u-step factor is built once, on first use, and shared by
-its runs, their twins and :func:`dual_resolvents`.
+its runs, their twins and :func:`dual_resolvents`.  The quadratic and
+zero g pin nothing, so their factor's solution is u itself, with no
+anchor copy, gather or scatter; only the point indicator embeds its
+free coordinates' solution in the anchor.  Each run binds its kernels
+(``lam``, the u-solve, ``L.apply``, f's prox) once, when it is built.
 
 The approximate variant perturbs each subproblem result by a vector of
 scheduled norm ``m_k``.  The u-step error is a feasible u whose image
@@ -141,9 +145,13 @@ class _UStepSolver:
     curvature is nonzero.  A solve is one apply of ``L_F^T``, one
     subtraction and the factor's solve on F.  Each row of ``L_F^T`` sums
     in the order the full adjoint's row does, so ``L_F^T c`` is
-    ``(L^T c)[F]`` bit for bit, without the gather.  With nothing pinned
-    F keeps every row; a g that pins every coordinate factors the empty
-    system.
+    ``(L^T c)[F]`` bit for bit, without the gather.  The quadratic and
+    zero g pin nothing: F is every coordinate, ``L_F`` is ``L.matrix``
+    itself, and ``solve_c`` returns the factor's fresh solution as u.
+    The point indicator's ``solve_c`` copies the anchor and scatters the
+    solution into F; when it pins every coordinate, F is empty and the
+    empty system is factored.  Which of the two applies is decided once,
+    at build time (``_free`` is None when nothing is pinned).
     """
 
     def __init__(self, problem: SplitProblem):
@@ -157,10 +165,10 @@ class _UStepSolver:
         self.pinned = np.zeros(L.domain_dim, dtype=bool) | g.params.get("mask", False)
         self._anchor = np.where(self.pinned, g.params.get("anchor", 0.0), 0.0)
         curvature = g.params.get("scale", 0.0) / problem.lam
-        # nothing pinned: a slice, so the solve writes u[F] as a plain slice
-        self._free = np.flatnonzero(~self.pinned) if self.pinned.any() else slice(None)
         a = L.matrix
-        a_free = a[:, self._free]
+        # None when nothing is pinned: F is every coordinate, L is not copied
+        self._free = np.flatnonzero(~self.pinned) if self.pinned.any() else None
+        a_free = a if self._free is None else a[:, self._free]
         # the rows of L^T at F, each summed in the adjoint's stored order; the
         # system product needs this transpose too, so it is formed once.  The
         # product is symmetric, so its CSR arrays read as CSC (``.T``, no copy)
@@ -180,10 +188,13 @@ class _UStepSolver:
 
     def solve_c(self, c: np.ndarray) -> np.ndarray:
         """argmin_u g(u) + (lam/2) ||L u + c||^2."""
-        u = self._anchor.copy()
         # rhs0 - v is rhs0 + (-v) bit for bit (up to the sign of a zero
         # entry), so the negation folds into the subtraction
-        u[self._free] = self._factor.solve(self._rhs0 - self._adjoint_free(c))
+        u_free = self._factor.solve(self._rhs0 - self._adjoint_free(c))
+        if self._free is None:  # the solve's fresh array is u itself
+            return u_free
+        u = self._anchor.copy()
+        u[self._free] = u_free
         return u
 
 
@@ -227,11 +238,14 @@ class _Recursion:
     are attributes; ``bd()`` gives ``(b, d)``, mapped from (x, p) by
     ``b = p/lam``, ``d = x/lam - b`` when the last step left them unset,
     as a DRS step does; only snapshots call it.  Steps rebind to fresh
-    arrays, so records may keep references.
+    arrays, so records may keep references.  The run's kernels (``lam``,
+    the u-solve, ``L.apply`` and f's prox) are bound here, once per run.
     """
 
     def __init__(self, problem: SplitProblem, init: Optional[AsbState]):
         self.problem, self.usolver = problem, problem._usolver
+        self.lam, self.solve_c = problem.lam, self.usolver.solve_c
+        self.apply, self.f, self.prox = problem.L.apply, problem.f, problem.f.prox
         init = init if init is not None else initial_state(problem)
         b = np.array(init.b, dtype=float, copy=True)
         d = np.array(init.d, dtype=float, copy=True)
@@ -241,7 +255,7 @@ class _Recursion:
 
     def bd(self) -> tuple:
         if self._bd is None:
-            lam = self.problem.lam
+            lam = self.lam
             b = self.p / lam
             self._bd = (b, self.x / lam - b)
         return self._bd
@@ -254,34 +268,39 @@ class _AsbSweep(_Recursion):
                  rng: Optional[np.random.Generator] = None):
         super().__init__(problem, init)
         self.schedule, self.rng = schedule, rng
+        self._t = 1.0 / self.lam
 
     def step(self, k: int) -> _Step:
-        lam, L, f = self.problem.lam, self.problem.L, self.problem.f
+        lam, apply = self.lam, self.apply
         b, d = self._bd
-        u = u_exact = self.usolver.solve_c(b - d)
-        Lu = Lu_exact = L.apply(u)
+        u = u_exact = self.solve_c(b - d)
+        Lu = apply(u)
 
-        m_k = self.schedule.magnitude(k) if self.schedule is not None else 0.0
+        m_k = 0.0 if self.schedule is None else self.schedule.magnitude(k)
         alpha = 0.0
         if m_k > 0.0:
+            L = self.problem.L
             w = _unit_perturbation(self.rng, L.domain_dim)
             w[self.usolver.pinned] = 0.0
-            img_norm = float(np.linalg.norm(L.apply(w)))
+            img_norm = float(np.linalg.norm(apply(w)))
             if img_norm > 0.0:  # else no free direction (L w = 0): inject nothing
+                Lu_exact = Lu
                 u = u + w * (m_k / img_norm)
-                Lu = L.apply(u)
+                Lu = apply(u)
                 alpha = float(np.linalg.norm(Lu - Lu_exact))
 
         z = b + Lu
-        d_new = f.prox(z, 1.0 / lam)
+        d_new = self.prox(z, self._t)
         if m_k > 0.0:
-            d_new = d_new + _unit_perturbation(self.rng, f.dim) * m_k
+            d_new = d_new + _unit_perturbation(self.rng, self.f.dim) * m_k
         b_new = z - d_new
 
         self._bd = (b_new, d_new)
-        self.x, self.p = lam * (b_new + d_new), lam * b_new
-        return _Step(finite=(("u", u_exact), ("d", d_new), ("b", b_new)), u=u, Lu=Lu,
-                     alpha=alpha)
+        # lam (b + d) as (b + d) lam, in place: IEEE products commute
+        x = b_new + d_new
+        x *= lam
+        self.x, self.p = x, lam * b_new
+        return _Step((("u", u_exact), ("d", d_new), ("b", b_new)), u, Lu, alpha)
 
 
 class _DrsStep(_Recursion):
@@ -292,21 +311,21 @@ class _DrsStep(_Recursion):
     """
 
     def step(self, k: int) -> _Step:
-        lam, L, f = self.problem.lam, self.problem.L, self.problem.f
+        lam = self.lam
         x, p = self.x, self.p
         y = 2.0 * p - x
-        u = self.usolver.solve_c(y / lam)
-        Lu = L.apply(u)
+        u = self.solve_c(y / lam)
+        Lu = self.apply(u)
         # x + (y + lam Lu) - p on one fresh array: each in-place add swaps
         # the operands of the same IEEE sum, which commutes bit for bit
         x_new = lam * Lu
         x_new += y
         x_new += x
         x_new -= p
-        p_new = dual_resolvent(f, x_new, lam)
+        p_new = dual_resolvent(self.f, x_new, lam)
 
         self.x, self.p, self._bd = x_new, p_new, None
-        return _Step(finite=(("u", u), ("x", x_new), ("p", p_new)), u=u, Lu=Lu)
+        return _Step((("u", u), ("x", x_new), ("p", p_new)), u, Lu)
 
 
 def _record(rec: _Recursion, k: int, u: Optional[np.ndarray]) -> IterateRecord:
@@ -376,10 +395,12 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     goes on.
     """
     stop = stop or StoppingRule()
-    g, f, lam = run.problem.g, run.problem.f, run.problem.lam
+    g_value, f_value, lam = run.problem.g.value, run.problem.f.value, run.lam
     records = [_record(run, 0, None)]
     residuals, energies, defects, x_incs, alphas = ([] for _ in range(5))
     twin_defect = None if twin is None else max(_mismatch(run, twin))
+    # the twin steps at k = 1 .. window, decided once
+    window = 0 if twin is None else _TWIN_ITERATIONS
     converged = False
     k = 0
     u = None
@@ -388,19 +409,19 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         x_prev, p_prev = run.x, run.p
         step = run.step(k)
         u = step.u
-        energy = g.value(u) + f.value(step.Lu)
+        energy = g_value(u) + f_value(step.Lu)
         x_inc = _norm(run.x - x_prev)
         p_inc = _norm(run.p - p_prev)
         total = energy + x_inc + p_inc
-        finite, defect = step.finite, np.nan
-        if twin is not None and k <= _TWIN_ITERATIONS:
+        twin_step, defect = None, np.nan
+        if k <= window:
             twin_step = twin.step(k)
             dx, dp = _mismatch(run, twin)
             total += dx + dp
-            finite += twin_step.finite
             defect = max(dx, dp)
             twin_defect = max(twin_defect, defect)
         if not math.isfinite(total):
+            finite = step.finite if twin_step is None else step.finite + twin_step.finite
             for what, v in finite:
                 _require_finite(v, k, what)
         residuals.append(x_inc / lam)

@@ -17,7 +17,9 @@ Every problem comes with an oracle for a minimizer, which returns
 None where no independent one exists (custom_matrix, an uncertified
 least-gradient ``u_true``, a tv2d dual solve whose gap did not reach its
 tolerance); the primal certificate then falls back to
-the weak-duality bound at the converged dual point.
+the weak-duality bound at the converged dual point.  The tv2d dual solve
+starts from the run's final dual point ``lam b``: its certificate is its
+own duality gap, which no start can bias.
 
 The equivalence certificate of an exact run comes from the lockstep
 twin the solver carries (see :func:`splitbreg.asb.asb_iterate`), so no
@@ -277,10 +279,13 @@ def _parse_schedule(spec: dict, allow_nonsummable: bool) -> ErrorSchedule:
 def _build_problem(config: RunConfig):
     """Returns (problem, instance_id, oracle).
 
-    ``oracle(problem)`` returns an independently computed minimizer of
-    the instance, or None where there is none (custom_matrix, a
-    least-gradient ``u_true`` that is not certified optimal, and a tv2d
-    dual solve that stopped at its iteration cap).
+    ``oracle(problem, final)`` returns an independently computed
+    minimizer of the instance with a note on how it was found ("" when
+    there is nothing to add), or None where there is none (custom_matrix,
+    a least-gradient ``u_true`` that is not certified optimal, and a tv2d
+    dual solve that stopped at its iteration cap).  ``final`` is the
+    run's final snapshot; only the tv2d dual solve reads it, to start
+    from ``lam b``.
     """
     p = config.params
     lam = float(p["lambda"])
@@ -293,8 +298,8 @@ def _build_problem(config: RunConfig):
         problem = SplitProblem(g=prox_quadratic(y, 1.0), f=prox_l1(mu, dim=n),
                                L=identity_operator(n), lam=lam)
 
-        def oracle(prob):
-            return soft_threshold_optimum(y, mu)
+        def oracle(prob, final):
+            return soft_threshold_optimum(y, mu), ""
 
         return problem, f"lasso_n{n}_seed{seed}", oracle
 
@@ -306,16 +311,18 @@ def _build_problem(config: RunConfig):
         shape_id = "x".join(str(s) for s in inst.grid.shape)
 
         if config.problem == "tv1d":
-            def oracle(prob):
+            def oracle(prob, final):
                 h = inst.grid.spacing[0]
                 mu_eff = inst.mu / h
                 if boundary == "dirichlet":
-                    return taut_string_dirichlet(inst.noisy_signal, mu_eff)
-                return taut_string_denoise(inst.noisy_signal, mu_eff)
+                    return taut_string_dirichlet(inst.noisy_signal, mu_eff), ""
+                return taut_string_denoise(inst.noisy_signal, mu_eff), ""
         else:
-            def oracle(prob):
-                dual = tv_dual_solve(prob, gap_tol=1e-10)
-                return dual.u if dual.certified else None
+            def oracle(prob, final):
+                dual = tv_dual_solve(prob, gap_tol=1e-10, b0=prob.lam * final.b)
+                if not dual.certified:
+                    return None
+                return dual.u, "dual solve warm-started, gap-certified; "
 
         return problem, f"{config.problem}_{shape_id}_seed{seed}", oracle
 
@@ -327,11 +334,11 @@ def _build_problem(config: RunConfig):
         problem = build_least_gradient_problem(inst, lam=lam)
         shape_id = "x".join(str(s) for s in inst.grid.shape)
 
-        def oracle(prob):
+        def oracle(prob, final):
             # u_true is certified optimal when the dual-field stationarity
             # defect vanishes; otherwise no independent minimizer exists here.
             defect = interior_stationarity_defect(prob, inst.u_true)
-            return inst.u_true if defect <= 1e-10 else None
+            return (inst.u_true, "") if defect <= 1e-10 else None
 
         return problem, f"least_gradient_{kind}_{shape_id}", oracle
 
@@ -344,7 +351,7 @@ def _build_problem(config: RunConfig):
         problem = SplitProblem(g=g, f=f, L=L, lam=lam)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"custom_matrix: {exc}") from exc
-    return problem, f"custom_{L.domain_dim}x{L.codomain_dim}", lambda prob: None
+    return problem, f"custom_{L.domain_dim}x{L.codomain_dim}", lambda prob, final: None
 
 
 def _stopping(config: RunConfig) -> StoppingRule:
@@ -366,13 +373,14 @@ def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> lis
     lam = problem.lam
     certs = [dual_certificate(problem, final.b, final.d)]
 
-    u_star = oracle(problem)
-    if u_star is None:
+    reference = oracle(problem, final)
+    if reference is None:
         v_star = dual_value(problem, lam * final.b)
         details_src = "reference value: weak-duality bound at the converged dual point"
     else:
+        u_star, note = reference
         v_star = problem.g.value(u_star) + problem.f.value(problem.L.apply(u_star))
-        details_src = "reference value: independent oracle"
+        details_src = f"{note}reference value: independent oracle"
     cert_primal = primal_recovery_check(problem, final.u, final.d, v_star)
     certs.append(replace(cert_primal, details=f"{cert_primal.details}; {details_src}"))
 

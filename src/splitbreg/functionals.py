@@ -70,19 +70,29 @@ def prox_l1(weights, dim: Optional[int] = None) -> ProxFunctional:
     if np.any(w < 0):
         raise ValueError("l1 weights must be nonnegative")
     slack = CONJUGATE_FEAS_TOL * (1.0 + w)
+    # the last float step t and its thresholds t * w: a solver passes one t
+    # object on every call.  Floats are immutable, so the same object is the
+    # same step, bit for bit; any other t (an array) is never kept
+    scaled = (None, None)
 
     def value(x):
         return float((w * np.abs(x)).sum())
 
     def prox(x, t):
-        return kernels.soft_threshold(np.ascontiguousarray(x, dtype=float), t * w)
+        nonlocal scaled
+        t_last, thresh = scaled
+        if t is not t_last:
+            thresh = t * w
+            scaled = (t, thresh) if isinstance(t, float) else (None, None)
+        return kernels.soft_threshold(np.ascontiguousarray(x, dtype=float), thresh)
 
     def conjugate_value(y):
         # indicator of the weighted sup-norm box
         return 0.0 if np.all(np.abs(y) <= w + slack) else np.inf
 
+    # f* is the indicator of the box [-w, w], whose bounds dual_resolvent reads
     return ProxFunctional(dim=dim, value=value, prox=prox, label="l1",
-                          conjugate_value=conjugate_value, params={"weights": w})
+                          conjugate_value=conjugate_value, params={"weights": w, "box": (-w, w)})
 
 
 def prox_weighted_l21(weights, block_size: int) -> ProxFunctional:
@@ -193,8 +203,8 @@ def dual_resolvent(F: ProxFunctional, x: np.ndarray, lam: float) -> np.ndarray:
         raise ValueError("lam must be positive")
     x = np.asarray(x, dtype=float)
     if F.label == "l1":
-        w = F.params["weights"]
-        return np.minimum(np.maximum(x, -w), w)
+        lower, upper = F.params["box"]
+        return np.minimum(np.maximum(x, lower), upper)
     if F.label == "weighted_l21":
         blocks = x.reshape(-1, F.params["block_size"])
         # w / nrm where nrm > w, else 1: fmin caps the quotient at 1, including

@@ -11,6 +11,7 @@ an explicit dual-field stationarity certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -118,7 +119,8 @@ def _opnorm_sq_bound(L: LinearMap) -> float:
 _DUAL_MAX_ITER = 200_000
 
 
-def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10) -> DualSolveResult:
+def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10,
+                  b0: Optional[np.ndarray] = None) -> DualSolveResult:
     """Gap-certified optimum for quadratic-fidelity shrinkage problems.
 
     Requires ``g`` quadratic and ``f`` of l1 / weighted-l21 type.  Runs
@@ -131,7 +133,9 @@ def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10) -> DualSolveRes
     measured duality gap falls below ``gap_tol * (1 + |primal|)``, which
     certifies ``primal_value`` to that accuracy by weak duality, or after
     200 000 iterations, returning the gap it reached; ``certified`` says
-    which.
+    which.  The iteration starts from ``b0``, projected onto the domain of
+    ``f*``, or from 0.  Any start keeps the certificate independent: it
+    rests on the gap alone, which weak duality bounds whatever the start.
     """
     if problem.g.label != "quadratic":
         raise ValueError("dual solve needs a quadratic fidelity term")
@@ -150,7 +154,7 @@ def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10) -> DualSolveRes
         gap = primal - dual
         return u, primal, gap, gap <= gap_tol * (1.0 + abs(primal))
 
-    b = np.zeros(f.dim)
+    b = np.zeros(f.dim) if b0 is None else _project_dual(f, np.asarray(b0, dtype=float))
     z = b.copy()
     t_acc = 1.0
     u, primal, gap, certified = primal_pair(b)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -722,3 +724,238 @@ def test_approximate_run_carries_no_twin(tv1d_problem):
     assert trace.twin_defect is None and trace.twin_iterates == 0
     with pytest.raises(ValueError, match="no lockstep twin"):
         lockstep_certificate(trace)
+
+
+# The u-step, both steps and the driver loop as they were before each run
+# bound its kernels once and the unpinned u-step dropped its gather and
+# scatter: a fixed reference the lean path must reproduce bit for bit.
+class _ReferenceUStep:
+    def __init__(self, problem):
+        g, L = problem.g, problem.L
+        self.pinned = np.zeros(L.domain_dim, dtype=bool) | g.params.get("mask", False)
+        self._anchor = np.where(self.pinned, g.params.get("anchor", 0.0), 0.0)
+        curvature = g.params.get("scale", 0.0) / problem.lam
+        self._free = np.flatnonzero(~self.pinned) if self.pinned.any() else slice(None)
+        a = L.matrix
+        a_free = a[:, self._free]
+        at_free = a_free.T.tocsr()
+        self._adjoint_free = linops._matvec(at_free)
+        system = (at_free @ a_free).T
+        self._rhs0 = -self._adjoint_free(a @ self._anchor)
+        if curvature:
+            self._rhs0 += curvature * g.params["target"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+                system.setdiag(system.diagonal() + curvature)
+        self._factor = linops.spd_factor(system, what="u-step normal system")
+
+    def solve_c(self, c):
+        u = self._anchor.copy()
+        u[self._free] = self._factor.solve(self._rhs0 - self._adjoint_free(c))
+        return u
+
+
+def _reference_prox(f, z, t):
+    if f.label == "l1":  # the thresholds formed on every call
+        return sb.kernels.soft_threshold(np.ascontiguousarray(z, dtype=float),
+                                         t * f.params["weights"])
+    return f.prox(z, t)
+
+
+def _reference_resolvent(f, x, lam):
+    if f.label == "l1":  # the box's lower bound formed on every call
+        w = f.params["weights"]
+        return np.minimum(np.maximum(x, -w), w)
+    return sb.dual_resolvent(f, x, lam)
+
+
+class _ReferenceRecursion:
+    def __init__(self, problem, usolver, schedule=None, rng=None):
+        self.problem, self.usolver, self.schedule, self.rng = problem, usolver, schedule, rng
+        b, d = np.zeros(problem.f.dim), np.zeros(problem.f.dim)
+        self.x, self.p, self._bd = problem.lam * (b + d), problem.lam * b, (b, d)
+
+    def bd(self):
+        if self._bd is None:
+            lam = self.problem.lam
+            b = self.p / lam
+            self._bd = (b, self.x / lam - b)
+        return self._bd
+
+
+class _ReferenceAsb(_ReferenceRecursion):
+    def step(self, k):
+        lam, L, f = self.problem.lam, self.problem.L, self.problem.f
+        b, d = self._bd
+        u = self.usolver.solve_c(b - d)
+        Lu = Lu_exact = L.apply(u)
+        m_k = self.schedule.magnitude(k) if self.schedule is not None else 0.0
+        alpha = 0.0
+        if m_k > 0.0:
+            w = sb.asb._unit_perturbation(self.rng, L.domain_dim)
+            w[self.usolver.pinned] = 0.0
+            img_norm = float(np.linalg.norm(L.apply(w)))
+            if img_norm > 0.0:
+                u = u + w * (m_k / img_norm)
+                Lu = L.apply(u)
+                alpha = float(np.linalg.norm(Lu - Lu_exact))
+        z = b + Lu
+        d_new = _reference_prox(f, z, 1.0 / lam)
+        if m_k > 0.0:
+            d_new = d_new + sb.asb._unit_perturbation(self.rng, f.dim) * m_k
+        b_new = z - d_new
+        self._bd = (b_new, d_new)
+        self.x, self.p = lam * (b_new + d_new), lam * b_new
+        return u, Lu, alpha
+
+
+class _ReferenceDrs(_ReferenceRecursion):
+    def step(self, k):
+        lam, L, f = self.problem.lam, self.problem.L, self.problem.f
+        x, p = self.x, self.p
+        y = 2.0 * p - x
+        u = self.usolver.solve_c(y / lam)
+        Lu = L.apply(u)
+        x_new = lam * Lu
+        x_new += y
+        x_new += x
+        x_new -= p
+        self.x, self.p, self._bd = x_new, _reference_resolvent(f, x_new, lam), None
+        return u, Lu, 0.0
+
+
+def _reference_norm(v):
+    return float(np.sqrt(v.dot(v)))
+
+
+def _reference_drive(run, twin, stop):
+    g, f, lam = run.problem.g, run.problem.f, run.problem.lam
+    series = {name: [] for name in ("residuals", "energies", "setzer_defects", "x_increments",
+                                    "alpha_injected")}
+    twin_defect = None if twin is None else max(_reference_norm(run.x - twin.x),
+                                                _reference_norm(run.p - twin.p))
+    converged, k, u = False, 0, None
+    for k in range(1, stop.max_iter + 1):
+        x_prev, p_prev = run.x, run.p
+        u, Lu, alpha = run.step(k)
+        x_inc, p_inc = _reference_norm(run.x - x_prev), _reference_norm(run.p - p_prev)
+        defect = np.nan
+        if twin is not None and k <= 200:
+            twin.step(k)
+            defect = max(_reference_norm(run.x - twin.x), _reference_norm(run.p - twin.p))
+            twin_defect = max(twin_defect, defect)
+        for name, value in zip(series, (x_inc / lam, g.value(u) + f.value(Lu), defect, x_inc,
+                                        alpha)):
+            series[name].append(value)
+        if stop.fired(x_inc, p_inc, _reference_norm(x_prev)):
+            converged = True
+            break
+    b, d = run.bd()
+    return series, converged, k, twin_defect, (u, b, d, run.x, run.p)
+
+
+def _lean_path_problems():
+    tv1 = sb.make_tv_instance((48,), mu=0.15, seed=5)
+    m = matrix_operator([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    zero_g = matrix_operator([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [2.0, 1.0, 1.0]])
+    return {
+        "lasso": lambda: sb.SplitProblem(g=prox_quadratic(np.linspace(-3.0, 3.0, 10), 1.0),
+                                         f=prox_l1(1.0, dim=10), L=identity_operator(10),
+                                         lam=0.7),
+        "tv1d_dirichlet": lambda: sb.build_tv_problem(tv1, boundary="dirichlet"),
+        "tv1d_free": lambda: sb.build_tv_problem(tv1, boundary="free"),
+        "tv2d": lambda: sb.build_tv_problem(sb.make_tv_instance((8, 8), seed=1), lam=2.0),
+        "lg_1d": lambda: sb.build_least_gradient_problem(
+            sb.make_least_gradient_instance((20,)), lam=0.5),
+        "lg_2d": lambda: sb.build_least_gradient_problem(
+            sb.make_least_gradient_instance((12, 9), kind="two_phase"), lam=0.3),
+        "custom_pins_all": lambda: sb.SplitProblem(
+            g=prox_indicator_point(np.array([1.0, 2.0])), f=prox_l1(0.5, dim=3), L=m),
+        "custom_zero_g": lambda: sb.SplitProblem(
+            g=zero_functional(3), f=prox_quadratic(np.array([1.0, 2.0, -1.0, 0.5]), 1.0),
+            L=zero_g),
+    }
+
+
+@pytest.mark.parametrize("solver", ["asb", "drs", "asb_approx"])
+@pytest.mark.parametrize("name", list(_lean_path_problems()))
+def test_lean_path_reproduces_the_reference_loop_bit_for_bit(name, solver):
+    # past the 200-iteration twin window, unless the run converges first
+    stop = sb.StoppingRule(tol=1e-11, max_iter=260)
+    schedule = ErrorSchedule("geometric", scale=0.3, ratio=0.95)
+    prob = _lean_path_problems()[name]()
+    ref_problem = _lean_path_problems()[name]()  # its own functionals and factor
+    usolver = _ReferenceUStep(ref_problem)
+    if solver == "asb":
+        trace = sb.asb_iterate(prob, stop=stop, record_stride=0)
+        run, twin = _ReferenceAsb(ref_problem, usolver), _ReferenceDrs(ref_problem, usolver)
+    elif solver == "drs":
+        trace = sb.run_drs(prob, stop=stop, record_stride=0)
+        run, twin = _ReferenceDrs(ref_problem, usolver), _ReferenceAsb(ref_problem, usolver)
+    else:
+        trace = sb.asb_iterate_approx(prob, schedule, stop=stop, seed=8, record_stride=0)
+        run = _ReferenceAsb(ref_problem, usolver, schedule, np.random.default_rng(8))
+        twin = None
+    series, converged, n_iter, twin_defect, final = _reference_drive(run, twin, stop)
+    assert (trace.n_iter, trace.converged, trace.twin_defect) == (n_iter, converged, twin_defect)
+    for field, values in series.items():
+        assert np.array_equal(getattr(trace, field), np.array(values), equal_nan=True), field
+    last = trace.final
+    for field, value in zip("ubdxp", final):
+        assert np.array_equal(getattr(last, field), value), field
+    if solver == "asb_approx" and name != "custom_pins_all":
+        assert np.all(trace.alpha_injected > 0.0)  # the injection ran
+
+
+def _buffers(problem):
+    # every array a step may read but must not write or hand out
+    usolver = problem._usolver
+    arrays = [usolver._anchor, usolver._rhs0, usolver.pinned]
+    # a SuperLU factor keeps its arrays out of reach
+    arrays += [v for v in getattr(usolver._factor, "__dict__", {}).values()
+               if isinstance(v, np.ndarray)]
+    for F in (problem.f, problem.g):
+        for value in F.params.values():
+            arrays += [v for v in (value if isinstance(value, tuple) else (value,))
+                       if isinstance(v, np.ndarray)]
+    return arrays
+
+
+@pytest.mark.parametrize("form", ["asb", "drs", "asb_approx"])
+@pytest.mark.parametrize("name", ["lasso", "tv1d_dirichlet", "tv2d", "lg_2d", "custom_pins_all",
+                                  "custom_zero_g"])
+def test_step_results_never_alias(name, form):
+    problem = _lean_path_problems()[name]()
+    if form == "drs":
+        rec = sb.asb._DrsStep(problem, None)
+    else:
+        schedule = ErrorSchedule("geometric", scale=0.3) if form == "asb_approx" else None
+        rec = sb.asb._AsbSweep(problem, None, schedule=schedule, rng=np.random.default_rng(2))
+    buffers = _buffers(problem)
+    saved = [a.copy() for a in buffers]
+    prev = [rec.x, rec.p, *rec.bd()]
+    for k in range(1, 21):
+        step = rec.step(k)
+        new = [step.u, step.Lu, rec.x, rec.p, *rec.bd()]
+        for i, a in enumerate(new):
+            for other in new[i + 1:] + prev + buffers:
+                assert not np.shares_memory(a, other)
+        prev = new
+    for a, before in zip(buffers, saved):
+        assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("name", ["tv1d_dirichlet", "lg_2d"])
+def test_u_step_solver_is_freed_with_its_problem_without_the_cycle_collector(name):
+    # a solver in a reference cycle outlives its run until a full collection,
+    # which raises the peak memory of a process that runs many problems
+    problem = _lean_path_problems()[name]()
+    gc.disable()
+    try:
+        for solver in (sb.asb_iterate, sb.run_drs):
+            solver(problem, stop=sb.StoppingRule(tol=None, max_iter=3))
+        alive = weakref.ref(problem._usolver)
+        del problem
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -386,10 +386,21 @@ def test_tv_oracles_via_cli(tmp_path, payload):
     assert primal["details"].endswith("reference value: independent oracle")
 
 
+def test_tv2d_oracle_starts_from_the_run_dual_point(tmp_path):
+    payload = {"problem": "tv2d", "params": {"grid_shape": [8, 8], "lambda": 20.0}}
+    assert run(parse_config(payload), tmp_path / "out") == 0
+    primal = next(c for c in _certs(tmp_path / "out") if c["kind"] == "primal_optimal")
+    assert "; dual solve warm-started, gap-certified; " in primal["details"]
+
+
 def test_uncertified_tv2d_oracle_falls_back_to_the_weak_duality_bound(tmp_path, monkeypatch):
-    # capped at 25 iterations the dual solve stops with a gap near 1e-2; its
-    # value is no reference, and a correct run must not fail against it
+    # capped at 25 iterations a cold dual solve stops with a gap near 1e-2; its
+    # value is no reference, and a correct run must not fail against it.  The
+    # CLI's warm start certifies within 25 iterations, so it starts cold here
     monkeypatch.setattr(splitbreg.oracles, "_DUAL_MAX_ITER", 25)
+    cold = splitbreg.oracles.tv_dual_solve
+    monkeypatch.setattr(splitbreg.cli, "tv_dual_solve",
+                        lambda prob, gap_tol, b0: cold(prob, gap_tol=gap_tol))
     payload = {"problem": "tv2d", "params": {"grid_shape": [6, 6], "tol": 1e-11}}
     assert run(parse_config(payload), tmp_path / "out") == 0
     primal = next(c for c in _certs(tmp_path / "out") if c["kind"] == "primal_optimal")

@@ -484,3 +484,17 @@ def test_functional_from_label():
     assert functional_from_label("zero", 5, {}).label == "zero"
     with pytest.raises(ValueError, match="unknown functional label"):
         functional_from_label("huber", 3, {})
+
+
+def test_l1_prox_keeps_its_bits_when_the_step_alternates():
+    # the prox keeps the thresholds of its last step; a new step forms its own
+    rng = np.random.default_rng(12)
+    w = np.abs(rng.standard_normal(9))
+    F = prox_l1(w)
+    x = 3.0 * rng.standard_normal(9)
+    t1, t2 = 0.7, 1.0 / 3.0
+    steps = [t1, t2, t1, t1, float(np.float64(t2)), np.full(9, t1), np.full(9, t2)]
+    for t in steps:
+        assert F.prox(x, t).tobytes() == kernels.soft_threshold(x, t * w).tobytes()
+    # the l1 dual resolvent clips to the box [-w, w] for every lam
+    assert dual_resolvent(F, x, 0.2).tobytes() == np.minimum(np.maximum(x, -w), w).tobytes()

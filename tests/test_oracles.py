@@ -105,6 +105,25 @@ def test_opnorm_bound_is_at_least_the_largest_eigenvalue(make, shape, spacing):
     assert _opnorm_sq_bound(L) >= top * (1.0 - 1e-12)  # eigvalsh roundoff only
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet", "free"])
+def test_tv_dual_solve_from_a_run_dual_point_certifies_the_same_value(boundary):
+    # warm-started from lam b of a converged run the solve certifies within
+    # one gap check; a random start, mostly outside f*'s domain, is
+    # projected first and reaches the same value within the gaps
+    prob = sb.build_tv_problem(sb.make_tv_instance((8, 8), seed=1), lam=2.0, boundary=boundary)
+    trace = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=1e-10), record_stride=0)
+    cold = tv_dual_solve(prob, gap_tol=1e-10)
+    warm = tv_dual_solve(prob, gap_tol=1e-10, b0=prob.lam * trace.final.b)
+    assert cold.certified and warm.certified
+    assert warm.iterations == 25 < cold.iterations
+    assert abs(warm.primal_value - cold.primal_value) <= warm.gap + cold.gap
+    b0 = 5.0 * np.random.default_rng(3).standard_normal(prob.f.dim)
+    assert np.any(np.abs(b0) > prob.f.params["weights"].max())
+    rand = tv_dual_solve(prob, gap_tol=1e-10, b0=b0)
+    assert rand.certified
+    assert abs(rand.primal_value - cold.primal_value) <= rand.gap + cold.gap
+
+
 def test_tv_dual_solve_requires_quadratic_fidelity(lg_linear_problem):
     with pytest.raises(ValueError, match="quadratic"):
         tv_dual_solve(lg_linear_problem)
