@@ -96,7 +96,11 @@ _U_STEP_LABELS = ("quadratic", "indicator_point", "zero")
 
 @dataclass(frozen=True, eq=False)
 class SplitProblem:
-    """Problem data ``(g, f, L)`` plus the penalty."""
+    """Problem data ``(g, f, L)`` plus the penalty.
+
+    g must be one of ``_U_STEP_LABELS``, whose u-step is an exact linear
+    solve; any other g is refused here, when the problem is built.
+    """
 
     g: ProxFunctional
     f: ProxFunctional
@@ -110,6 +114,9 @@ class SplitProblem:
             raise ValueError(f"f lives on dim {self.f.dim}, L codomain is {self.L.codomain_dim}")
         if not self.lam > 0:
             raise ValueError("lambda must be positive")
+        if self.g.label not in _U_STEP_LABELS:
+            raise ValueError(f"g: label {self.g.label!r} has no exact u-step; "
+                             f"use one of {_U_STEP_LABELS}")
 
     @cached_property
     def _usolver(self) -> "_UStepSolver":
@@ -156,11 +163,6 @@ class _UStepSolver:
 
     def __init__(self, problem: SplitProblem):
         g, L = problem.g, problem.L
-        if g.label not in _U_STEP_LABELS:
-            raise ValueError(
-                f"u-step needs g in {_U_STEP_LABELS}, got {g.label!r}: "
-                "only these make the subproblem an SPD linear solve"
-            )
         # only the point indicator has a mask and an anchor, only the quadratic a scale
         self.pinned = np.zeros(L.domain_dim, dtype=bool) | g.params.get("mask", False)
         self._anchor = np.where(self.pinned, g.params.get("anchor", 0.0), 0.0)
@@ -397,7 +399,7 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     stop = stop or StoppingRule()
     g_value, f_value, lam = run.problem.g.value, run.problem.f.value, run.lam
     records = [_record(run, 0, None)]
-    residuals, energies, defects, x_incs, alphas = ([] for _ in range(5))
+    energies, defects, x_incs, alphas = ([] for _ in range(4))
     twin_defect = None if twin is None else max(_mismatch(run, twin))
     # the twin steps at k = 1 .. window, decided once
     window = 0 if twin is None else _TWIN_ITERATIONS
@@ -424,7 +426,6 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
             finite = step.finite if twin_step is None else step.finite + twin_step.finite
             for what, v in finite:
                 _require_finite(v, k, what)
-        residuals.append(x_inc / lam)
         energies.append(energy)
         alphas.append(step.alpha)
         x_incs.append(x_inc)
@@ -440,7 +441,7 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
 
     return RunTrace(
         kind=kind, iterates=records,
-        residuals=np.array(residuals), energies=np.array(energies),
+        residuals=np.array(x_incs) / lam, energies=np.array(energies),
         setzer_defects=np.array(defects), x_increments=np.array(x_incs),
         alpha_injected=np.array(alphas), converged=converged, n_iter=k,
         twin_defect=twin_defect,
@@ -481,8 +482,11 @@ def dual_resolvents(problem: SplitProblem) -> ResolventPair:
 
     The first resolvent is evaluated by one u-subproblem solve
     (``J(y) = y + lam * L u_hat`` with ``u_hat`` minimizing
-    ``g(u) + (lam/2)||L u + y/lam||^2``); the second via the Moreau
-    identity on the prox of f.  Both are bound to ``problem.lam``.
+    ``g(u) + (lam/2)||L u + y/lam||^2``); the second is
+    :func:`~splitbreg.functionals.dual_resolvent`: the projection onto
+    the domain of f* for ``l1``, ``weighted_l21`` and ``zero``, the
+    Moreau identity on the prox of f for any other f.  Both are bound to
+    ``problem.lam``.
     """
     lam = problem.lam
     usolver = problem._usolver

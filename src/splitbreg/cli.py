@@ -43,8 +43,7 @@ import numpy as np
 
 from .applications import (build_least_gradient_problem, build_tv_problem,
                            make_least_gradient_instance, make_tv_instance)
-from .asb import (_U_STEP_LABELS, SplitProblem, asb_iterate, asb_iterate_approx,
-                  dual_resolvents, run_drs)
+from .asb import SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents, run_drs
 # equivalence_report is not called here; perfbench/tracing.py wraps this name
 from .diagnostics import (Certificate, RunTrace, certificates_to_json, dual_certificate,
                           dual_value, duality_gap, equivalence_report, lockstep_certificate,
@@ -100,8 +99,9 @@ def parse_config(payload: dict) -> RunConfig:
     ``params`` comes back with every default of the problem's table filled
     in; an explicit ``null`` replaces a default like any other value, so
     it is rejected wherever a key does not take ``null``.  Every key's type
-    and range is checked here; only the custom_matrix CSV is checked later,
-    when :func:`run` loads it (still exit 2).
+    and range is checked here; only the custom_matrix CSV, and whether its
+    g has an exact u-step, are checked later, when :func:`run` builds the
+    problem (still exit 2).
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
@@ -220,9 +220,6 @@ def _check_params(problem: str, p: dict) -> Optional[ErrorSchedule]:
             if not isinstance(label, str) or label not in FUNCTIONAL_LABELS:
                 raise ConfigError(f"key {side!r} must be an object with a 'label' "
                                   f"in {sorted(FUNCTIONAL_LABELS)}")
-            if side == "g" and label not in _U_STEP_LABELS:
-                raise ConfigError(f"key 'g': label {label!r} has no exact u-step; "
-                                  f"use one of {_U_STEP_LABELS}")
             _check_functional(side, label, spec)
     return schedule
 
@@ -342,7 +339,8 @@ def _build_problem(config: RunConfig):
 
         return problem, f"least_gradient_{kind}_{shape_id}", oracle
 
-    # custom_matrix: a CSV that is unreadable or does not fit g and f is a config error
+    # custom_matrix: a CSV that is unreadable or does not fit g and f, or a g
+    # that SplitProblem refuses, is a config error
     try:
         L = matrix_operator(load_matrix_csv(p["matrix_csv"]))
         g_spec, f_spec = dict(p["g"]), dict(p["f"])

@@ -303,17 +303,22 @@ def test_approx_run_keeps_pinned_coordinates(tmp_path, capsys):
     assert energies and all(math.isfinite(e) for e in energies)
 
 
-@pytest.mark.parametrize("solver", ["asb", "drs", "asb_approx"])
-def test_overflowing_lasso_certifies_no_wrong_dual_point(tmp_path, solver):
+@pytest.mark.parametrize("solver,max_iter,iterations", [
+    ("asb", 100, 55), ("drs", 100, 55), ("asb_approx", 100, 55), ("asb", 50, 50),
+], ids=["asb", "drs", "asb_approx", "asb_max_iter_50"])
+def test_overflowing_lasso_certifies_no_wrong_dual_point(tmp_path, solver, max_iter, iterations):
     # at y = +-1e300 the sweep's final b is [0, 0], while the dual optimum is
-    # [1, -1]; a Moreau-form dual resolvent cancelled to 0 there and passed it
+    # [1, -1]; a Moreau-form dual resolvent cancelled to 0 there and passed it.
+    # Increments that overflow to inf do not stop the run: it stops at k = 55,
+    # or at max_iter 50 before that
     payload = {"problem": "lasso", "solver": solver,
-               "params": {"y": [1e300, -1e300], "max_iter": 100}}
+               "params": {"y": [1e300, -1e300], "max_iter": max_iter}}
     cfg = _write_config(tmp_path, payload)
     with np.errstate(over="ignore"):
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     inclusion = [c for c in _certs(tmp_path / "out") if c["kind"] == "inclusion"]
     assert not inclusion[0]["passed"]
+    assert f" iterations={iterations} " in (tmp_path / "out" / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize("solver", ["asb", "drs", "asb_approx"])
@@ -391,6 +396,7 @@ def test_tv2d_oracle_starts_from_the_run_dual_point(tmp_path):
     assert run(parse_config(payload), tmp_path / "out") == 0
     primal = next(c for c in _certs(tmp_path / "out") if c["kind"] == "primal_optimal")
     assert "; dual solve warm-started, gap-certified; " in primal["details"]
+    assert " certificates=4/4 " in (tmp_path / "out" / "summary.txt").read_text()
 
 
 def test_uncertified_tv2d_oracle_falls_back_to_the_weak_duality_bound(tmp_path, monkeypatch):
@@ -449,6 +455,8 @@ def test_spelled_out_defaults_build_what_empty_params_build(tmp_path, problem):
         assert fd.label == fe.label and fd.params.keys() == fe.params.keys()
         for key in fd.params:
             np.testing.assert_array_equal(fd.params[key], fe.params[key])
+    if problem in ("lasso", "tv1d", "least_gradient"):  # tv2d's defaults take 65k iterations
+        assert run(parse_config({"problem": problem}), tmp_path / "out") == 0
 
 
 def test_schedule_fields_default_to_ratio_half_and_scale_one():
@@ -566,6 +574,7 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
     _custom(g={"label": "l1"}),
     _custom(g={"label": "weighted_l21", "block_size": 1}),
     _custom(csv=""),
+    {"problem": "lasso", "solver": "asb_approx", "params": {"schedule": {"type": "harmonic"}}},
     {"problem": "lasso", "solver": "asb_approx",
      "params": {"schedule": {"type": "zero", "scale": 5.0, "ratio": 0.9}}},
     {"problem": "lasso", "solver": "asb_approx",
@@ -584,7 +593,8 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
         "l21_block_size_0", "l21_blocks_misfit_rows", "indicator_no_anchor",
         "indicator_mask_length", "quadratic_target_length", "quadratic_scale_str",
         "l1_negative_weight", "zero_unknown_key", "g_l1_no_u_step",
-        "g_l21_no_u_step", "csv_empty", "zero_schedule_with_scale_and_ratio",
+        "g_l21_no_u_step", "csv_empty", "harmonic_schedule_not_allowed",
+        "zero_schedule_with_scale_and_ratio",
         "harmonic_schedule_with_ratio", "spacing_per_axis_length", "boundary_unknown",
         "conductivity_unknown", "mask_not_boolean", "max_iter_beyond_float",
         "grid_shape_beyond_float"])

@@ -93,6 +93,18 @@ def test_tv_dual_solve_certifies_only_a_gap_below_its_tolerance(monkeypatch):
     assert not capped.certified and capped.gap > 1e-10 * (1.0 + abs(capped.primal_value))
 
 
+def test_tv_dual_solve_returns_a_certified_start_as_it_is():
+    # the start's gap is tested before any step: restarted from a certified
+    # dual point, the solve takes no step and returns that point's u
+    prob = sb.build_tv_problem(sb.make_tv_instance((16,), seed=1), lam=2.0)
+    res = tv_dual_solve(prob, gap_tol=1e-10)
+    assert res.certified and res.iterations > 0
+    again = tv_dual_solve(prob, gap_tol=1e-10, b0=res.b)
+    assert again.certified and again.iterations == 0
+    assert np.array_equal(again.b, res.b) and np.array_equal(again.u, res.u)
+    assert again.gap == res.gap
+
+
 @pytest.mark.parametrize("make", [gradient_operator, interior_gradient_operator])
 @pytest.mark.parametrize("shape,spacing", [((2,), 1.0), ((17,), 0.3), ((40,), 2.5),
                                            ((2, 2), 1.0), ((6, 9), (0.5, 1.5)),
@@ -107,15 +119,15 @@ def test_opnorm_bound_is_at_least_the_largest_eigenvalue(make, shape, spacing):
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "free"])
 def test_tv_dual_solve_from_a_run_dual_point_certifies_the_same_value(boundary):
-    # warm-started from lam b of a converged run the solve certifies within
-    # one gap check; a random start, mostly outside f*'s domain, is
+    # warm-started from lam b of a converged run the solve certifies at its
+    # start, k = 0; a random start, mostly outside f*'s domain, is
     # projected first and reaches the same value within the gaps
     prob = sb.build_tv_problem(sb.make_tv_instance((8, 8), seed=1), lam=2.0, boundary=boundary)
     trace = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=1e-10), record_stride=0)
     cold = tv_dual_solve(prob, gap_tol=1e-10)
     warm = tv_dual_solve(prob, gap_tol=1e-10, b0=prob.lam * trace.final.b)
     assert cold.certified and warm.certified
-    assert warm.iterations == 25 < cold.iterations
+    assert warm.iterations == 0 < cold.iterations
     assert abs(warm.primal_value - cold.primal_value) <= warm.gap + cold.gap
     b0 = 5.0 * np.random.default_rng(3).standard_normal(prob.f.dim)
     assert np.any(np.abs(b0) > prob.f.params["weights"].max())
