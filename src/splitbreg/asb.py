@@ -12,10 +12,10 @@ nothing pinned, with ``scale/lam`` for the quadratic and 0 for zero g).
 So the u-step, the first resolvent of the dual Douglas-Rachford
 iteration, is one sparse symmetric positive-definite linear system,
 ``L^T L`` on the coordinates g leaves free plus the curvature on its
-diagonal (empty when g pins every coordinate), factorized once per solver by
-:func:`splitbreg.linops.spd_factor` and solved directly at every
-sweep.  The system's structure picks the factor: LAPACK's tridiagonal
-LDL^T when it is tridiagonal, as every 1-D grid operator and the
+diagonal (empty when g pins every coordinate), factorized once per
+structure by :func:`splitbreg.linops.spd_factor` and solved directly
+at every sweep.  The system's structure picks the factor: LAPACK's
+tridiagonal LDL^T when it is tridiagonal, as every 1-D grid operator and the
 identity make it; one eigendecomposition per axis when it is a
 Kronecker sum of two tridiagonals, as 2-D least gradient and Dirichlet
 tv2d make it; ``splu`` otherwise (free-boundary tv2d, most custom
@@ -43,12 +43,20 @@ and its final iterate.  Finiteness is tested once per
 iteration, on the sum of the scalars the driver computes anyway; the
 iterate vectors are scanned only when that sum is not finite (the
 argument is in ``_drive``).
-A problem's u-step factor is built once, on first use, and shared by
-its runs, their twins and :func:`dual_resolvents`.  The quadratic and
-zero g pin nothing, so their factor's solution is u itself, with no
-anchor copy, gather or scatter; only the point indicator embeds its
-free coordinates' solution in the anchor.  Each run binds its kernels
-(``lam``, the u-solve, ``L.apply``, f's prox) once, when it is built.
+A problem's u-step solver is built once, on first use, and shared by
+its runs, their twins and :func:`dual_resolvents`.  Its factor depends
+only on L, the pinned set and the curvature, and is memoized on them
+(the last ``_MEMO_SIZE`` kept): problems on one grid share one
+operator (see :mod:`splitbreg.linops`), so a batch of signals of one
+length at one ``lam`` factors once, and a point-indicator problem swept
+over ``lam`` factors once, since its key holds no ``lam``.  Only the
+anchor and the right-hand side's constant part are per problem.  A
+shared factor's arrays, and its operator's CSR, must not be mutated.
+The quadratic and zero g pin nothing, so their factor's solution is u
+itself, with no anchor copy, gather or scatter; only the point
+indicator embeds its free coordinates' solution in the anchor.  Each
+run binds its kernels (``lam``, the u-solve, ``L.apply``, f's prox)
+once, when it is built.
 
 The approximate variant perturbs each subproblem result by a vector of
 scheduled norm ``m_k``.  The u-step error is a feasible u whose image
@@ -70,7 +78,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -79,7 +87,7 @@ import scipy.sparse as sp
 from .diagnostics import IterateRecord, RunTrace
 from .drs import ResolventPair, StoppingRule, _require_finite
 from .functionals import ErrorSchedule, ProxFunctional, dual_resolvent
-from .linops import LinearMap, _matvec, spd_factor
+from .linops import _MEMO_SIZE, LinearMap, _matvec, spd_factor
 
 __all__ = [
     "SplitProblem",
@@ -137,56 +145,81 @@ def initial_state(problem: SplitProblem) -> AsbState:
     return AsbState(d=np.zeros(m), b=np.zeros(m))
 
 
+class _UStepStructure:
+    """The part of a u-step that depends only on ``(L, pinned set, curvature)``.
+
+    ``free`` holds F, the free coordinates (None when nothing is pinned:
+    F is every coordinate and L is not copied); ``adjoint_free`` applies
+    the CSR rows of ``L^T`` at F, which serve as ``L_F^T``; ``factor`` is
+    the :func:`spd_factor` factor of ``L_F^T L_F`` plus the curvature on
+    its diagonal.  Each row of ``L_F^T`` sums in the order the full
+    adjoint's row does, so ``L_F^T c`` is ``(L^T c)[F]`` bit for bit,
+    without the gather.  When every coordinate is pinned, F is empty and
+    the empty system is factored.  Built through the memo
+    :func:`_u_step_structure` and shared by every problem with the same
+    key, so none of its arrays may be written.
+    """
+
+    def __init__(self, L: LinearMap, pinned: bytes, curvature: float):
+        self.pinned = np.frombuffer(pinned, dtype=bool)
+        a = L.matrix
+        self.free = np.flatnonzero(~self.pinned) if self.pinned.any() else None
+        a_free = a if self.free is None else a[:, self.free]
+        # the rows of L^T at F, each summed in the adjoint's stored order; the
+        # system product needs this transpose too, so it is formed once.  The
+        # product is symmetric, so its CSR arrays read as CSC (``.T``, no copy)
+        # are the system itself, in the format spd_factor reads
+        at_free = a_free.T.tocsr()
+        self.adjoint_free = _matvec(at_free)
+        system = (at_free @ a_free).T
+        if curvature:
+            # + curvature I in place; a zero column of L leaves a diagonal entry
+            # to insert, which older scipy releases warn about
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+                system.setdiag(system.diagonal() + curvature)
+        self.factor = spd_factor(system, what="u-step normal system")
+
+
+# Keyed on the operator itself (problems on one grid share it, see
+# linops._grid_gradient), the pinned mask's bytes and the curvature; the
+# point indicator's key holds no lam.  A refused system raises and is not
+# cached.
+_u_step_structure = lru_cache(maxsize=_MEMO_SIZE)(_UStepStructure)
+
+
 class _UStepSolver:
     """Minimizes ``g(u) + (lam/2) ||L u + c||^2`` for the supported g.
 
     Every supported g is a pinned set plus a curvature: the point
     indicator pins its mask at its anchor, with no curvature; the
     quadratic pins nothing and has curvature ``scale/lam``; zero g has
-    neither.  ``pinned`` marks the pinned coordinates and ``_anchor``
-    holds their values, zero elsewhere.  One instance per problem builds
-    once: the CSR rows of ``L^T`` at F, the free coordinates, which serve
-    as ``L_F^T``; the factor of ``L_F^T L_F`` plus the curvature on its
-    diagonal, with :func:`spd_factor`; and the right-hand side's constant
-    part, ``-L_F^T (L anchor)`` plus ``(scale/lam) target`` when the
-    curvature is nonzero.  A solve is one apply of ``L_F^T``, one
-    subtraction and the factor's solve on F.  Each row of ``L_F^T`` sums
-    in the order the full adjoint's row does, so ``L_F^T c`` is
-    ``(L^T c)[F]`` bit for bit, without the gather.  The quadratic and
-    zero g pin nothing: F is every coordinate, ``L_F`` is ``L.matrix``
-    itself, and ``solve_c`` returns the factor's fresh solution as u.
-    The point indicator's ``solve_c`` copies the anchor and scatters the
-    solution into F; when it pins every coordinate, F is empty and the
-    empty system is factored.  Which of the two applies is decided once,
-    at build time (``_free`` is None when nothing is pinned).
+    neither.  The structural part, F, ``L_F^T`` and the factor, comes
+    from the memo :func:`_u_step_structure`, so problems that share L, the
+    pinned set and the curvature share one factor.  Each problem adds its
+    own ``_anchor`` (the pinned values, zero elsewhere) and the
+    right-hand side's constant part, ``-L_F^T (L anchor)`` plus
+    ``(scale/lam) target`` when the curvature is nonzero.  A solve is one
+    apply of ``L_F^T``, one subtraction and the factor's solve on F.  The
+    quadratic and zero g pin nothing, and ``solve_c`` returns the
+    factor's fresh solution as u.  The point indicator's ``solve_c``
+    copies the anchor and scatters the solution into F.  Which of the two
+    applies is decided once, at build time (``_free`` is None when
+    nothing is pinned).
     """
 
     def __init__(self, problem: SplitProblem):
         g, L = problem.g, problem.L
         # only the point indicator has a mask and an anchor, only the quadratic a scale
-        self.pinned = np.zeros(L.domain_dim, dtype=bool) | g.params.get("mask", False)
-        self._anchor = np.where(self.pinned, g.params.get("anchor", 0.0), 0.0)
+        pinned = np.zeros(L.domain_dim, dtype=bool) | g.params.get("mask", False)
         curvature = g.params.get("scale", 0.0) / problem.lam
-        a = L.matrix
-        # None when nothing is pinned: F is every coordinate, L is not copied
-        self._free = np.flatnonzero(~self.pinned) if self.pinned.any() else None
-        a_free = a if self._free is None else a[:, self._free]
-        # the rows of L^T at F, each summed in the adjoint's stored order; the
-        # system product needs this transpose too, so it is formed once.  The
-        # product is symmetric, so its CSR arrays read as CSC (``.T``, no copy)
-        # are the system itself, in the format spd_factor reads
-        at_free = a_free.T.tocsr()
-        self._adjoint_free = _matvec(at_free)
-        system = (at_free @ a_free).T
-        self._rhs0 = -self._adjoint_free(a @ self._anchor)
+        structure = _u_step_structure(L, pinned.tobytes(), curvature)
+        self.pinned, self._free = structure.pinned, structure.free
+        self._adjoint_free, self._factor = structure.adjoint_free, structure.factor
+        self._anchor = np.where(self.pinned, g.params.get("anchor", 0.0), 0.0)
+        self._rhs0 = -self._adjoint_free(L.matrix @ self._anchor)
         if curvature:
             self._rhs0 += curvature * g.params["target"]
-            # + curvature I in place; a zero column of L leaves a diagonal entry
-            # to insert, which older scipy releases warn about
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
-                system.setdiag(system.diagonal() + curvature)
-        self._factor = spd_factor(system, what="u-step normal system")
 
     def solve_c(self, c: np.ndarray) -> np.ndarray:
         """argmin_u g(u) + (lam/2) ||L u + c||^2."""

@@ -15,7 +15,9 @@ operator carries no rank or injectivity flag; where a solve needs one,
 1-D or 2-D, come from one per-axis builder: each axis's component is
 the Kronecker product of that axis's 1-D difference matrix with an
 identity (zero ghost) or a cell-origin selection (interior) on the
-other axis, and the components are interleaved per node.  A
+other axis, and the components are interleaved per node.  The builder
+is memoized on the grid, so problems on equal grids share one operator
+(the last ``_MEMO_SIZE`` stay cached), whose CSR must not be mutated.  A
 :class:`GridSpec` holds integral node counts and finite positive
 spacings; anything else is rejected.
 :func:`spd_factor` is the one factorization used for symmetric
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,6 +64,9 @@ __all__ = [
 
 _FLOAT64 = np.dtype(np.float64)
 _EPS = np.finfo(float).eps
+# entries kept by each structural memo (the grid gradients here, the u-step
+# factors in ``asb``): enough for a few grids in one process, and bounded
+_MEMO_SIZE = 8
 
 
 def as_vector(data, dim: Optional[int] = None) -> np.ndarray:
@@ -185,8 +190,15 @@ def _forward_difference(n: int, h: float, ghost: bool) -> sp.csr_matrix:
     return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(rows, n), format="csr")
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _grid_gradient(grid: GridSpec, ghost: bool) -> LinearMap:
     """Per-axis forward differences on a 1-D or 2-D grid, interleaved per node.
+
+    Memoized on the (hashable) grid: equal grids get the same
+    :class:`LinearMap`, so problems on one grid share one operator, and
+    with it one u-step factor (see ``asb``).  The last ``_MEMO_SIZE``
+    operators built stay cached.  A shared operator's CSR must not be
+    mutated.
 
     Component ``axis`` is the Kronecker product, over the axes in order,
     of that axis's :func:`_forward_difference` and, on every other axis,
@@ -291,7 +303,7 @@ class _KroneckerSumFactor:
         self._eigsum = eigsum
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        coeffs = self._v0t @ np.reshape(rhs, self._eigsum.shape) @ self._v1
+        coeffs = self._v0t @ rhs.reshape(self._eigsum.shape) @ self._v1
         coeffs /= self._eigsum
         return (self._v0 @ coeffs @ self._v1t).reshape(-1)
 

@@ -103,7 +103,9 @@ def _project_dual(f, b: np.ndarray) -> np.ndarray:
         w = f.params["weights"]
         bs = f.params["block_size"]
         blocks = b.reshape(-1, bs)
-        nrm = np.linalg.norm(blocks, axis=1)
+        # the scaled sum of squares where a square would overflow or underflow,
+        # so a far start lands on its ball's boundary, not at 0
+        nrm = kernels._block_norms(blocks)
         scale = np.ones_like(nrm)
         over = nrm > w
         scale[over] = w[over] / nrm[over]

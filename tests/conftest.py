@@ -2,6 +2,16 @@ import numpy as np
 import pytest
 
 import splitbreg as sb
+import splitbreg.asb
+import splitbreg.linops
+
+
+@pytest.fixture(autouse=True)
+def _cold_structure_memos():
+    # the grid-operator and u-step-factor memos live as long as the process;
+    # each test starts with both empty, so no result depends on test order
+    splitbreg.linops._grid_gradient.cache_clear()
+    splitbreg.asb._u_step_structure.cache_clear()
 
 
 @pytest.fixture(scope="session")

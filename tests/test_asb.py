@@ -962,3 +962,45 @@ def test_u_step_solver_is_freed_with_its_problem_without_the_cycle_collector(nam
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_problems_on_one_operator_share_one_u_step_factor():
+    # the factor depends on L, the pinned set and the curvature only; the
+    # anchor and target stay per problem, and a shared factor gives the run
+    # a cold memo gives
+    rng = np.random.default_rng(9)
+    L = matrix_operator(rng.standard_normal((6, 4)))
+
+    def problem(target):
+        return sb.SplitProblem(g=prox_quadratic(target, 0.7), f=prox_l1(0.5, dim=6), L=L, lam=1.3)
+
+    first, second = problem(rng.standard_normal(4)), problem(rng.standard_normal(4))
+    assert second._usolver._factor is first._usolver._factor
+    assert not np.array_equal(second._usolver._rhs0, first._usolver._rhs0)
+    shared = sb.asb_iterate(second, stop=sb.StoppingRule(tol=1e-12, max_iter=500))
+    sb.asb._u_step_structure.cache_clear()
+    cold = problem(second.g.params["target"])
+    assert cold._usolver._factor is not first._usolver._factor
+    trace = sb.asb_iterate(cold, stop=sb.StoppingRule(tol=1e-12, max_iter=500))
+    for field in ("residuals", "energies", "setzer_defects", "x_increments"):
+        assert np.array_equal(getattr(trace, field), getattr(shared, field), equal_nan=True)
+    # another curvature, or another pinned set, is another factor
+    other_lam = sb.SplitProblem(g=second.g, f=second.f, L=L, lam=2.0)
+    pinned = sb.SplitProblem(g=prox_indicator_point(np.ones(4), [True, False, False, False]),
+                             f=second.f, L=L)
+    assert other_lam._usolver._factor is not cold._usolver._factor
+    assert pinned._usolver._factor is not cold._usolver._factor
+
+
+def test_structure_memos_keep_at_most_their_maxsize():
+    # a long process keeps a bounded set of operators and factors
+    rng = np.random.default_rng(10)
+    size = linops._MEMO_SIZE
+    for n in range(2, size + 5):
+        L = linops.gradient_operator(GridSpec((n,)))
+        assert linops.gradient_operator(GridSpec((n,))) is L
+        sb.SplitProblem(g=prox_quadratic(np.ones(3), 1.0), f=prox_l1(1.0, dim=4),
+                        L=matrix_operator(rng.standard_normal((4, 3))))._usolver
+    for memo in (linops._grid_gradient, sb.asb._u_step_structure):
+        info = memo.cache_info()
+        assert info.maxsize == size and info.currsize == size

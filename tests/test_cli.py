@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import splitbreg.asb
 import splitbreg.cli
+import splitbreg.linops
 import splitbreg.oracles
 from splitbreg.cli import _PARAMS, PROBLEMS, ConfigError, main, parse_config, run
 from splitbreg.diagnostics import RunTrace
@@ -151,14 +152,75 @@ def test_twin_catches_a_wrong_dual_resolvent(tmp_path, monkeypatch):
     assert len(equivalence) == 1 and not equivalence[0]["passed"]
 
 
+def _clear_structure_memos():
+    splitbreg.linops._grid_gradient.cache_clear()
+    splitbreg.asb._u_step_structure.cache_clear()
+
+
 def test_run_factors_the_u_step_once(tmp_path, monkeypatch):
-    # the solver's factor also serves the inclusion certificate's resolvents
+    # the solver's factor also serves the inclusion certificate's resolvents;
+    # the memos start empty, or an earlier factor of this grid would be reused
+    _clear_structure_memos()
     factors = []
     exact = splitbreg.asb.spd_factor
     monkeypatch.setattr(splitbreg.asb, "spd_factor",
                         lambda system, what: factors.append(what) or exact(system, what))
     payload = {"problem": "tv1d", "params": {"grid_shape": [64], "seed": 1}}
     assert run(parse_config(payload), tmp_path / "run") == 0
+    assert factors == ["u-step normal system"]
+
+
+def _outputs(out):
+    # the three files, the summary without its wall time
+    summary = re.sub(r" wall_time=\S+", "", (out / "summary.txt").read_text())
+    return (out / "trace.csv").read_bytes(), (out / "certificates.json").read_bytes(), summary
+
+
+def _custom_matrix_payload(tmp_path):
+    mpath = tmp_path / "op.csv"
+    m = np.random.default_rng(0).standard_normal((6, 4))
+    mpath.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in m) + "\n")
+    return {"problem": "custom_matrix",
+            "params": {"matrix_csv": str(mpath), "g": {"label": "quadratic"},
+                       "f": {"label": "l1", "weight": 0.5}, "tol": 1e-12, "max_iter": 2000}}
+
+
+@pytest.mark.parametrize("solver", ["asb", "drs", "asb_approx"])
+@pytest.mark.parametrize("name", ["tv1d", "least_gradient_two_lambdas", "custom_matrix"])
+def test_a_memo_hit_writes_what_a_cold_memo_writes(tmp_path, name, solver):
+    # a cold run, then the same structure again from the memo: tv1d's second
+    # run reuses its grid and factor; least gradient's indicator g has no lam
+    # in its key, so its second lam reuses the first one's factor; the custom
+    # matrix is read afresh from its CSV and builds a new operator each run
+    if name == "tv1d":
+        payloads = [{"problem": "tv1d", "params": {"grid_shape": [64], "seed": 3}}] * 2
+    elif name == "least_gradient_two_lambdas":
+        payloads = [{"problem": "least_gradient",
+                     "params": {"grid_shape": [10, 10], "conductivity": "two_phase",
+                                "lambda": lam, "max_iter": 3000}} for lam in (0.05, 0.2)]
+    else:
+        payloads = [_custom_matrix_payload(tmp_path)] * 2
+    payloads = [dict(p, solver=solver) for p in payloads]
+    _clear_structure_memos()
+    for i, payload in enumerate(payloads):
+        run(parse_config(payload), tmp_path / f"memo{i}")
+    info = splitbreg.asb._u_step_structure.cache_info()
+    assert (info.hits, info.misses) == ((0, 2) if name == "custom_matrix" else (1, 1))
+    _clear_structure_memos()
+    run(parse_config(payloads[-1]), tmp_path / "cold")
+    assert _outputs(tmp_path / "memo1") == _outputs(tmp_path / "cold")
+
+
+def test_a_batch_on_one_grid_factors_the_u_step_once(tmp_path, monkeypatch):
+    # 60 noisy signals of one length at one lam share one operator and factor
+    factors = []
+    exact = splitbreg.asb.spd_factor
+    monkeypatch.setattr(splitbreg.asb, "spd_factor",
+                        lambda system, what: factors.append(what) or exact(system, what))
+    for seed in range(60):
+        payload = {"problem": "tv1d", "params": {"grid_shape": [256], "mu": 0.15, "seed": seed,
+                                                 "tol": 1e-9, "max_iter": 20000}}
+        assert run(parse_config(payload), tmp_path / "out") == 0
     assert factors == ["u-step normal system"]
 
 

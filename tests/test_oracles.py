@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import splitbreg as sb
 import splitbreg.oracles
+from splitbreg.functionals import dual_resolvent
 from splitbreg.linops import GridSpec, gradient_operator, interior_gradient_operator
 from splitbreg.oracles import (_opnorm_sq_bound, interior_stationarity_defect,
                                soft_threshold_optimum, taut_string_denoise, taut_string_dirichlet,
@@ -134,6 +137,29 @@ def test_tv_dual_solve_from_a_run_dual_point_certifies_the_same_value(boundary):
     rand = tv_dual_solve(prob, gap_tol=1e-10, b0=b0)
     assert rand.certified
     assert abs(rand.primal_value - cold.primal_value) <= rand.gap + cold.gap
+
+
+@pytest.mark.parametrize("shape,boundary", [((6, 7), "free"), ((8, 8), "dirichlet")])
+def test_dual_projection_of_a_far_start_lands_on_its_balls(shape, boundary):
+    # block norms that overflow a plain sum of squares are rescaled, so a
+    # start near 1e200 is scaled onto each ball, not to 0, with no warning;
+    # a moderate start keeps the bits of the plain norm's projection
+    prob = sb.build_tv_problem(sb.make_tv_instance(shape, seed=1), lam=2.0, boundary=boundary)
+    w = prob.f.params["weights"]
+    moderate = 5.0 * np.random.default_rng(4).standard_normal(prob.f.dim)
+    blocks = moderate.reshape(-1, 2)
+    nrm = np.linalg.norm(blocks, axis=1)
+    plain = (blocks * np.where(nrm > w, w / nrm, 1.0)[:, None]).reshape(-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(splitbreg.oracles._project_dual(prob.f, moderate), plain)
+        far = 1e200 * moderate
+        projected = splitbreg.oracles._project_dual(prob.f, far)
+        assert np.array_equal(projected, dual_resolvent(prob.f, far, prob.lam))
+        np.testing.assert_allclose(np.linalg.norm(projected.reshape(-1, 2), axis=1), w,
+                                   rtol=4 * np.finfo(float).eps)
+        res = tv_dual_solve(prob, gap_tol=1e-10, b0=far)
+    assert res.certified
 
 
 def test_tv_dual_solve_requires_quadratic_fidelity(lg_linear_problem):
