@@ -29,22 +29,25 @@ solver.  Under the correspondence ``x = lam (b + d)``, ``p = lam b``
 the two recursions agree to roundoff.  Each form is one step function
 (the ASB sweep, the dual DRS step) under one driver loop.  Each starts
 from the given ``init`` or else from b0 = d0 = 0, defaulted in one
-place, ``_Recursion``.  Exact runs
-advance a twin of the other form in lockstep for 200 iterations, on
-the shared factor; their mapped mismatch per iterate is the
-``setzer_defects`` series (``nan`` where no twin ran), and its worst,
-k = 0 included, is ``RunTrace.twin_defect``, the correspondence's certificate.
-The twin advances only its iterate; the run's residual, energy and
+place, ``_Recursion``.  Exact runs check Setzer's correspondence at
+each of their first 200 iterations, with no second recursion: the
+other form's map is applied once at the run's own point, reusing the
+run's u-solve, and its one-step defect against the run's next point,
+plus the roundoff difference of the two forms' u-solve inputs, is the
+``setzer_defects`` series (``nan`` past the window).  Their sum, which
+bounds how far a twin of the other form from the same start would drift
+(the argument is in ``_drive``), is ``RunTrace.setzer_bound``, the
+correspondence's certificate.  The run's residual, energy and
 increment series are measured on the run alone.  The residual
 ``||d_k - L u_{k+1}||`` is the x-increment over ``lam`` in every form
 (``x_{k+1} - x_k = lam (L u_{k+1} - d_k)``), so it is recorded as that
-quotient; a DRS run maps (x, p) back to (b, d) only for its snapshots
-and its final iterate.  Finiteness is tested once per
+quotient; a DRS run maps (x, p) back to (b, d) only for its snapshots,
+its final iterate and its checks.  Finiteness is tested once per
 iteration, on the sum of the scalars the driver computes anyway; the
 iterate vectors are scanned only when that sum is not finite (the
 argument is in ``_drive``).
 A problem's u-step solver is built once, on first use, and shared by
-its runs, their twins and :func:`dual_resolvents`.  Its factor depends
+its runs and :func:`dual_resolvents`.  Its factor depends
 only on L, the pinned set and the curvature, and is memoized on them
 (the last ``_MEMO_SIZE`` kept): problems on one grid share one
 operator (see :mod:`splitbreg.linops`), so a batch of signals of one
@@ -128,8 +131,8 @@ class SplitProblem:
 
     @cached_property
     def _usolver(self) -> "_UStepSolver":
-        # built on first use, then shared by every run, twin and resolvent
-        # pair on this problem, so one factorization serves a whole CLI run
+        # built on first use, then shared by every run and resolvent pair
+        # on this problem, so one factorization serves a whole CLI run
         return _UStepSolver(self)
 
 
@@ -242,7 +245,7 @@ def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
     return w / n
 
 
-_TWIN_ITERATIONS = 200  # lockstep window of an exact run's twin
+_CHECK_ITERATIONS = 200  # an exact run checks Setzer's correspondence at k = 1 .. 200
 
 
 def _norm(v: np.ndarray) -> float:
@@ -256,14 +259,56 @@ class _Step(NamedTuple):
     Only the run measures it: its energy is ``g(u) + f(Lu)``, and its
     residual ``||d - Lu||``, with the d the u-step was paired with, is
     the driver's x-increment over ``lam``, so a step need not return d.
-    A twin's step is otherwise dropped; either step's ``finite`` vectors
-    are scanned only when the iteration's scalar sum is not finite.
+    ``c`` is the u-solve's input, which the other form's map is checked
+    against; the ``finite`` vectors are scanned only when the
+    iteration's scalar sum is not finite.
     """
 
     finite: tuple  # (name, vector) pairs that must be finite, in check order
+    c: np.ndarray
     u: np.ndarray
     Lu: np.ndarray
     alpha: float = 0.0
+
+
+# The algebra of each form that its step and the other form's check share,
+# so the check applies the very map the other form's step runs.
+
+def _sweep_input(b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The sweep's u-solve input: its u-step minimizes ``g(u) + (lam/2)||L u + b - d||^2``."""
+    return b - d
+
+
+def _sweep_update(z: np.ndarray, d_new: np.ndarray, lam: float) -> tuple:
+    """The b-update ``b = z - d`` after the d-step at ``z = b + L u``, and its (x, p) view."""
+    b_new = z - d_new
+    # lam (b + d) as (b + d) lam, in place: IEEE products commute
+    x = b_new + d_new
+    x *= lam
+    return b_new, x, lam * b_new
+
+
+def _drs_update(x: np.ndarray, p: np.ndarray, y: np.ndarray, Lu: np.ndarray,
+                lam: float) -> np.ndarray:
+    """The DRS x-update ``x + JA(y) - p``, with ``JA(y) = y + lam L u`` and ``y = 2p - x``."""
+    # x + (y + lam Lu) - p on one fresh array: each in-place add swaps
+    # the operands of the same IEEE sum, which commutes bit for bit
+    x_new = lam * Lu
+    x_new += y
+    x_new += x
+    x_new -= p
+    return x_new
+
+
+def _mapped_bd(x: np.ndarray, p: np.ndarray, lam: float) -> tuple:
+    """(b, d) from (x, p): ``b = p/lam``, ``d = x/lam - b``."""
+    b = p / lam
+    return b, x / lam - b
+
+
+def _one_step_defect(dx: np.ndarray, dp: np.ndarray, delta: float) -> float:
+    """``e = 2 ||dx|| + ||dp|| + delta``: the x-defect counts twice, see :func:`_drive`."""
+    return 2.0 * _norm(dx) + _norm(dp) + delta
 
 
 class _Recursion:
@@ -272,15 +317,22 @@ class _Recursion:
     ``init`` None is the zero start of :func:`initial_state`.  ``x``/``p``
     are attributes; ``bd()`` gives ``(b, d)``, mapped from (x, p) by
     ``b = p/lam``, ``d = x/lam - b`` when the last step left them unset,
-    as a DRS step does; only snapshots call it.  Steps rebind to fresh
-    arrays, so records may keep references.  The run's kernels (``lam``,
-    the u-solve, ``L.apply`` and f's prox) are bound here, once per run.
+    as a DRS step does.  Steps rebind to fresh arrays, so records may
+    keep references.  The run's kernels (``lam``, the u-solve,
+    ``L.apply`` and f's prox) are bound here, once per run.
+
+    ``check(x, p, step)`` applies the other form's map once, at this
+    run's previous point (x, p) and with the step's own ``L u``,
+    and returns the one-step defect ``e`` against the point the step
+    reached, with the check's vectors for the finiteness scan (see
+    :func:`_drive`).
     """
 
     def __init__(self, problem: SplitProblem, init: Optional[AsbState]):
         self.problem, self.usolver = problem, problem._usolver
         self.lam, self.solve_c = problem.lam, self.usolver.solve_c
         self.apply, self.f, self.prox = problem.L.apply, problem.f, problem.f.prox
+        self._t = 1.0 / self.lam
         init = init if init is not None else initial_state(problem)
         b = np.array(init.b, dtype=float, copy=True)
         d = np.array(init.d, dtype=float, copy=True)
@@ -290,9 +342,7 @@ class _Recursion:
 
     def bd(self) -> tuple:
         if self._bd is None:
-            lam = self.lam
-            b = self.p / lam
-            self._bd = (b, self.x / lam - b)
+            self._bd = _mapped_bd(self.x, self.p, self.lam)
         return self._bd
 
 
@@ -303,12 +353,12 @@ class _AsbSweep(_Recursion):
                  rng: Optional[np.random.Generator] = None):
         super().__init__(problem, init)
         self.schedule, self.rng = schedule, rng
-        self._t = 1.0 / self.lam
 
     def step(self, k: int) -> _Step:
         lam, apply = self.lam, self.apply
         b, d = self._bd
-        u = u_exact = self.solve_c(b - d)
+        c = _sweep_input(b, d)
+        u = u_exact = self.solve_c(c)
         Lu = apply(u)
 
         m_k = 0.0 if self.schedule is None else self.schedule.magnitude(k)
@@ -328,39 +378,54 @@ class _AsbSweep(_Recursion):
         d_new = self.prox(z, self._t)
         if m_k > 0.0:
             d_new = d_new + _unit_perturbation(self.rng, self.f.dim) * m_k
-        b_new = z - d_new
-
+        b_new, self.x, self.p = _sweep_update(z, d_new, lam)
         self._bd = (b_new, d_new)
-        # lam (b + d) as (b + d) lam, in place: IEEE products commute
-        x = b_new + d_new
-        x *= lam
-        self.x, self.p = x, lam * b_new
-        return _Step((("u", u_exact), ("d", d_new), ("b", b_new)), u, Lu, alpha)
+        return _Step((("u", u_exact), ("d", d_new), ("b", b_new)), c, u, Lu, alpha)
+
+    def check(self, x: np.ndarray, p: np.ndarray, step: _Step) -> tuple:
+        """The DRS step from (x, p), with the sweep's ``L u`` for the one its input would give."""
+        lam = self.lam
+        y = 2.0 * p - x
+        delta = lam * _norm(step.c - y / lam)
+        x_drs = _drs_update(x, p, y, step.Lu, lam)
+        p_drs = dual_resolvent(self.f, x_drs, lam)
+        x_drs -= self.x
+        p_drs -= self.p
+        return _one_step_defect(x_drs, p_drs, delta), (("x", x_drs), ("p", p_drs))
 
 
 class _DrsStep(_Recursion):
     """The dual Douglas-Rachford step: ``JA`` is one u-solve, ``JB`` the Moreau resolvent.
 
     A step leaves (b, d) unset; ``bd()`` maps them from (x, p) for a
-    snapshot only, and a twin never calls it.
+    snapshot or a check.
     """
 
     def step(self, k: int) -> _Step:
         lam = self.lam
         x, p = self.x, self.p
         y = 2.0 * p - x
-        u = self.solve_c(y / lam)
+        c = y / lam
+        u = self.solve_c(c)
         Lu = self.apply(u)
-        # x + (y + lam Lu) - p on one fresh array: each in-place add swaps
-        # the operands of the same IEEE sum, which commutes bit for bit
-        x_new = lam * Lu
-        x_new += y
-        x_new += x
-        x_new -= p
+        x_new = _drs_update(x, p, y, Lu, lam)
         p_new = dual_resolvent(self.f, x_new, lam)
 
         self.x, self.p, self._bd = x_new, p_new, None
-        return _Step((("u", u), ("x", x_new), ("p", p_new)), u, Lu)
+        return _Step((("u", u), ("x", x_new), ("p", p_new)), c, u, Lu)
+
+    def check(self, x: np.ndarray, p: np.ndarray, step: _Step) -> tuple:
+        """The sweep from this run's previous point, mapped to (b, d), with the step's ``L u``."""
+        lam = self.lam
+        b, d = _mapped_bd(x, p, lam)
+        delta = lam * _norm(step.c - _sweep_input(b, d))
+        z = b + step.Lu
+        d_new = self.prox(z, self._t)
+        b_new, x_asb, p_asb = _sweep_update(z, d_new, lam)
+        x_asb -= self.x
+        p_asb -= self.p
+        return (_one_step_defect(x_asb, p_asb, delta),
+                (("d", d_new), ("b", b_new), ("x", x_asb), ("p", p_asb)))
 
 
 def _record(rec: _Recursion, k: int, u: Optional[np.ndarray]) -> IterateRecord:
@@ -368,40 +433,55 @@ def _record(rec: _Recursion, k: int, u: Optional[np.ndarray]) -> IterateRecord:
     return IterateRecord(k=k, u=u, d=d, b=b, x=rec.x, p=rec.p)
 
 
-def _mismatch(a: _Recursion, b: _Recursion) -> tuple:
-    # an ASB sweep's (x, p) is lam (b + d), lam b, computed as the mapping does;
-    # the defect is the max of the pair
-    return _norm(a.x - b.x), _norm(a.p - b.p)
-
-
 def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, kind: str,
-           twin: Optional[_Recursion] = None) -> RunTrace:
+           check: bool = False) -> RunTrace:
     """The one iteration loop: series, snapshots, finiteness checks, stopping.
 
-    The series (residual, energy, increments) are measured on ``run``
-    only.  The residual ``||d_{k-1} - L u_k||`` is recorded as
+    The series (residual, energy, increments) are measured on ``run``.
+    The residual ``||d_{k-1} - L u_k||`` is recorded as
     ``||x_k - x_{k-1}|| / lam``: for the ASB sweep
     ``x_k - x_{k-1} = lam (b_{k-1} + L u_k) - lam (b_{k-1} + d_{k-1})``,
     and a DRS step makes ``x_k = p_{k-1} + lam L u_k``, which is the same
-    under ``d = (x - p)/lam``.  The two agree to roundoff.  A ``twin``
-    of the other solver form, from the same start, advances only its
-    iterate, in lockstep for the first
-    ``_TWIN_ITERATIONS`` iterations; their mapped mismatch fills
-    ``setzer_defects`` (``nan`` where no twin ran), and ``twin_defect``
-    is its worst value, k = 0 included.
+    under ``d = (x - p)/lam``.  The two agree to roundoff.
+
+    With ``check``, Setzer's correspondence is checked at each of the
+    first ``_CHECK_ITERATIONS`` iterations: ``run.check`` applies the
+    other form's map once, at (x_{k-1}, p_{k-1}) and with the run's own
+    ``L u_k``, giving (x~_k, p~_k), and its one-step defect
+
+        e_k = 2 ||x~_k - x_k|| + ||p~_k - p_k|| + delta_k,
+        delta_k = lam ||c_run - c_other||,
+
+    fills ``setzer_defects`` (``nan`` past the window and without a
+    check); ``setzer_bound`` is their sum.  ``delta_k`` compares the
+    u-solve inputs of the two forms at the same point (``b - d`` against
+    ``(2p - x)/lam``), which differ by roundoff: the check reuses the
+    run's solve, and ``I - JA`` is nonexpansive, so the other form's x
+    would move by at most ``delta_k`` with its own.  Why the sum bounds a
+    twin, for an ``asb`` run, whose map is the DRS step
+    ``x~ = x + JA(2p - x) - p``, ``p~ = JB(x~)``: the step is
+    ``(x + R_A(2p - x))/2`` with ``R_A = 2 JA - I`` nonexpansive, so from
+    a point whose p is off ``JB(x)`` by ``eps`` it lands within ``eps``
+    of the map ``T`` of x itself, and ``T`` is nonexpansive (it is firmly
+    nonexpansive; Lions & Mercier 1979).  The run's p_k is off
+    ``JB(x_k)`` by at most ``||p~_k - p_k|| + ||x~_k - x_k||``, as
+    ``JB`` is nonexpansive.  So a DRS twin from the same start stays,
+    in x and in p, within the running sum of e_k of the run: the x-defect
+    counts twice, for itself and for the p it leaves off ``JB(x)``.  This
+    is exact-arithmetic reasoning; a twin run in floating point adds its
+    own rounding, which the sum does not hold.  For a ``drs`` run the map
+    is the sweep, and the same sum bounds a sweep twin where the sweep is
+    nonexpansive, which is the correspondence being checked.
 
     Finiteness is tested once per iteration, on one sum: the run's
-    energy and two increments, plus the two mismatch norms
-    inside the twin window, where the twin steps first.  Only if the sum
-    is not finite are vectors scanned, the run's ``step.finite`` in
-    order and then the twin step's, and the first non-finite one raises
-    :class:`~splitbreg.drs.NonFiniteIterateError`.  The twin's step
-    reads only its own state, finite at k - 1, so stepping it before the
-    scan changes nothing the scan sees.  That raises for the same vector
-    at the same k as scanning every step would, because a non-finite
-    entry of any scanned vector reaches a summand (non-finite values are
-    absorbing under ``+``, ``-``, ``*`` and a sum of squares, and
-    ``inf - inf`` is nan):
+    energy and two increments, plus e_k inside the window.  Only if the
+    sum is not finite are vectors scanned, the run's ``step.finite`` in
+    order and then the check's, and the first non-finite one raises
+    :class:`~splitbreg.drs.NonFiniteIterateError`.  That raises for the
+    same vector at the same k as scanning every step would, because a
+    non-finite entry of any scanned vector reaches a summand (non-finite
+    values are absorbing under ``+``, ``-``, ``*`` and a sum of squares,
+    and ``inf - inf`` is nan):
 
     - the run's u: for a quadratic g its value ``g(u)`` (scale > 0,
       finite target) is not finite.  For the other g the u-step system
@@ -416,14 +496,12 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     - the ASB run's d or b reaches ``x = lam (b + d)``, and b reaches
       ``p = lam b``, so an increment.  The DRS run's x and p are the
       increments' own vectors.
-    - the twin's u reaches ``Lu`` through a nonzero column, and then x
-      (DRS: ``x + (y + lam Lu) - p``; ASB: ``b + Lu - d``, whatever the
-      prox returns).  A zero column occurs only for a quadratic g; its
-      coordinate is decoupled from the others and solves to the same
-      value at every step, the run's, which its energy tested.  The
-      twin's d, b, x and p reach its ``(x, p)`` as above, and so a
-      mismatch norm.  The norms enter the sum, not their max: Python's
-      ``max(a, nan)`` is ``a``.
+    - the check's vectors, once the run's are finite: an ``asb`` run's
+      check holds ``x~ - x_k`` and ``p~ - p_k``, whose norms are summands
+      of e_k.  A ``drs`` run's check holds the sweep's d and b, which
+      reach its ``x~ = lam (b + d)`` and ``p~ = lam b`` as for the run,
+      then ``x~ - x_k`` and ``p~ - p_k``.  The input difference in
+      ``delta_k`` is formed from the run's finite vectors.
 
     A finite vector whose norm overflows (the ±1e300 lasso) makes the
     sum ``inf``; the scan then finds every vector finite and the run
@@ -433,9 +511,9 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
     g_value, f_value, lam = run.problem.g.value, run.problem.f.value, run.lam
     records = [_record(run, 0, None)]
     energies, defects, x_incs, alphas = ([] for _ in range(4))
-    twin_defect = None if twin is None else max(_mismatch(run, twin))
-    # the twin steps at k = 1 .. window, decided once
-    window = 0 if twin is None else _TWIN_ITERATIONS
+    # the check runs at k = 1 .. window, decided once
+    window = _CHECK_ITERATIONS if check else 0
+    bound = 0.0 if check else None
     converged = False
     k = 0
     u = None
@@ -448,16 +526,13 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         x_inc = _norm(run.x - x_prev)
         p_inc = _norm(run.p - p_prev)
         total = energy + x_inc + p_inc
-        twin_step, defect = None, np.nan
+        checked, defect = (), np.nan
         if k <= window:
-            twin_step = twin.step(k)
-            dx, dp = _mismatch(run, twin)
-            total += dx + dp
-            defect = max(dx, dp)
-            twin_defect = max(twin_defect, defect)
+            defect, checked = run.check(x_prev, p_prev, step)
+            total += defect
+            bound += defect
         if not math.isfinite(total):
-            finite = step.finite if twin_step is None else step.finite + twin_step.finite
-            for what, v in finite:
+            for what, v in step.finite + checked:
                 _require_finite(v, k, what)
         energies.append(energy)
         alphas.append(step.alpha)
@@ -477,16 +552,15 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
         residuals=np.array(x_incs) / lam, energies=np.array(energies),
         setzer_defects=np.array(defects), x_increments=np.array(x_incs),
         alpha_injected=np.array(alphas), converged=converged, n_iter=k,
-        twin_defect=twin_defect,
-        twin_iterates=0 if twin is None else min(k, _TWIN_ITERATIONS) + 1,
+        setzer_bound=bound,
+        setzer_iterates=min(k, window) + 1 if check else 0,
     )
 
 
 def asb_iterate(problem: SplitProblem, init: Optional[AsbState] = None,
                 stop: Optional[StoppingRule] = None, record_stride: int = 1) -> RunTrace:
-    """Run the exact three-step sweep, with a lockstep DRS twin, until the rule fires."""
-    return _drive(_AsbSweep(problem, init), stop, record_stride, "asb",
-                  twin=_DrsStep(problem, init))
+    """Run the exact three-step sweep until the rule fires, checking the DRS map at its points."""
+    return _drive(_AsbSweep(problem, init), stop, record_stride, "asb", check=True)
 
 
 def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
@@ -504,7 +578,7 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     records ``||L u - L u_exact||`` (``m_k`` up to roundoff, or 0); a
     zero magnitude skips injection entirely, so a zero schedule
     reproduces the exact trace bit for bit.
-    No twin runs: the correspondence is an exact-mode property.
+    Nothing is checked: the correspondence is an exact-mode property.
     """
     sweep = _AsbSweep(problem, init, schedule=schedule, rng=np.random.default_rng(seed))
     return _drive(sweep, stop, record_stride, "asb_approx")
@@ -546,8 +620,8 @@ def run_drs(problem: SplitProblem, init: Optional[AsbState] = None,
     Starts from ``x0 = lam (b0 + d0)``, ``p0 = lam b0`` and advances the
     dual recursion, mapping each snapshot back by ``b = p/lam``,
     ``d = x/lam - b``, so the trace carries the same columns as the
-    alternating sweep.  An alternating-sweep twin runs in lockstep for the
-    first 200 iterations; their mapped mismatch fills ``setzer_defects``.
+    alternating sweep.  The sweep's map is checked once at each of the
+    first 200 iterations, at the run's own points; the one-step defects
+    fill ``setzer_defects`` (see :func:`_drive`).
     """
-    return _drive(_DrsStep(problem, init), stop, record_stride, "drs",
-                  twin=_AsbSweep(problem, init))
+    return _drive(_DrsStep(problem, init), stop, record_stride, "drs", check=True)

@@ -21,10 +21,12 @@ the weak-duality bound at the converged dual point.  The tv2d dual solve
 starts from the run's final dual point ``lam b``: its certificate is its
 own duality gap, which no start can bias.
 
-The equivalence certificate of an exact run comes from the lockstep
-twin the solver carries (see :func:`splitbreg.asb.asb_iterate`), so no
-solver runs twice.  For both traces of one instance, run it once with
-``--solver asb`` and once with ``--solver drs`` under ``"tol": null``.
+The equivalence certificate of an exact run comes from the one-step
+checks the solver makes at its own points (see
+:func:`splitbreg.asb.asb_iterate`), so no solver runs twice and no
+second recursion is advanced.  For both traces of one instance, run it
+once with ``--solver asb`` and once with ``--solver drs`` under
+``"tol": null``.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from .applications import (build_least_gradient_problem, build_tv_problem,
 from .asb import SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents, run_drs
 # equivalence_report is not called here; perfbench/tracing.py wraps this name
 from .diagnostics import (Certificate, RunTrace, certificates_to_json, dual_certificate,
-                          dual_value, duality_gap, equivalence_report, lockstep_certificate,
-                          primal_recovery_check)
+                          dual_value, duality_gap, equivalence_certificate,
+                          equivalence_report, primal_recovery_check)
 from .drs import StoppingRule, inclusion_defect
 from .functionals import (FUNCTIONAL_LABELS, ErrorSchedule, functional_from_label, prox_l1,
                           prox_quadratic)
@@ -387,8 +389,8 @@ def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> lis
         "inclusion", inclusion_defect(pair, final.x, final.p, lam), 1e-7,
         details="resolvent residuals of the optimality inclusion at (x, p)"))
 
-    if trace.twin_defect is not None:  # exact runs; approximate runs carry no twin
-        certs.append(lockstep_certificate(trace))
+    if trace.setzer_bound is not None:  # exact runs; approximate runs check nothing
+        certs.append(equivalence_certificate(trace))
     return certs
 
 

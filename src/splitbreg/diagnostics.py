@@ -29,7 +29,7 @@ __all__ = [
     "dual_certificate",
     "primal_recovery_check",
     "equivalence_report",
-    "lockstep_certificate",
+    "equivalence_certificate",
     "summability_report",
     "weak_duality_probe",
     "certificates_to_json",
@@ -60,11 +60,14 @@ class RunTrace:
     primal residual ``||L u^{j+1} - d^{j+1}||`` is the p-increment over
     ``lam``.  ``iterates``
     holds the k=0 initialization plus the snapshots the run asked for
-    (always the final one).  Exact runs advance a lockstep twin of the
-    other solver form over ``twin_iterates`` iterates (k = 0 included):
-    ``setzer_defects[j]`` is their mismatch under ``x = lam (b + d)``,
-    ``p = lam b`` at iterate ``j+1`` (``nan`` where no twin ran), and
-    ``twin_defect`` the worst one, k = 0 included.
+    (always the final one).  Exact runs check Setzer's correspondence
+    over ``setzer_iterates`` iterates (k = 0 included): ``setzer_defects[j]``
+    is the one-step defect of the other solver form's map applied at
+    iterate ``j`` with the run's own u-solve, against iterate ``j+1``
+    under ``x = lam (b + d)``, ``p = lam b`` (``nan`` past the window
+    and for approximate runs), and ``setzer_bound`` their sum, which in
+    exact arithmetic bounds the drift of a twin of the other form (see
+    ``asb._drive``).
     """
 
     kind: str
@@ -76,8 +79,8 @@ class RunTrace:
     alpha_injected: np.ndarray
     converged: bool
     n_iter: int
-    twin_defect: Optional[float] = None
-    twin_iterates: int = 0
+    setzer_bound: Optional[float] = None
+    setzer_iterates: int = 0
 
     def __post_init__(self):
         for name in ("residuals", "energies", "setzer_defects", "x_increments"):
@@ -182,25 +185,31 @@ def equivalence_report(asb_trace: RunTrace, drs_trace: RunTrace, lam: float) -> 
         dx = float(np.linalg.norm(rd.x - lam * (ra.b + ra.d)))
         dp = float(np.linalg.norm(rd.p - lam * ra.b))
         defect = max(defect, dx, dp)
-    return _equivalence(defect, len(asb_trace.iterates))
+    return _equivalence(defect, f"max mapped-sequence mismatch over "
+                                f"{len(asb_trace.iterates)} iterates")
 
 
-def lockstep_certificate(trace: RunTrace) -> Certificate:
-    """The equivalence certificate of an exact run, from its lockstep twin.
+def equivalence_certificate(trace: RunTrace) -> Certificate:
+    """The equivalence certificate of an exact run, from its one-step checks.
 
-    Equal to :func:`equivalence_report` on the run and a separate run of
-    the other solver form over the same iterates, without the rerun.
+    The defect is the run's ``setzer_bound``, the sum of its one-step
+    defects.  In exact arithmetic it bounds :func:`equivalence_report` on
+    the run and a separate run of the other solver form over the same
+    iterates (for a ``drs`` run, where the sweep is nonexpansive); a
+    separate run in floating point adds its own rounding.  The details
+    name which map was checked at whose points.
     """
-    if trace.twin_defect is None:
-        raise ValueError(f"a {trace.kind!r} trace carries no lockstep twin")
-    return _equivalence(trace.twin_defect, trace.twin_iterates)
+    if trace.setzer_bound is None:
+        raise ValueError(f"a {trace.kind!r} trace carries no equivalence check")
+    checked = {"asb": "the DRS map at the asb run's points",
+               "drs": "the ASB sweep at the drs run's points"}[trace.kind]
+    return _equivalence(trace.setzer_bound,
+                        f"sum of one-step defects of {checked} over {trace.setzer_iterates} "
+                        "iterates, bounding an exact twin's mapped-sequence mismatch")
 
 
-def _equivalence(defect: float, n_iterates: int) -> Certificate:
-    return Certificate.from_defect(
-        "equivalence", defect, 1e-9,
-        details=f"max mapped-sequence mismatch over {n_iterates} iterates",
-    )
+def _equivalence(defect: float, details: str) -> Certificate:
+    return Certificate.from_defect("equivalence", defect, 1e-9, details=details)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import SuperLU
 
 import splitbreg as sb
 from splitbreg import linops
-from splitbreg.diagnostics import lockstep_certificate
+from splitbreg.diagnostics import equivalence_certificate
 from splitbreg.drs import NonFiniteIterateError
 from splitbreg.functionals import (ErrorSchedule, prox_indicator_point, prox_l1,
                                    prox_quadratic, zero_functional)
@@ -379,19 +379,40 @@ def test_tv1d_energy_converges_to_taut_string(tv1d_problem, tv1d_instance):
     assert np.all(np.diff(trace.energies) <= 1e-12)
 
 
-def test_setzer_column_is_the_twin_mismatch(tv1d_problem, lg_linear_problem):
+def _one_step_defect(kind, prob, prev, cur):
+    # e_k recomputed from two snapshots, in _drive's arithmetic: the other
+    # form's map at prev, with cur's u, against cur
+    lam, f = prob.lam, prob.f
+    Lu = prob.L.apply(cur.u)
+    y = 2.0 * prev.p - prev.x
+    if kind == "asb":  # the DRS step from prev
+        delta = lam * np.linalg.norm((prev.b - prev.d) - y / lam)
+        x_other = lam * Lu + y + prev.x - prev.p
+        p_other = sb.dual_resolvent(f, x_other, lam)
+    else:  # the sweep from prev's (b, d), which the snapshot maps from (x, p)
+        delta = lam * np.linalg.norm(y / lam - (prev.b - prev.d))
+        z = prev.b + Lu
+        d_other = f.prox(z, 1.0 / lam)
+        b_other = z - d_other
+        x_other, p_other = (b_other + d_other) * lam, lam * b_other
+    return 2.0 * np.linalg.norm(x_other - cur.x) + np.linalg.norm(p_other - cur.p) + delta
+
+
+def test_setzer_column_is_the_one_step_defect(tv1d_problem, lg_linear_problem):
     stop = sb.StoppingRule(tol=None, max_iter=300)
     for prob in (tv1d_problem, lg_linear_problem):
-        for solver, other in ((sb.asb_iterate, sb.run_drs), (sb.run_drs, sb.asb_iterate)):
-            trace = solver(prob, stop=stop)
+        for kind, solver in (("asb", sb.asb_iterate), ("drs", sb.run_drs)):
+            trace = solver(prob, stop=stop, record_stride=1)
             window, past = trace.setzer_defects[:200], trace.setzer_defects[200:]
             assert np.all(np.isfinite(window)) and window.max() <= 1e-9
             assert len(past) == 100 and np.all(np.isnan(past))
-            # the certificate is the worst of the column and the k = 0 mismatch
-            r0 = trace.iterates[0]
-            o0 = other(prob, stop=sb.StoppingRule(tol=None, max_iter=1)).iterates[0]
-            k0 = max(float(np.linalg.norm(r0.x - o0.x)), float(np.linalg.norm(r0.p - o0.p)))
-            assert max(k0, *window) == trace.twin_defect
+            recs = trace.iterates
+            recomputed = [_one_step_defect(kind, prob, prev, cur)
+                          for prev, cur in zip(recs[:200], recs[1:201])]
+            assert np.array_equal(window, recomputed)
+            # the certificate is the column's sum over the window, in order
+            assert trace.setzer_bound == sum(window.tolist())
+            assert equivalence_certificate(trace).defect == trace.setzer_bound
         approx = sb.asb_iterate_approx(prob, ErrorSchedule("geometric", ratio=0.5), stop=stop)
         assert np.all(np.isnan(approx.setzer_defects))
 
@@ -594,16 +615,23 @@ def test_dual_resolvents_are_firmly_nonexpansive(lasso_problem, tv1d_problem):
 ], ids=["max_iter_0", "max_iter_60", "past_window", "stopped_by_rule"])
 @pytest.mark.parametrize("solver", [sb.asb_iterate, sb.run_drs], ids=["asb", "drs"])
 @pytest.mark.parametrize("name", ["lasso_problem", "tv1d_problem", "lg_two_phase_problem"])
-def test_lockstep_certificate_matches_rerun(request, name, solver, stop):
-    # the twin's certificate is the one a separate run of both forms over
-    # the first min(n_iter, 200) iterations gives, bit for bit
+def test_equivalence_bound_covers_the_rerun(request, name, solver, stop):
+    # the summed one-step defects bound how far a twin of the other form
+    # drifts: never below the mismatch of a separate run of both forms over
+    # the first min(n_iter, 200) iterations, at the same tolerance.  The
+    # bound is exact-arithmetic; a separate run adds its own rounding, which
+    # these configs' sums still cover (least gradient, whose solves stall at
+    # a rounding floor, is the nearest: 2.6e-14 against 2.0e-14 at 60)
     prob = request.getfixturevalue(name)
     trace = solver(prob, stop=stop, record_stride=0)
     window = sb.StoppingRule(tol=None, max_iter=min(trace.n_iter, 200))
-    expected = sb.equivalence_report(sb.asb_iterate(prob, stop=window, record_stride=1),
-                                     sb.run_drs(prob, stop=window, record_stride=1), prob.lam)
-    assert lockstep_certificate(trace) == expected
-    assert trace.twin_iterates == min(trace.n_iter, 200) + 1
+    rerun = sb.equivalence_report(sb.asb_iterate(prob, stop=window, record_stride=1),
+                                  sb.run_drs(prob, stop=window, record_stride=1), prob.lam)
+    cert = equivalence_certificate(trace)
+    assert cert.defect >= rerun.defect
+    assert (cert.kind, cert.tolerance, cert.passed) == ("equivalence", 1e-9, True)
+    assert trace.setzer_iterates == min(trace.n_iter, 200) + 1
+    assert f"over {trace.setzer_iterates} iterates" in cert.details
 
 
 def _tv2d_problem():
@@ -626,22 +654,29 @@ def test_instrumented_drs_is_the_reference_recursion(request, name):
 
 
 @pytest.mark.parametrize("solver", ["asb_iterate", "run_drs"])
-def test_twin_window_evaluates_the_energy_once_per_iteration(tv1d_problem, solver):
-    # only the run measures its residual and energy; the lockstep twin
-    # advances its iterate and nothing else
+def test_check_window_solves_once_per_iteration(monkeypatch, tv1d_problem, solver):
+    # the one-step check reuses the run's u-solve and L u: inside the window
+    # each iteration solves once, applies L once, evaluates g and f once, and
+    # calls each f-side map once, the run's and the other form's
     calls = Counter()
 
-    def counted(F):
-        def value(x):
-            calls[F.label] += 1
-            return F.value(x)
-        return dataclasses.replace(F, value=value)
+    def counted(what, fn):
+        def call(*args):
+            calls[what] += 1
+            return fn(*args)
+        return call
 
-    problem = dataclasses.replace(tv1d_problem, g=counted(tv1d_problem.g),
-                                  f=counted(tv1d_problem.f))
+    g, f, L = tv1d_problem.g, tv1d_problem.f, tv1d_problem.L
+    problem = dataclasses.replace(
+        tv1d_problem, g=dataclasses.replace(g, value=counted("g", g.value)),
+        f=dataclasses.replace(f, value=counted("f", f.value), prox=counted("prox", f.prox)),
+        L=dataclasses.replace(L, apply=counted("apply", L.apply)))
+    monkeypatch.setattr(problem._usolver, "solve_c",
+                        counted("solve", problem._usolver.solve_c))
+    monkeypatch.setattr(sb.asb, "dual_resolvent", counted("resolvent", sb.asb.dual_resolvent))
     trace = getattr(sb, solver)(problem, stop=sb.StoppingRule(tol=None, max_iter=50))
-    assert trace.twin_iterates == 51
-    assert calls == {tv1d_problem.g.label: 50, tv1d_problem.f.label: 50}
+    assert trace.setzer_iterates == 51
+    assert calls == dict.fromkeys(["g", "f", "solve", "apply", "prox", "resolvent"], 50)
 
 
 def test_driver_flags_the_first_non_finite_vector(lasso_problem):
@@ -651,7 +686,7 @@ def test_driver_flags_the_first_non_finite_vector(lasso_problem):
         calls.append(t)
         return np.full_like(x, np.nan) if len(calls) == 2 else f.prox(x, t)
 
-    # the DRS twin projects onto the l1 box without calling the prox, so
+    # the DRS check projects onto the l1 box without calling the prox, so
     # every call is the run's d-step: the second is the one at k = 2
     problem = dataclasses.replace(lasso_problem, f=dataclasses.replace(f, prox=prox))
     with pytest.raises(NonFiniteIterateError, match="non-finite d at iteration 2"):
@@ -659,30 +694,28 @@ def test_driver_flags_the_first_non_finite_vector(lasso_problem):
 
 
 # Where each vector the driver may scan goes non-finite at k = 3.  Every
-# iteration calls the u-solve and L.apply once for the run, then once for
-# the twin; the prox is called only by the ASB sweep, the dual resolvent
-# only by the DRS step.  Poisoning an entry where it is computed, as a
-# NaN or inf would arise, must raise for the same vector at the same k as
-# scanning every vector at every step did.  "b" needs Lu poisoned and a
-# prox that returns finite values there, so that u and d stay finite.
-# When the run and the twin both go non-finite at k, the run's vector is
-# the one named.
+# iteration calls the u-solve and L.apply once, for the run, and the check
+# reuses both; the prox is called only by the sweep's d-step (an asb run's
+# step, a drs run's check), the dual resolvent only by the DRS shadow step
+# (a drs run's step, an asb run's check).  Poisoning an entry where it is
+# computed, as a NaN or inf would arise, must raise for the same vector at
+# the same k as scanning every vector at every step did.  "b" needs Lu
+# poisoned and a prox that returns finite values there, so that u and d
+# stay finite.  The check's other vectors are formed from the run's, so
+# they go non-finite only where a run vector does first.  When the run and
+# the check both go non-finite at k, the run's vector is the one named.
 _K = 3
 _POISON_SITES = {  # (solver, vector) -> {site: call index to poison}
-    ("asb_iterate", "run u"): {"solve": 2 * _K - 1},
+    ("asb_iterate", "run u"): {"solve": _K},
     ("asb_iterate", "run d"): {"prox": _K},
-    ("asb_iterate", "run b"): {"apply": 2 * _K - 1, "prox_zero": _K},
-    ("asb_iterate", "twin u"): {"solve": 2 * _K},
-    ("asb_iterate", "twin x"): {"apply": 2 * _K},
-    ("asb_iterate", "twin p"): {"resolvent": _K},
-    ("run_drs", "run u"): {"solve": 2 * _K - 1},
-    ("run_drs", "run x"): {"apply": 2 * _K - 1},
+    ("asb_iterate", "run b"): {"apply": _K, "prox_zero": _K},
+    ("asb_iterate", "check p"): {"resolvent": _K},
+    ("run_drs", "run u"): {"solve": _K},
+    ("run_drs", "run x"): {"apply": _K},
     ("run_drs", "run p"): {"resolvent": _K},
-    ("run_drs", "twin u"): {"solve": 2 * _K},
-    ("run_drs", "twin d"): {"prox": _K},
-    ("run_drs", "twin b"): {"apply": 2 * _K, "prox_zero": _K},
-    ("asb_iterate", "run d + twin p"): {"prox": _K, "resolvent": _K},
-    ("run_drs", "run p + twin d"): {"resolvent": _K, "prox": _K},
+    ("run_drs", "check d"): {"prox": _K},
+    ("asb_iterate", "run d + check p"): {"prox": _K, "resolvent": _K},
+    ("run_drs", "run p + check d"): {"resolvent": _K, "prox": _K},
 }
 
 
@@ -721,12 +754,51 @@ def test_scalar_first_checks_flag_each_vector_where_the_scan_did(
     assert err.value.iteration == _K
 
 
-def test_approximate_run_carries_no_twin(tv1d_problem):
+def test_approximate_run_carries_no_check(tv1d_problem):
     trace = sb.asb_iterate_approx(tv1d_problem, ErrorSchedule("geometric", scale=0.0),
                                   stop=sb.StoppingRule(tol=None, max_iter=5))
-    assert trace.twin_defect is None and trace.twin_iterates == 0
-    with pytest.raises(ValueError, match="no lockstep twin"):
-        lockstep_certificate(trace)
+    assert trace.setzer_bound is None and trace.setzer_iterates == 0
+    with pytest.raises(ValueError, match="no equivalence check"):
+        equivalence_certificate(trace)
+
+
+def _wrong_sign_update(z, d_new, lam):
+    b_new = z + d_new
+    x = b_new + d_new
+    x *= lam
+    return b_new, x, lam * b_new
+
+
+# Each mutation is a wrong correspondence between the two forms, injected
+# where the code computes it; the sweep's pieces (its u-solve input, the
+# d-step's prox and the b-update) are the ones its steps and checks share.
+_MUTATIONS = {
+    "b_update_sign": ("_sweep_update", lambda exact: _wrong_sign_update),
+    "lam_for_inverse_lam": ("prox", lambda exact: lambda z, t: exact(z, 1.0 / t)),
+    "prox_for_dual_resolvent": ("dual_resolvent", lambda exact: lambda F, x, lam: F.prox(x, lam)),
+    "u_input_off_by_b": ("_sweep_input", lambda exact: lambda b, d: exact(b, d) + b),
+    "dual_resolvent_plus_1e-6": ("dual_resolvent",
+                                 lambda exact: lambda F, x, lam: exact(F, x, lam) + 1e-6),
+}
+
+
+@pytest.mark.parametrize("solver", ["asb_iterate", "run_drs"])
+@pytest.mark.parametrize("name", ["lasso_problem", "tv1d_problem", "lg_two_phase_problem"])
+@pytest.mark.parametrize("mutation", [None, *_MUTATIONS])
+def test_equivalence_fails_under_each_mutation(request, monkeypatch, mutation, name, solver):
+    # lam = 0.5, so that lam and 1/lam differ; the unmutated row passes
+    problem = dataclasses.replace(request.getfixturevalue(name), lam=0.5)
+    if mutation is not None:
+        site, make = _MUTATIONS[mutation]
+        if site == "prox":
+            f = problem.f
+            problem = dataclasses.replace(problem, f=dataclasses.replace(f, prox=make(f.prox)))
+        else:
+            monkeypatch.setattr(sb.asb, site, make(getattr(sb.asb, site)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = getattr(sb, solver)(problem, stop=sb.StoppingRule(tol=None, max_iter=60),
+                                    record_stride=0)
+    assert equivalence_certificate(trace).passed is (mutation is None)
 
 
 # The u-step, both steps and the driver loop as they were before each run
@@ -790,7 +862,8 @@ class _ReferenceAsb(_ReferenceRecursion):
     def step(self, k):
         lam, L, f = self.problem.lam, self.problem.L, self.problem.f
         b, d = self._bd
-        u = self.usolver.solve_c(b - d)
+        c = b - d
+        u = self.usolver.solve_c(c)
         Lu = Lu_exact = L.apply(u)
         m_k = self.schedule.magnitude(k) if self.schedule is not None else 0.0
         alpha = 0.0
@@ -809,7 +882,7 @@ class _ReferenceAsb(_ReferenceRecursion):
         b_new = z - d_new
         self._bd = (b_new, d_new)
         self.x, self.p = lam * (b_new + d_new), lam * b_new
-        return u, Lu, alpha
+        return c, u, Lu, alpha
 
 
 class _ReferenceDrs(_ReferenceRecursion):
@@ -817,36 +890,54 @@ class _ReferenceDrs(_ReferenceRecursion):
         lam, L, f = self.problem.lam, self.problem.L, self.problem.f
         x, p = self.x, self.p
         y = 2.0 * p - x
-        u = self.usolver.solve_c(y / lam)
+        c = y / lam
+        u = self.usolver.solve_c(c)
         Lu = L.apply(u)
         x_new = lam * Lu
         x_new += y
         x_new += x
         x_new -= p
         self.x, self.p, self._bd = x_new, _reference_resolvent(f, x_new, lam), None
-        return u, Lu, 0.0
+        return c, u, Lu, 0.0
 
 
 def _reference_norm(v):
     return float(np.sqrt(v.dot(v)))
 
 
-def _reference_drive(run, twin, stop):
+def _reference_check(kind, problem, x, p, c, Lu, x_new, p_new):
+    # the other form's map at (x, p) with the run's L u, against (x_new, p_new)
+    lam, f = problem.lam, problem.f
+    if kind == "asb":  # the DRS step from (x, p)
+        y = 2.0 * p - x
+        delta = lam * _reference_norm(c - y / lam)
+        x_other = lam * Lu + y + x - p
+        p_other = _reference_resolvent(f, x_other, lam)
+    else:  # the sweep from (x, p) mapped to (b, d)
+        b = p / lam
+        d = x / lam - b
+        delta = lam * _reference_norm(c - (b - d))
+        z = b + Lu
+        d_other = _reference_prox(f, z, 1.0 / lam)
+        b_other = z - d_other
+        x_other, p_other = lam * (b_other + d_other), lam * b_other
+    return 2.0 * _reference_norm(x_other - x_new) + _reference_norm(p_other - p_new) + delta
+
+
+def _reference_drive(run, check, stop):
     g, f, lam = run.problem.g, run.problem.f, run.problem.lam
     series = {name: [] for name in ("residuals", "energies", "setzer_defects", "x_increments",
                                     "alpha_injected")}
-    twin_defect = None if twin is None else max(_reference_norm(run.x - twin.x),
-                                                _reference_norm(run.p - twin.p))
+    bound = 0.0 if check else None
     converged, k, u = False, 0, None
     for k in range(1, stop.max_iter + 1):
         x_prev, p_prev = run.x, run.p
-        u, Lu, alpha = run.step(k)
+        c, u, Lu, alpha = run.step(k)
         x_inc, p_inc = _reference_norm(run.x - x_prev), _reference_norm(run.p - p_prev)
         defect = np.nan
-        if twin is not None and k <= 200:
-            twin.step(k)
-            defect = max(_reference_norm(run.x - twin.x), _reference_norm(run.p - twin.p))
-            twin_defect = max(twin_defect, defect)
+        if check and k <= 200:
+            defect = _reference_check(check, run.problem, x_prev, p_prev, c, Lu, run.x, run.p)
+            bound += defect
         for name, value in zip(series, (x_inc / lam, g.value(u) + f.value(Lu), defect, x_inc,
                                         alpha)):
             series[name].append(value)
@@ -854,7 +945,7 @@ def _reference_drive(run, twin, stop):
             converged = True
             break
     b, d = run.bd()
-    return series, converged, k, twin_defect, (u, b, d, run.x, run.p)
+    return series, converged, k, bound, (u, b, d, run.x, run.p)
 
 
 def _lean_path_problems():
@@ -883,7 +974,7 @@ def _lean_path_problems():
 @pytest.mark.parametrize("solver", ["asb", "drs", "asb_approx"])
 @pytest.mark.parametrize("name", list(_lean_path_problems()))
 def test_lean_path_reproduces_the_reference_loop_bit_for_bit(name, solver):
-    # past the 200-iteration twin window, unless the run converges first
+    # past the 200-iteration check window, unless the run converges first
     stop = sb.StoppingRule(tol=1e-11, max_iter=260)
     schedule = ErrorSchedule("geometric", scale=0.3, ratio=0.95)
     prob = _lean_path_problems()[name]()
@@ -891,16 +982,16 @@ def test_lean_path_reproduces_the_reference_loop_bit_for_bit(name, solver):
     usolver = _ReferenceUStep(ref_problem)
     if solver == "asb":
         trace = sb.asb_iterate(prob, stop=stop, record_stride=0)
-        run, twin = _ReferenceAsb(ref_problem, usolver), _ReferenceDrs(ref_problem, usolver)
+        run, check = _ReferenceAsb(ref_problem, usolver), "asb"
     elif solver == "drs":
         trace = sb.run_drs(prob, stop=stop, record_stride=0)
-        run, twin = _ReferenceDrs(ref_problem, usolver), _ReferenceAsb(ref_problem, usolver)
+        run, check = _ReferenceDrs(ref_problem, usolver), "drs"
     else:
         trace = sb.asb_iterate_approx(prob, schedule, stop=stop, seed=8, record_stride=0)
         run = _ReferenceAsb(ref_problem, usolver, schedule, np.random.default_rng(8))
-        twin = None
-    series, converged, n_iter, twin_defect, final = _reference_drive(run, twin, stop)
-    assert (trace.n_iter, trace.converged, trace.twin_defect) == (n_iter, converged, twin_defect)
+        check = None
+    series, converged, n_iter, bound, final = _reference_drive(run, check, stop)
+    assert (trace.n_iter, trace.converged, trace.setzer_bound) == (n_iter, converged, bound)
     for field, values in series.items():
         assert np.array_equal(getattr(trace, field), np.array(values), equal_nan=True), field
     last = trace.final

@@ -43,7 +43,7 @@ def test_kernels_keep_the_numba_flag():
 @pytest.mark.parametrize("solver", ["asb", "drs"])
 def test_traced_run_solves_once(tracing, tmp_path, capsys, solver):
     # one main solve and one solver build for the inclusion certificate;
-    # the equivalence certificate comes from the main solve's twin
+    # the equivalence certificate comes from the main solve's one-step checks
     config = cli.parse_config({"problem": "lasso", "solver": solver,
                                "params": {"y": [3.0, -0.5], "tol": 1e-12, "max_iter": 500}})
     tracer = tracing.Tracer()

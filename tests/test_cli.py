@@ -92,7 +92,7 @@ def test_trace_csv_is_byte_stable(tmp_path):
     assert header == "k,residual,energy,setzer_defect,x_increment"
 
 
-def test_trace_csv_setzer_column_is_nan_past_the_twin_window(tmp_path):
+def test_trace_csv_setzer_column_is_nan_past_the_check_window(tmp_path):
     payload = {"problem": "lasso", "solver": "drs",
                "params": {"n": 12, "tol": None, "max_iter": 250}}
     assert run(parse_config(payload), tmp_path / "out") == 0
@@ -139,10 +139,10 @@ def test_exit_status_negative_fixture(tmp_path):
     assert code == 1  # far from optimal: certificates must fail
 
 
-def test_twin_catches_a_wrong_dual_resolvent(tmp_path, monkeypatch):
+def test_equivalence_check_catches_a_wrong_dual_resolvent(tmp_path, monkeypatch):
     # a slightly wrong dual resolvent on the DRS side only: the alternating
-    # sweep never calls it, so the lockstep twin of a plain run must catch
-    # the mismatch
+    # sweep never calls it, so the DRS map checked at a plain run's points
+    # must catch the mismatch
     exact = splitbreg.asb.dual_resolvent
     monkeypatch.setattr(splitbreg.asb, "dual_resolvent",
                         lambda F, x, lam: exact(F, x, lam) + 1e-6)
@@ -154,6 +154,8 @@ def test_twin_catches_a_wrong_dual_resolvent(tmp_path, monkeypatch):
 
 def _clear_structure_memos():
     splitbreg.linops._grid_gradient.cache_clear()
+    splitbreg.linops._identity_map.cache_clear()
+    splitbreg.linops._matrix_map.cache_clear()
     splitbreg.asb._u_step_structure.cache_clear()
 
 
@@ -191,7 +193,8 @@ def test_a_memo_hit_writes_what_a_cold_memo_writes(tmp_path, name, solver):
     # a cold run, then the same structure again from the memo: tv1d's second
     # run reuses its grid and factor; least gradient's indicator g has no lam
     # in its key, so its second lam reuses the first one's factor; the custom
-    # matrix is read afresh from its CSV and builds a new operator each run
+    # matrix is read afresh from its CSV, and equal entries give the same
+    # operator
     if name == "tv1d":
         payloads = [{"problem": "tv1d", "params": {"grid_shape": [64], "seed": 3}}] * 2
     elif name == "least_gradient_two_lambdas":
@@ -205,7 +208,7 @@ def test_a_memo_hit_writes_what_a_cold_memo_writes(tmp_path, name, solver):
     for i, payload in enumerate(payloads):
         run(parse_config(payload), tmp_path / f"memo{i}")
     info = splitbreg.asb._u_step_structure.cache_info()
-    assert (info.hits, info.misses) == ((0, 2) if name == "custom_matrix" else (1, 1))
+    assert (info.hits, info.misses) == (1, 1)
     _clear_structure_memos()
     run(parse_config(payloads[-1]), tmp_path / "cold")
     assert _outputs(tmp_path / "memo1") == _outputs(tmp_path / "cold")
@@ -222,6 +225,17 @@ def test_a_batch_on_one_grid_factors_the_u_step_once(tmp_path, monkeypatch):
                                                  "tol": 1e-9, "max_iter": 20000}}
         assert run(parse_config(payload), tmp_path / "out") == 0
     assert factors == ["u-step normal system"]
+
+
+def test_lasso_problems_of_one_size_share_one_u_step_factor(tmp_path):
+    # the identity is memoized on its dimension, so three lasso problems of
+    # one n at one lam share one operator and one factor
+    _clear_structure_memos()
+    for seed in range(3):
+        payload = {"problem": "lasso", "params": {"n": 256, "seed": seed}}
+        assert run(parse_config(payload), tmp_path / "out") == 0
+    info = splitbreg.asb._u_step_structure.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
