@@ -205,7 +205,8 @@ def equivalence_certificate(trace: RunTrace) -> Certificate:
                "drs": "the ASB sweep at the drs run's points"}[trace.kind]
     return _equivalence(trace.setzer_bound,
                         f"sum of one-step defects of {checked} over {trace.setzer_iterates} "
-                        "iterates, bounding an exact twin's mapped-sequence mismatch")
+                        "iterates; in exact arithmetic it bounds a twin's mapped-sequence "
+                        "mismatch, and a floating-point twin adds its own rounding")
 
 
 def _equivalence(defect: float, details: str) -> Certificate:

@@ -17,9 +17,7 @@ the Kronecker product of that axis's 1-D difference matrix with an
 identity (zero ghost) or a cell-origin selection (interior) on the
 other axis, and the components are interleaved per node.  The builder
 is memoized on the grid, so problems on equal grids share one operator
-(the last ``_MEMO_SIZE`` stay cached), whose CSR must not be mutated; so
-are the identity, on its dimension, and a dense matrix's operator, on
-its shape and entries.  A
+(the last ``_MEMO_SIZE`` stay cached), whose CSR must not be mutated.  A
 :class:`GridSpec` holds integral node counts and finite positive
 spacings; anything else is rejected.
 :func:`spd_factor` is the one factorization used for symmetric
@@ -170,35 +168,20 @@ def _csr_map(a) -> LinearMap:
 
 
 def identity_operator(dim: int) -> LinearMap:
-    """The identity on ``dim`` coordinates, memoized on ``dim`` like the grid gradients."""
     dim = int(dim)
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return _identity_map(dim)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _identity_map(dim: int) -> LinearMap:
     return _csr_map(sp.identity(dim))
 
 
 def matrix_operator(entries) -> LinearMap:
-    """Operator from a dense entry array; the adjoint is the exact transpose.
-
-    Memoized on the array's shape and bytes, so equal matrices (a CSV read
-    twice) get one operator, and with it one u-step factor.
-    """
+    """Operator from a dense entry array; the adjoint is the exact transpose."""
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("matrix entries must form a non-empty rectangular 2-D array")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return _matrix_map(a.shape, a.tobytes())
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _matrix_map(shape: tuple, entries: bytes) -> LinearMap:
-    return _csr_map(np.frombuffer(entries).reshape(shape))
+    return _csr_map(a)
 
 
 def _forward_difference(n: int, h: float, ghost: bool) -> sp.csr_matrix:

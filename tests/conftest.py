@@ -8,11 +8,9 @@ import splitbreg.linops
 
 @pytest.fixture(autouse=True)
 def _cold_structure_memos():
-    # the operator and u-step-factor memos live as long as the process; each
-    # test starts with all of them empty, so no result depends on test order
+    # the grid-operator and u-step-factor memos live as long as the process;
+    # each test starts with both empty, so no result depends on test order
     splitbreg.linops._grid_gradient.cache_clear()
-    splitbreg.linops._identity_map.cache_clear()
-    splitbreg.linops._matrix_map.cache_clear()
     splitbreg.asb._u_step_structure.cache_clear()
 
 

@@ -154,8 +154,6 @@ def test_equivalence_check_catches_a_wrong_dual_resolvent(tmp_path, monkeypatch)
 
 def _clear_structure_memos():
     splitbreg.linops._grid_gradient.cache_clear()
-    splitbreg.linops._identity_map.cache_clear()
-    splitbreg.linops._matrix_map.cache_clear()
     splitbreg.asb._u_step_structure.cache_clear()
 
 
@@ -193,8 +191,7 @@ def test_a_memo_hit_writes_what_a_cold_memo_writes(tmp_path, name, solver):
     # a cold run, then the same structure again from the memo: tv1d's second
     # run reuses its grid and factor; least gradient's indicator g has no lam
     # in its key, so its second lam reuses the first one's factor; the custom
-    # matrix is read afresh from its CSV, and equal entries give the same
-    # operator
+    # matrix is read afresh from its CSV and builds a new operator each run
     if name == "tv1d":
         payloads = [{"problem": "tv1d", "params": {"grid_shape": [64], "seed": 3}}] * 2
     elif name == "least_gradient_two_lambdas":
@@ -208,7 +205,7 @@ def test_a_memo_hit_writes_what_a_cold_memo_writes(tmp_path, name, solver):
     for i, payload in enumerate(payloads):
         run(parse_config(payload), tmp_path / f"memo{i}")
     info = splitbreg.asb._u_step_structure.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    assert (info.hits, info.misses) == ((0, 2) if name == "custom_matrix" else (1, 1))
     _clear_structure_memos()
     run(parse_config(payloads[-1]), tmp_path / "cold")
     assert _outputs(tmp_path / "memo1") == _outputs(tmp_path / "cold")
@@ -225,17 +222,6 @@ def test_a_batch_on_one_grid_factors_the_u_step_once(tmp_path, monkeypatch):
                                                  "tol": 1e-9, "max_iter": 20000}}
         assert run(parse_config(payload), tmp_path / "out") == 0
     assert factors == ["u-step normal system"]
-
-
-def test_lasso_problems_of_one_size_share_one_u_step_factor(tmp_path):
-    # the identity is memoized on its dimension, so three lasso problems of
-    # one n at one lam share one operator and one factor
-    _clear_structure_memos()
-    for seed in range(3):
-        payload = {"problem": "lasso", "params": {"n": 256, "seed": seed}}
-        assert run(parse_config(payload), tmp_path / "out") == 0
-    info = splitbreg.asb._u_step_structure.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
