@@ -26,26 +26,28 @@ instrumentation depends on.
 The same machinery exposes the two dual-side resolvents, so the
 Douglas-Rachford recursion on the dual problem runs from the same
 solver.  Under the correspondence ``x = lam (b + d)``, ``p = lam b``
-the two recursions agree to roundoff.  Each form is one step function
-(the ASB sweep, the dual DRS step) under one driver loop.  Each starts
-from the given ``init`` or else from b0 = d0 = 0, defaulted in one
-place, ``_Recursion``.  Exact runs check Setzer's correspondence at
-each of their first 200 iterations, with no second recursion: the
-other form's map is applied once at the run's own point, reusing the
-run's u-solve, and its one-step defect against the run's next point,
-plus the roundoff difference of the two forms' u-solve inputs, is the
-``setzer_defects`` series (``nan`` past the window).  Their sum, which
-bounds how far a twin of the other form from the same start would drift
-(the argument is in ``_drive``), is ``RunTrace.setzer_bound``, the
-correspondence's certificate.  The run's residual, energy and
-increment series are measured on the run alone.  The residual
-``||d_k - L u_{k+1}||`` is the x-increment over ``lam`` in every form
-(``x_{k+1} - x_k = lam (L u_{k+1} - d_k)``), so it is recorded as that
-quotient; a DRS run maps (x, p) back to (b, d) only for its snapshots,
-its final iterate and its checks.  Finiteness is tested once per
-iteration, on the sum of the scalars the driver computes anyway; the
-iterate vectors are scanned only when that sum is not finite (the
-argument is in ``_drive``).
+the two recursions agree to roundoff.  Each form (the ASB sweep, the
+dual DRS step) is written once, as a ``_Form``: its point read from
+(x, p), its u-solve's input there, and the point an ``L u`` takes it to.
+One run class, ``_Run``, steps by its own form and checks the other,
+under one driver loop.  A run starts from the given ``init`` or else
+from b0 = d0 = 0, defaulted in one place, ``_Run``.  Exact runs check
+Setzer's correspondence at each of their first 200 iterations, with no
+second recursion: the other form's map is applied once at the run's own
+point, reusing the run's u-solve, and its one-step defect against the
+run's next point, plus the roundoff difference of the two forms'
+u-solve inputs, is the ``setzer_defects`` series (``nan`` past the
+window).  Their sum, which bounds how far a twin of the other form from
+the same start would drift (the argument is in ``_drive``), is
+``RunTrace.setzer_bound``, the correspondence's certificate.  The run's
+residual, energy and increment series are measured on the run alone.
+The residual ``||d_k - L u_{k+1}||`` is the x-increment over ``lam`` in
+every form (``x_{k+1} - x_k = lam (L u_{k+1} - d_k)``), so it is
+recorded as that quotient; a DRS run maps (x, p) back to (b, d) only
+for its snapshots, its final iterate and its checks.  Finiteness is
+tested once per iteration, on the sum of the scalars the driver
+computes anyway; the iterate vectors are scanned only when that sum is
+not finite (the argument is in ``_drive``).
 A problem's u-step solver is built once, on first use, and shared by
 its runs and :func:`dual_resolvents`.  Its factor depends
 only on L, the pinned set and the curvature, and is memoized on them
@@ -82,13 +84,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .diagnostics import IterateRecord, RunTrace
-from .drs import ResolventPair, StoppingRule, _require_finite
+from .drs import ResolventPair, StoppingRule, _require_finite, _rescaled_norm
 from .functionals import ErrorSchedule, ProxFunctional, dual_resolvent
 from .linops import _MEMO_SIZE, LinearMap, _matvec, spd_factor
 
@@ -253,86 +255,123 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-class _Step(NamedTuple):
-    """What one iteration of either recursion hands the driver.
+class _Form(NamedTuple):
+    """One solver form, written once as three plain functions of the run.
 
-    Only the run measures it: its energy is ``g(u) + f(Lu)``, and its
-    residual ``||d - Lu||``, with the d the u-step was paired with, is
-    the driver's x-increment over ``lam``, so a step need not return d.
-    ``c`` is the u-solve's input, which the other form's map is checked
-    against; the ``finite`` vectors are scanned only when the
-    iteration's scalar sum is not finite.
+    ``point(run, x, p)`` reads the form's point from (x, p);
+    ``input(run, point)`` is the u-solve's input there; and
+    ``move(run, point, Lu, d_error=None)`` is the point an ``L u`` takes
+    it to, as ``(x, p, bd, named)``: its (x, p) view, its (b, d) when
+    the form keeps them (else None), and its (name, vector) pairs for
+    the finiteness scan, in scan order.  A run's step applies its own
+    form, and its check the other one, so each map has one copy.
     """
 
-    finite: tuple  # (name, vector) pairs that must be finite, in check order
-    c: np.ndarray
-    u: np.ndarray
-    Lu: np.ndarray
-    alpha: float = 0.0
+    point: Callable
+    input: Callable
+    move: Callable
 
 
-# The algebra of each form that its step and the other form's check share,
-# so the check applies the very map the other form's step runs.
-
-def _sweep_input(b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The sweep's u-solve input: its u-step minimizes ``g(u) + (lam/2)||L u + b - d||^2``."""
-    return b - d
+def _sweep_point(run, x, p):
+    """(b, d) from (x, p): ``b = p/lam``, ``d = x/lam - b``."""
+    b = p / run.lam
+    return b, x / run.lam - b
 
 
-def _sweep_update(z: np.ndarray, d_new: np.ndarray, lam: float) -> tuple:
-    """The b-update ``b = z - d`` after the d-step at ``z = b + L u``, and its (x, p) view."""
-    b_new = z - d_new
+def _sweep_input(run, point):
+    """``b - d``: the sweep's u-step minimizes ``g(u) + (lam/2)||L u + b - d||^2``."""
+    return point[0] - point[1]
+
+
+def _sweep_move(run, point, Lu, d_error=None):
+    """The d-step ``d = prox_f(z, 1/lam)`` at ``z = b + L u``, then the b-update ``b = z - d``.
+
+    The approximate sweep's d-step error, drawn by its step, is added to d
+    before the b-update.
+    """
+    z = point[0] + Lu
+    d = run.prox(z, run.t)
+    if d_error is not None:
+        d = d + d_error
+    b = z - d
     # lam (b + d) as (b + d) lam, in place: IEEE products commute
-    x = b_new + d_new
-    x *= lam
-    return b_new, x, lam * b_new
+    x = b + d
+    x *= run.lam
+    return x, run.lam * b, (b, d), (("d", d), ("b", b))
 
 
-def _drs_update(x: np.ndarray, p: np.ndarray, y: np.ndarray, Lu: np.ndarray,
-                lam: float) -> np.ndarray:
-    """The DRS x-update ``x + JA(y) - p``, with ``JA(y) = y + lam L u`` and ``y = 2p - x``."""
+def _drs_point(run, x, p):
+    """(x, p, y) with ``y = 2p - x``, the first resolvent's argument."""
+    return x, p, 2.0 * p - x
+
+
+def _drs_input(run, point):
+    """``y/lam``: ``JA(y) = y + lam L u`` with u minimizing ``g(u) + (lam/2)||L u + y/lam||^2``."""
+    return point[2] / run.lam
+
+
+def _drs_move(run, point, Lu, d_error=None):
+    """The x-update ``x + JA(y) - p`` and the shadow ``p = JB(x)``; DRS keeps no (b, d)."""
+    x, p, y = point
     # x + (y + lam Lu) - p on one fresh array: each in-place add swaps
     # the operands of the same IEEE sum, which commutes bit for bit
-    x_new = lam * Lu
+    x_new = run.lam * Lu
     x_new += y
     x_new += x
     x_new -= p
-    return x_new
+    p_new = dual_resolvent(run.f, x_new, run.lam)
+    return x_new, p_new, None, (("x", x_new), ("p", p_new))
 
 
-def _mapped_bd(x: np.ndarray, p: np.ndarray, lam: float) -> tuple:
-    """(b, d) from (x, p): ``b = p/lam``, ``d = x/lam - b``."""
-    b = p / lam
-    return b, x / lam - b
+_SWEEP = _Form(_sweep_point, _sweep_input, _sweep_move)
+_DRS = _Form(_drs_point, _drs_input, _drs_move)
 
 
-def _one_step_defect(dx: np.ndarray, dp: np.ndarray, delta: float) -> float:
-    """``e = 2 ||dx|| + ||dp|| + delta``: the x-defect counts twice, see :func:`_drive`."""
-    return 2.0 * _norm(dx) + _norm(dp) + delta
-
-
-class _Recursion:
-    """One solver form's iterate, from ``x0 = lam (b0 + d0)``, ``p0 = lam b0``.
+class _Run:
+    """One run of either form, from ``x0 = lam (b0 + d0)``, ``p0 = lam b0``.
 
     ``init`` None is the zero start of :func:`initial_state`.  ``x``/``p``
-    are attributes; ``bd()`` gives ``(b, d)``, mapped from (x, p) by
-    ``b = p/lam``, ``d = x/lam - b`` when the last step left them unset,
-    as a DRS step does.  Steps rebind to fresh arrays, so records may
-    keep references.  The run's kernels (``lam``, the u-solve,
-    ``L.apply`` and f's prox) are bound here, once per run.
+    are attributes; ``bd()`` gives ``(b, d)``: every run keeps its
+    start's, and a sweep run each step's; after a DRS step they are
+    mapped from (x, p) by the sweep's ``point`` when a snapshot asks.
+    Steps rebind to fresh arrays, so records may keep references.  The
+    run's kernels (``lam``, the u-solve, ``L.apply`` and f's prox) and
+    both forms' functions are bound here, once per run; the forms' are
+    plain functions, since a bound method held on the run would put it
+    in a reference cycle.
 
-    ``check(x, p, step)`` applies the other form's map once, at this
-    run's previous point (x, p) and with the step's own ``L u``,
-    and returns the one-step defect ``e`` against the point the step
-    reached, with the check's vectors for the finiteness scan (see
-    :func:`_drive`).
+    ``step(k)`` applies the run's own form: its point (a sweep run's
+    kept (b, d)), the u-solve at its input, ``L u`` and the move.  With
+    a ``schedule`` whose ``m_k`` is positive, the approximate sweep
+    perturbs u before the move and hands the move a d-step error.  It
+    returns ``(named, c, u, Lu, alpha)``.  Only the run measures it: its
+    energy is ``g(u) + f(Lu)``, and its residual ``||d - Lu||``, with the
+    d the u-step was paired with, is the driver's x-increment over
+    ``lam``, so a step need not return d.  ``c`` is the u-solve's input,
+    which the other form's is checked against; u and then the move's
+    ``named`` vectors are scanned only when the iteration's scalar sum is
+    not finite; ``alpha`` is ``||L u - L u_exact||``, 0 when nothing was
+    injected.
+
+    ``check(x, p, c, Lu)`` applies the other form once, at the run's
+    previous point (x, p) and with the step's own ``c`` and ``L u``, and
+    returns the one-step defect ``e`` against the point the step
+    reached, with the other move's named vectors and ``x~ - x``,
+    ``p~ - p`` for the finiteness scan (see :func:`_drive`).
     """
 
-    def __init__(self, problem: SplitProblem, init: Optional[AsbState]):
+    def __init__(self, problem: SplitProblem, init: Optional[AsbState], form: _Form,
+                 schedule: Optional[ErrorSchedule] = None,
+                 rng: Optional[np.random.Generator] = None):
         self.problem, self.usolver = problem, problem._usolver
-        self.lam, self.solve_c = problem.lam, self.usolver.solve_c
+        self.lam, self.t, self.solve_c = problem.lam, 1.0 / problem.lam, self.usolver.solve_c
         self.apply, self.f, self.prox = problem.L.apply, problem.f, problem.f.prox
-        self._t = 1.0 / self.lam
+        self.schedule, self.rng = schedule, rng
+        # a sweep run keeps its point, (b, d); a DRS run reads it from (x, p)
+        self._point = None if form is _SWEEP else form.point
+        self._input, self._move = form.input, form.move
+        self._other_point, self._other_input, self._other_move = (
+            _DRS if form is _SWEEP else _SWEEP)
         init = init if init is not None else initial_state(problem)
         b = np.array(init.b, dtype=float, copy=True)
         d = np.array(init.d, dtype=float, copy=True)
@@ -341,99 +380,43 @@ class _Recursion:
         self._bd = (b, d)
 
     def bd(self) -> tuple:
-        if self._bd is None:
-            self._bd = _mapped_bd(self.x, self.p, self.lam)
-        return self._bd
+        return self._bd or _sweep_point(self, self.x, self.p)
 
-
-class _AsbSweep(_Recursion):
-    """The alternating sweep; ``x``/``p`` are the mapped view of (b, d)."""
-
-    def __init__(self, problem, init, schedule: Optional[ErrorSchedule] = None,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__(problem, init)
-        self.schedule, self.rng = schedule, rng
-
-    def step(self, k: int) -> _Step:
-        lam, apply = self.lam, self.apply
-        b, d = self._bd
-        c = _sweep_input(b, d)
-        u = u_exact = self.solve_c(c)
-        Lu = apply(u)
-
+    def step(self, k: int) -> tuple:
+        point = self._bd if self._point is None else self._point(self, self.x, self.p)
+        c = self._input(self, point)
+        u = self.solve_c(c)
+        Lu = self.apply(u)
+        alpha, d_error = 0.0, None
         m_k = 0.0 if self.schedule is None else self.schedule.magnitude(k)
-        alpha = 0.0
         if m_k > 0.0:
-            L = self.problem.L
-            w = _unit_perturbation(self.rng, L.domain_dim)
+            w = _unit_perturbation(self.rng, u.size)
             w[self.usolver.pinned] = 0.0
-            img_norm = float(np.linalg.norm(apply(w)))
+            img_norm = float(np.linalg.norm(self.apply(w)))
             if img_norm > 0.0:  # else no free direction (L w = 0): inject nothing
                 Lu_exact = Lu
                 u = u + w * (m_k / img_norm)
-                Lu = apply(u)
+                Lu = self.apply(u)
                 alpha = float(np.linalg.norm(Lu - Lu_exact))
+            d_error = _unit_perturbation(self.rng, Lu.size) * m_k
+        self.x, self.p, self._bd, named = self._move(self, point, Lu, d_error)
+        return named, c, u, Lu, alpha
 
-        z = b + Lu
-        d_new = self.prox(z, self._t)
-        if m_k > 0.0:
-            d_new = d_new + _unit_perturbation(self.rng, self.f.dim) * m_k
-        b_new, self.x, self.p = _sweep_update(z, d_new, lam)
-        self._bd = (b_new, d_new)
-        return _Step((("u", u_exact), ("d", d_new), ("b", b_new)), c, u, Lu, alpha)
-
-    def check(self, x: np.ndarray, p: np.ndarray, step: _Step) -> tuple:
-        """The DRS step from (x, p), with the sweep's ``L u`` for the one its input would give."""
-        lam = self.lam
-        y = 2.0 * p - x
-        delta = lam * _norm(step.c - y / lam)
-        x_drs = _drs_update(x, p, y, step.Lu, lam)
-        p_drs = dual_resolvent(self.f, x_drs, lam)
-        x_drs -= self.x
-        p_drs -= self.p
-        return _one_step_defect(x_drs, p_drs, delta), (("x", x_drs), ("p", p_drs))
+    def check(self, x: np.ndarray, p: np.ndarray, c: np.ndarray, Lu: np.ndarray) -> tuple:
+        point = self._other_point(self, x, p)
+        delta = self.lam * _norm(c - self._other_input(self, point))
+        x_other, p_other, _, named = self._other_move(self, point, Lu)
+        x_other -= self.x
+        p_other -= self.p
+        return 2.0 * _norm(x_other) + _norm(p_other) + delta, (named, x_other, p_other)
 
 
-class _DrsStep(_Recursion):
-    """The dual Douglas-Rachford step: ``JA`` is one u-solve, ``JB`` the Moreau resolvent.
-
-    A step leaves (b, d) unset; ``bd()`` maps them from (x, p) for a
-    snapshot or a check.
-    """
-
-    def step(self, k: int) -> _Step:
-        lam = self.lam
-        x, p = self.x, self.p
-        y = 2.0 * p - x
-        c = y / lam
-        u = self.solve_c(c)
-        Lu = self.apply(u)
-        x_new = _drs_update(x, p, y, Lu, lam)
-        p_new = dual_resolvent(self.f, x_new, lam)
-
-        self.x, self.p, self._bd = x_new, p_new, None
-        return _Step((("u", u), ("x", x_new), ("p", p_new)), c, u, Lu)
-
-    def check(self, x: np.ndarray, p: np.ndarray, step: _Step) -> tuple:
-        """The sweep from this run's previous point, mapped to (b, d), with the step's ``L u``."""
-        lam = self.lam
-        b, d = _mapped_bd(x, p, lam)
-        delta = lam * _norm(step.c - _sweep_input(b, d))
-        z = b + step.Lu
-        d_new = self.prox(z, self._t)
-        b_new, x_asb, p_asb = _sweep_update(z, d_new, lam)
-        x_asb -= self.x
-        p_asb -= self.p
-        return (_one_step_defect(x_asb, p_asb, delta),
-                (("d", d_new), ("b", b_new), ("x", x_asb), ("p", p_asb)))
+def _record(run: _Run, k: int, u: Optional[np.ndarray]) -> IterateRecord:
+    b, d = run.bd()
+    return IterateRecord(k=k, u=u, d=d, b=b, x=run.x, p=run.p)
 
 
-def _record(rec: _Recursion, k: int, u: Optional[np.ndarray]) -> IterateRecord:
-    b, d = rec.bd()
-    return IterateRecord(k=k, u=u, d=d, b=b, x=rec.x, p=rec.p)
-
-
-def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, kind: str,
+def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: str,
            check: bool = False) -> RunTrace:
     """The one iteration loop: series, snapshots, finiteness checks, stopping.
 
@@ -475,8 +458,10 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
 
     Finiteness is tested once per iteration, on one sum: the run's
     energy and two increments, plus e_k inside the window.  Only if the
-    sum is not finite are vectors scanned, the run's ``step.finite`` in
-    order and then the check's, and the first non-finite one raises
+    sum is not finite are vectors scanned, in order: the run's u, its
+    move's named vectors (d and b for the sweep, x and p for DRS), then
+    the check's, the other move's named vectors and ``x~ - x_k``,
+    ``p~ - p_k``; the first non-finite one raises
     :class:`~splitbreg.drs.NonFiniteIterateError`.  That raises for the
     same vector at the same k as scanning every step would, because a
     non-finite entry of any scanned vector reaches a summand (non-finite
@@ -491,21 +476,25 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
       so the x-increment: the DRS x is ``x + (y + lam Lu) - p``, and the
       ASB sweep's ``b = (b_prev + Lu) - d`` and then ``x = lam (b + d)``
       are not finite whatever the prox returns.  The approximate sweep's
-      u is ``u_exact`` plus a finite vector, and its ``Lu`` is recomputed
+      u is the perturbed one it records, and its ``Lu`` is recomputed
       from that u.
     - the ASB run's d or b reaches ``x = lam (b + d)``, and b reaches
       ``p = lam b``, so an increment.  The DRS run's x and p are the
       increments' own vectors.
     - the check's vectors, once the run's are finite: an ``asb`` run's
-      check holds ``x~ - x_k`` and ``p~ - p_k``, whose norms are summands
-      of e_k.  A ``drs`` run's check holds the sweep's d and b, which
-      reach its ``x~ = lam (b + d)`` and ``p~ = lam b`` as for the run,
-      then ``x~ - x_k`` and ``p~ - p_k``.  The input difference in
-      ``delta_k`` is formed from the run's finite vectors.
+      check names the DRS move's x and p, which it turns in place into
+      ``x~ - x_k`` and ``p~ - p_k`` (so they are scanned twice), whose
+      norms are summands of e_k.  A ``drs`` run's check names the sweep
+      move's d and b, which reach its ``x~ = lam (b + d)`` and
+      ``p~ = lam b`` as for the run, then ``x~ - x_k`` and ``p~ - p_k``.
+      The input difference in ``delta_k`` is formed from the run's finite
+      vectors.
 
     A finite vector whose norm overflows (the ±1e300 lasso) makes the
     sum ``inf``; the scan then finds every vector finite and the run
-    goes on.
+    goes on.  The stopping rule's ``||x_{k-1}||`` is the plain norm, or,
+    where that overflows to ``inf``, the norm rescaled by ``max|x|``
+    (see :class:`~splitbreg.drs.StoppingRule`).
     """
     stop = stop or StoppingRule()
     g_value, f_value, lam = run.problem.g.value, run.problem.f.value, run.lam
@@ -520,27 +509,33 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
 
     for k in range(1, stop.max_iter + 1):
         x_prev, p_prev = run.x, run.p
-        step = run.step(k)
-        u = step.u
-        energy = g_value(u) + f_value(step.Lu)
+        named, c, u, Lu, alpha = run.step(k)
+        energy = g_value(u) + f_value(Lu)
         x_inc = _norm(run.x - x_prev)
         p_inc = _norm(run.p - p_prev)
         total = energy + x_inc + p_inc
-        checked, defect = (), np.nan
+        checked, defect = None, np.nan
         if k <= window:
-            defect, checked = run.check(x_prev, p_prev, step)
+            defect, checked = run.check(x_prev, p_prev, c, Lu)
             total += defect
             bound += defect
         if not math.isfinite(total):
-            for what, v in step.finite + checked:
+            scan = (("u", u),) + named
+            if checked is not None:
+                other_named, dx, dp = checked
+                scan += other_named + (("x", dx), ("p", dp))
+            for what, v in scan:
                 _require_finite(v, k, what)
         energies.append(energy)
-        alphas.append(step.alpha)
+        alphas.append(alpha)
         x_incs.append(x_inc)
         defects.append(defect)
         if record_stride and k % record_stride == 0:
             records.append(_record(run, k, u))
-        if stop.fired(x_inc, p_inc, _norm(x_prev)):
+        x_norm = _norm(x_prev)
+        if x_norm == math.inf:  # its sum of squares overflowed
+            x_norm = _rescaled_norm(x_prev)
+        if stop.fired(x_inc, p_inc, x_norm):
             converged = True
             break
 
@@ -560,7 +555,7 @@ def _drive(run: _Recursion, stop: Optional[StoppingRule], record_stride: int, ki
 def asb_iterate(problem: SplitProblem, init: Optional[AsbState] = None,
                 stop: Optional[StoppingRule] = None, record_stride: int = 1) -> RunTrace:
     """Run the exact three-step sweep until the rule fires, checking the DRS map at its points."""
-    return _drive(_AsbSweep(problem, init), stop, record_stride, "asb", check=True)
+    return _drive(_Run(problem, init, _SWEEP), stop, record_stride, "asb", check=True)
 
 
 def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
@@ -580,7 +575,7 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     reproduces the exact trace bit for bit.
     Nothing is checked: the correspondence is an exact-mode property.
     """
-    sweep = _AsbSweep(problem, init, schedule=schedule, rng=np.random.default_rng(seed))
+    sweep = _Run(problem, init, _SWEEP, schedule, np.random.default_rng(seed))
     return _drive(sweep, stop, record_stride, "asb_approx")
 
 
@@ -624,4 +619,4 @@ def run_drs(problem: SplitProblem, init: Optional[AsbState] = None,
     first 200 iterations, at the run's own points; the one-step defects
     fill ``setzer_defects`` (see :func:`_drive`).
     """
-    return _drive(_DrsStep(problem, init), stop, record_stride, "drs", check=True)
+    return _drive(_Run(problem, init, _DRS), stop, record_stride, "drs", check=True)

@@ -66,6 +66,11 @@ class StoppingRule:
     Fires when ``max(||x_{k+1}-x_k||, ||p_{k+1}-p_k||) <= tol*(1+||x_k||)``
     and both increments are finite: an overflowed increment compares
     ``inf <= inf`` against an overflowed ``||x_k||`` and must not count.
+    ``fired`` takes ``||x_k||`` as given; both drivers hand it the plain
+    norm, or, only where that sum of squares overflows to ``inf``, the
+    norm rescaled by ``max|x_k|`` (:func:`_rescaled_norm`),
+    since ``tol*(1+inf)`` would pass any finite increment.  A run whose
+    ``||x_k||`` stays finite is unchanged by the rescaling.
     ``tol=None`` disables the residual test (run exactly ``max_iter``
     iterations), which fixed-length comparison experiments rely on.
     """
@@ -84,6 +89,15 @@ class StoppingRule:
         if self.tol is None or not (math.isfinite(x_inc) and math.isfinite(p_inc)):
             return False
         return max(x_inc, p_inc) <= self.tol * (1.0 + x_norm)
+
+
+def _rescaled_norm(v: np.ndarray) -> float:
+    """``||v||`` as ``m ||v/m||`` with ``m = max|v|``, for a v whose plain norm overflowed to inf."""
+    m = float(np.max(np.abs(v)))
+    if m == math.inf:  # an infinite entry: the norm is inf
+        return m
+    w = v / m
+    return m * math.sqrt(w.dot(w))
 
 
 def _require_finite(v: np.ndarray, k: int, what: str) -> None:
@@ -139,7 +153,10 @@ def drs_iterate(
         xi = float(np.linalg.norm(nxt.x - prev.x))
         pi = float(np.linalg.norm(nxt.p - prev.p))
         x_incs.append(xi)
-        if stop.fired(xi, pi, float(np.linalg.norm(prev.x))):
+        x_norm = float(np.linalg.norm(prev.x))
+        if x_norm == math.inf:  # its sum of squares overflowed
+            x_norm = _rescaled_norm(prev.x)
+        if stop.fired(xi, pi, x_norm):
             converged = True
             break
     return DrsRun(states=states, x_increments=np.array(x_incs), converged=converged)

@@ -549,6 +549,47 @@ def test_overflowed_increments_do_not_stop_the_run():
     assert np.all(np.isfinite(trace.final.u))
 
 
+def _scaled_lasso(s):
+    y = s * np.array([1.0, -2.0, 3.0, 0.5])
+    return sb.SplitProblem(g=prox_quadratic(y, 1.0), f=prox_l1(0.1 * s, dim=4),
+                           L=identity_operator(4), lam=1.0)
+
+
+@pytest.mark.parametrize("solver", ["asb_iterate", "run_drs", "drs_iterate"])
+@pytest.mark.parametrize("s", [1e155, 1e160])
+def test_an_overflowed_norm_does_not_stop_the_run_early(solver, s):
+    # ||x_k|| overflows a plain sum of squares while the increments do not;
+    # tol * (1 + inf) passed any finite increment, and the run reported
+    # convergence at k = 5 (s = 1e155) or k = 22 (s = 1e160), with an
+    # increment 3e7 or 2e2 times the bound
+    prob, stop = _scaled_lasso(s), sb.StoppingRule(tol=1e-9, max_iter=1000)
+    with np.errstate(over="ignore"):
+        if solver == "drs_iterate":
+            zero = np.zeros(4)
+            run = sb.drs_iterate(sb.dual_resolvents(prob), zero, zero, lam=1.0, stop=stop)
+            converged, xs, incs = run.converged, [st.x for st in run.states], run.x_increments
+        else:
+            trace = getattr(sb, solver)(prob, stop=stop, record_stride=1)
+            xs = [rec.x for rec in trace.iterates]
+            converged, incs = trace.converged, trace.x_increments
+        assert np.linalg.norm(xs[-2]) == np.inf
+    assert converged
+    x_k = xs[-2]
+    m = np.max(np.abs(x_k))  # the norm without overflow, as m ||x_k / m||
+    assert incs[-1] <= 1e-9 * (1.0 + m * np.linalg.norm(x_k / m))
+
+
+def test_an_overflowed_norm_keeps_the_exact_fixed_point_stop():
+    # at s = 1e170 every increment overflows until the sweep reaches an
+    # exact fixed point at k = 55; the rescaled ||x_k|| must not let an
+    # inf increment count before that
+    with np.errstate(over="ignore"):
+        trace = sb.asb_iterate(_scaled_lasso(1e170),
+                               stop=sb.StoppingRule(tol=1e-9, max_iter=1000))
+    assert trace.converged and trace.n_iter == 55
+    assert trace.x_increments[-1] == 0.0 and np.all(np.isinf(trace.x_increments[:-1]))
+
+
 def test_dual_resolvents_reject_foreign_lambda(lasso_problem):
     pair = sb.dual_resolvents(lasso_problem)
     with pytest.raises(ValueError, match="lam"):
@@ -652,7 +693,9 @@ def test_instrumented_drs_is_the_reference_recursion(request, name):
 def test_check_window_solves_once_per_iteration(monkeypatch, tv1d_problem, solver):
     # the one-step check reuses the run's u-solve and L u: inside the window
     # each iteration solves once, applies L once, evaluates g and f once, and
-    # calls each f-side map once, the run's and the other form's
+    # calls each f-side map once, the run's and the other form's.  Each form's
+    # move is written once: the run's step calls its own form's, and its check
+    # the other's, so each is called once per iteration
     calls = Counter()
 
     def counted(what, fn):
@@ -669,9 +712,13 @@ def test_check_window_solves_once_per_iteration(monkeypatch, tv1d_problem, solve
     monkeypatch.setattr(problem._usolver, "solve_c",
                         counted("solve", problem._usolver.solve_c))
     monkeypatch.setattr(sb.asb, "dual_resolvent", counted("resolvent", sb.asb.dual_resolvent))
+    for name, form in (("sweep", "_SWEEP"), ("drs", "_DRS")):
+        move = getattr(sb.asb, form).move
+        monkeypatch.setattr(sb.asb, form, getattr(sb.asb, form)._replace(move=counted(name, move)))
     trace = getattr(sb, solver)(problem, stop=sb.StoppingRule(tol=None, max_iter=50))
     assert trace.setzer_iterates == 51
-    assert calls == dict.fromkeys(["g", "f", "solve", "apply", "prox", "resolvent"], 50)
+    assert calls == dict.fromkeys(["g", "f", "solve", "apply", "prox", "resolvent", "sweep",
+                                   "drs"], 50)
 
 
 def test_driver_flags_the_first_non_finite_vector(lasso_problem):
@@ -757,21 +804,26 @@ def test_approximate_run_carries_no_check(tv1d_problem):
         equivalence_certificate(trace)
 
 
-def _wrong_sign_update(z, d_new, lam):
-    b_new = z + d_new
-    x = b_new + d_new
-    x *= lam
-    return b_new, x, lam * b_new
+def _wrong_sign_move(run, point, Lu, d_error=None):
+    z = point[0] + Lu
+    d = run.prox(z, run.t)
+    b = z + d
+    x = b + d
+    x *= run.lam
+    return x, run.lam * b, (b, d), (("d", d), ("b", b))
 
 
 # Each mutation is a wrong correspondence between the two forms, injected
-# where the code computes it; the sweep's pieces (its u-solve input, the
-# d-step's prox and the b-update) are the ones its steps and checks share.
+# where the code computes it: the sweep form's u-solve input and move (its
+# d-step's prox and b-update), which a sweep run's steps and a DRS run's
+# checks share, and the DRS move's dual resolvent.  A site "_SWEEP.<field>"
+# replaces that function of the sweep's form.
 _MUTATIONS = {
-    "b_update_sign": ("_sweep_update", lambda exact: _wrong_sign_update),
+    "b_update_sign": ("_SWEEP.move", lambda exact: _wrong_sign_move),
     "lam_for_inverse_lam": ("prox", lambda exact: lambda z, t: exact(z, 1.0 / t)),
     "prox_for_dual_resolvent": ("dual_resolvent", lambda exact: lambda F, x, lam: F.prox(x, lam)),
-    "u_input_off_by_b": ("_sweep_input", lambda exact: lambda b, d: exact(b, d) + b),
+    "u_input_off_by_b": ("_SWEEP.input",
+                         lambda exact: lambda run, point: exact(run, point) + point[0]),
     "dual_resolvent_plus_1e-6": ("dual_resolvent",
                                  lambda exact: lambda F, x, lam: exact(F, x, lam) + 1e-6),
 }
@@ -788,6 +840,11 @@ def test_equivalence_fails_under_each_mutation(request, monkeypatch, mutation, n
         if site == "prox":
             f = problem.f
             problem = dataclasses.replace(problem, f=dataclasses.replace(f, prox=make(f.prox)))
+        elif site.startswith("_SWEEP."):
+            field = site.split(".")[1]
+            form = sb.asb._SWEEP
+            monkeypatch.setattr(sb.asb, "_SWEEP",
+                                form._replace(**{field: make(getattr(form, field))}))
         else:
             monkeypatch.setattr(sb.asb, site, make(getattr(sb.asb, site)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1021,16 +1078,16 @@ def _buffers(problem):
 def test_step_results_never_alias(name, form):
     problem = _lean_path_problems()[name]()
     if form == "drs":
-        rec = sb.asb._DrsStep(problem, None)
+        rec = sb.asb._Run(problem, None, sb.asb._DRS)
     else:
         schedule = ErrorSchedule("geometric", scale=0.3) if form == "asb_approx" else None
-        rec = sb.asb._AsbSweep(problem, None, schedule=schedule, rng=np.random.default_rng(2))
+        rec = sb.asb._Run(problem, None, sb.asb._SWEEP, schedule, np.random.default_rng(2))
     buffers = _buffers(problem)
     saved = [a.copy() for a in buffers]
     prev = [rec.x, rec.p, *rec.bd()]
     for k in range(1, 21):
-        step = rec.step(k)
-        new = [step.u, step.Lu, rec.x, rec.p, *rec.bd()]
+        _, _, u, Lu, _ = rec.step(k)
+        new = [u, Lu, rec.x, rec.p, *rec.bd()]
         for i, a in enumerate(new):
             for other in new[i + 1:] + prev + buffers:
                 assert not np.shares_memory(a, other)
