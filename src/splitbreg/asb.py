@@ -81,7 +81,6 @@ verifies concerns the alternating form.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -90,7 +89,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .diagnostics import IterateRecord, RunTrace
-from .drs import ResolventPair, StoppingRule, _require_finite, _rescaled_norm
+from .drs import ResolventPair, StoppingRule, _norm, _require_finite
 from .functionals import ErrorSchedule, ProxFunctional, dual_resolvent
 from .linops import _MEMO_SIZE, LinearMap, _matvec, spd_factor
 
@@ -178,11 +177,9 @@ class _UStepStructure:
         self.adjoint_free = _matvec(at_free)
         system = (at_free @ a_free).T
         if curvature:
-            # + curvature I in place; a zero column of L leaves a diagonal entry
-            # to insert, which older scipy releases warn about
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
-                system.setdiag(system.diagonal() + curvature)
+            # + curvature I as a sum, not in place: a zero column of L leaves no
+            # stored diagonal entry, and the sum inserts it
+            system = system + curvature * sp.identity(system.shape[0], format="csc")
         self.factor = spd_factor(system, what="u-step normal system")
 
 
@@ -240,7 +237,7 @@ class _UStepSolver:
 
 def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
     w = rng.standard_normal(dim)
-    n = float(np.linalg.norm(w))
+    n = _norm(w)
     if n == 0.0:  # pragma: no cover - probability zero
         w[0] = 1.0
         n = 1.0
@@ -248,11 +245,6 @@ def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 _CHECK_ITERATIONS = 200  # an exact run checks Setzer's correspondence at k = 1 .. 200
-
-
-def _norm(v: np.ndarray) -> float:
-    # what np.linalg.norm computes for a 1-D float64 vector, bit for bit
-    return math.sqrt(v.dot(v))
 
 
 class _Form(NamedTuple):
@@ -392,12 +384,12 @@ class _Run:
         if m_k > 0.0:
             w = _unit_perturbation(self.rng, u.size)
             w[self.usolver.pinned] = 0.0
-            img_norm = float(np.linalg.norm(self.apply(w)))
+            img_norm = _norm(self.apply(w))
             if img_norm > 0.0:  # else no free direction (L w = 0): inject nothing
                 Lu_exact = Lu
                 u = u + w * (m_k / img_norm)
                 Lu = self.apply(u)
-                alpha = float(np.linalg.norm(Lu - Lu_exact))
+                alpha = _norm(Lu - Lu_exact)
             d_error = _unit_perturbation(self.rng, Lu.size) * m_k
         self.x, self.p, self._bd, named = self._move(self, point, Lu, d_error)
         return named, c, u, Lu, alpha
@@ -465,8 +457,8 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
     :class:`~splitbreg.drs.NonFiniteIterateError`.  That raises for the
     same vector at the same k as scanning every step would, because a
     non-finite entry of any scanned vector reaches a summand (non-finite
-    values are absorbing under ``+``, ``-``, ``*`` and a sum of squares,
-    and ``inf - inf`` is nan):
+    values are absorbing under ``+``, ``-``, ``*`` and the norm, and
+    ``inf - inf`` is nan):
 
     - the run's u: for a quadratic g its value ``g(u)`` (scale > 0,
       finite target) is not finite.  For the other g the u-step system
@@ -490,11 +482,13 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
       The input difference in ``delta_k`` is formed from the run's finite
       vectors.
 
-    A finite vector whose norm overflows (the ±1e300 lasso) makes the
-    sum ``inf``; the scan then finds every vector finite and the run
-    goes on.  The stopping rule's ``||x_{k-1}||`` is the plain norm, or,
-    where that overflows to ``inf``, the norm rescaled by ``max|x|``
-    (see :class:`~splitbreg.drs.StoppingRule`).
+    Every norm here, and the stopping rule's ``||x_{k-1}||``, is
+    :func:`~splitbreg.drs._norm`: ``inf`` for an infinite entry, nan for
+    a nan, and finite for a finite vector even where its sum of squares
+    overflows (the ±1e300 lasso).  A finite iterate makes the sum
+    ``inf`` only through a scalar beyond the float range, such as an
+    energy that overflows; the scan then finds every vector finite and
+    the run goes on.
     """
     stop = stop or StoppingRule()
     g_value, f_value, lam = run.problem.g.value, run.problem.f.value, run.lam
@@ -532,10 +526,7 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
         defects.append(defect)
         if record_stride and k % record_stride == 0:
             records.append(_record(run, k, u))
-        x_norm = _norm(x_prev)
-        if x_norm == math.inf:  # its sum of squares overflowed
-            x_norm = _rescaled_norm(x_prev)
-        if stop.fired(x_inc, p_inc, x_norm):
+        if stop.fired(x_inc, p_inc, _norm(x_prev)):
             converged = True
             break
 

@@ -64,23 +64,24 @@ class StoppingRule:
     """Relative fixed-point residual stop, shared by both solvers.
 
     Fires when ``max(||x_{k+1}-x_k||, ||p_{k+1}-p_k||) <= tol*(1+||x_k||)``
-    and both increments are finite: an overflowed increment compares
-    ``inf <= inf`` against an overflowed ``||x_k||`` and must not count.
-    ``fired`` takes ``||x_k||`` as given; both drivers hand it the plain
-    norm, or, only where that sum of squares overflows to ``inf``, the
-    norm rescaled by ``max|x_k|`` (:func:`_rescaled_norm`),
-    since ``tol*(1+inf)`` would pass any finite increment.  A run whose
-    ``||x_k||`` stays finite is unchanged by the rescaling.
+    and both increments are finite: an increment with an infinite entry
+    has norm ``inf`` and must not count.  ``fired`` takes ``||x_k||`` as
+    given; both drivers hand it :func:`_norm` of ``x_k``, which is finite
+    for every finite vector whose norm is below the float maximum
+    (``tol*(1+inf)`` would pass any finite increment), and take the
+    increments by the same norm.
     ``tol=None`` disables the residual test (run exactly ``max_iter``
-    iterations), which fixed-length comparison experiments rely on.
+    iterations), which fixed-length comparison experiments rely on; any
+    other ``tol`` must be finite and nonnegative (a nan one would never
+    fire, an infinite one fire at the first finite step).
     """
 
     tol: Optional[float] = 1e-9
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if self.tol is not None and self.tol < 0:
-            raise ValueError("tol must be nonnegative or None")
+        if self.tol is not None and not 0 <= self.tol < math.inf:
+            raise ValueError("tol must be finite and nonnegative, or None")
         if self.max_iter < 0:
             # 0 is allowed: an initialization-only run
             raise ValueError("max_iter must be >= 0")
@@ -91,8 +92,18 @@ class StoppingRule:
         return max(x_inc, p_inc) <= self.tol * (1.0 + x_norm)
 
 
-def _rescaled_norm(v: np.ndarray) -> float:
-    """``||v||`` as ``m ||v/m||`` with ``m = max|v|``, for a v whose plain norm overflowed to inf."""
+def _norm(v: np.ndarray) -> float:
+    """``||v||`` of a 1-D float vector.
+
+    It is finite for every finite v whose norm is below the float maximum.
+    Where ``v.dot(v)`` is finite this is ``np.linalg.norm(v)`` bit for bit.
+    Only where the sum of squares overflows to ``inf`` is the norm taken as
+    ``m ||v/m||`` with ``m = max|v|``; an infinite entry still gives
+    ``inf``, and a nan entry nan.
+    """
+    n = math.sqrt(v.dot(v))
+    if n != math.inf:
+        return n
     m = float(np.max(np.abs(v)))
     if m == math.inf:  # an infinite entry: the norm is inf
         return m
@@ -139,7 +150,7 @@ def drs_iterate(
     lam: float = 1.0,
     stop: Optional[StoppingRule] = None,
 ) -> DrsRun:
-    """Run the exact recursion until the stopping rule fires."""
+    """Run the exact recursion from the 1-D ``x0``, ``p0`` until the stopping rule fires."""
     stop = stop or StoppingRule()
     x0 = np.asarray(x0, dtype=float)
     p0 = np.zeros_like(x0) if p0 is None else np.asarray(p0, dtype=float)
@@ -150,13 +161,9 @@ def drs_iterate(
         prev = states[-1]
         nxt = drs_step(prev, pair, lam)
         states.append(nxt)
-        xi = float(np.linalg.norm(nxt.x - prev.x))
-        pi = float(np.linalg.norm(nxt.p - prev.p))
+        xi = _norm(nxt.x - prev.x)
         x_incs.append(xi)
-        x_norm = float(np.linalg.norm(prev.x))
-        if x_norm == math.inf:  # its sum of squares overflowed
-            x_norm = _rescaled_norm(prev.x)
-        if stop.fired(xi, pi, x_norm):
+        if stop.fired(xi, _norm(nxt.p - prev.p), _norm(prev.x)):
             converged = True
             break
     return DrsRun(states=states, x_increments=np.array(x_incs), converged=converged)

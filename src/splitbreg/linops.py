@@ -205,7 +205,7 @@ def _grid_gradient(grid: GridSpec, ghost: bool) -> LinearMap:
     ``eye(rows, n)``: the identity with a ghost, else the selection of the
     cell-origin nodes (all but the last index).  Row ``k`` of component
     ``c`` becomes row ``ndim * k + c``, so each node's components are
-    adjacent; a single component is already in that order.
+    adjacent; with one axis that interleave is the identity permutation.
     """
     rows = [n if ghost else n - 1 for n in grid.shape]
     components = [
@@ -213,8 +213,6 @@ def _grid_gradient(grid: GridSpec, ghost: bool) -> LinearMap:
                          for ax, (n, r) in enumerate(zip(grid.shape, rows))])
         for axis, h in enumerate(grid.spacing)
     ]
-    if len(components) == 1:
-        return _csr_map(components[0])
     stacked = sp.vstack(components, format="csr")
     return _csr_map(stacked[np.arange(stacked.shape[0]).reshape(grid.ndim, -1).T.reshape(-1)])
 

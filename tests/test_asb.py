@@ -535,18 +535,28 @@ def test_approx_injects_nothing_without_a_free_direction(make):
     assert np.all(np.isfinite(trace.energies))
 
 
-def test_overflowed_increments_do_not_stop_the_run():
-    # every iterate is finite (u = +-7.5e299), but the increments overflow
-    # to inf until k = 55, where the sweep reaches an exact fixed point;
-    # inf <= tol * (1 + inf) must not count as convergence before that
+def _scaled_norm(v):
+    # the norm without overflow, as m ||v / m||
+    m = np.max(np.abs(v))
+    return 0.0 if m == 0.0 else m * np.linalg.norm(v / m)
+
+
+def test_increments_whose_squares_overflow_stay_finite_and_stop_the_run():
+    # every iterate is finite (u = +-7.5e299) and so is every increment,
+    # though its sum of squares overflows; the run stops at the first k
+    # whose increments pass tol * (1 + ||x_{k-1}||), all three norms taken
+    # without overflow
     prob = sb.SplitProblem(g=prox_quadratic(np.array([1e300, -1e300]), 1.0),
                            f=prox_l1(1.0, dim=2), L=identity_operator(2), lam=1.0)
     with np.errstate(over="ignore"):
-        trace = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=1e-9, max_iter=50))
-    assert not trace.converged
-    assert trace.n_iter == 50
-    assert np.all(np.isinf(trace.x_increments))
+        trace = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=1e-9, max_iter=100))
+    assert trace.converged
+    assert np.all(np.isfinite(trace.x_increments))
     assert np.all(np.isfinite(trace.final.u))
+    recs = trace.iterates
+    passes = [max(_scaled_norm(cur.x - prev.x), _scaled_norm(cur.p - prev.p))
+              <= 1e-9 * (1.0 + _scaled_norm(prev.x)) for prev, cur in zip(recs, recs[1:])]
+    assert passes.index(True) + 1 == trace.n_iter
 
 
 def _scaled_lasso(s):
@@ -555,39 +565,34 @@ def _scaled_lasso(s):
                            L=identity_operator(4), lam=1.0)
 
 
-@pytest.mark.parametrize("solver", ["asb_iterate", "run_drs", "drs_iterate"])
-@pytest.mark.parametrize("s", [1e155, 1e160])
-def test_an_overflowed_norm_does_not_stop_the_run_early(solver, s):
-    # ||x_k|| overflows a plain sum of squares while the increments do not;
-    # tol * (1 + inf) passed any finite increment, and the run reported
-    # convergence at k = 5 (s = 1e155) or k = 22 (s = 1e160), with an
-    # increment 3e7 or 2e2 times the bound
+def _scaled_lasso_run(solver, s):
+    # (converged, x iterates, x-increments) of the scaled lasso under solver
     prob, stop = _scaled_lasso(s), sb.StoppingRule(tol=1e-9, max_iter=1000)
     with np.errstate(over="ignore"):
         if solver == "drs_iterate":
             zero = np.zeros(4)
             run = sb.drs_iterate(sb.dual_resolvents(prob), zero, zero, lam=1.0, stop=stop)
-            converged, xs, incs = run.converged, [st.x for st in run.states], run.x_increments
-        else:
-            trace = getattr(sb, solver)(prob, stop=stop, record_stride=1)
-            xs = [rec.x for rec in trace.iterates]
-            converged, incs = trace.converged, trace.x_increments
-        assert np.linalg.norm(xs[-2]) == np.inf
-    assert converged
-    x_k = xs[-2]
-    m = np.max(np.abs(x_k))  # the norm without overflow, as m ||x_k / m||
-    assert incs[-1] <= 1e-9 * (1.0 + m * np.linalg.norm(x_k / m))
+            return run.converged, [st.x for st in run.states], run.x_increments
+        trace = getattr(sb, solver)(prob, stop=stop, record_stride=1)
+        return trace.converged, [rec.x for rec in trace.iterates], trace.x_increments
 
 
-def test_an_overflowed_norm_keeps_the_exact_fixed_point_stop():
-    # at s = 1e170 every increment overflows until the sweep reaches an
-    # exact fixed point at k = 55; the rescaled ||x_k|| must not let an
-    # inf increment count before that
+@pytest.mark.parametrize("solver", ["asb_iterate", "run_drs", "drs_iterate"])
+@pytest.mark.parametrize("s", [1e155, 1e160, 1e170, 1e200])
+def test_an_overflowed_norm_does_not_stop_the_run_early(solver, s):
+    # ||x_k|| overflows a plain sum of squares; tol * (1 + inf) passed any
+    # finite increment, and the run reported convergence at k = 5
+    # (s = 1e155) or k = 22 (s = 1e160).  From s = 1e170 on the increments'
+    # squares overflow too: inf increments never passed, and only an exact
+    # fixed point stopped the run.  Taken without overflow, every norm
+    # scales with s, and the run stops where the unscaled one does
+    converged, xs, incs = _scaled_lasso_run(solver, s)
     with np.errstate(over="ignore"):
-        trace = sb.asb_iterate(_scaled_lasso(1e170),
-                               stop=sb.StoppingRule(tol=1e-9, max_iter=1000))
-    assert trace.converged and trace.n_iter == 55
-    assert trace.x_increments[-1] == 0.0 and np.all(np.isinf(trace.x_increments[:-1]))
+        assert np.linalg.norm(xs[-2]) == np.inf
+    assert converged and np.all(np.isfinite(incs))
+    assert incs[-1] <= 1e-9 * (1.0 + _scaled_norm(xs[-2]))
+    unscaled = _scaled_lasso_run(solver, 1.0)
+    assert unscaled[0] and len(incs) == len(unscaled[2])
 
 
 def test_dual_resolvents_reject_foreign_lambda(lasso_problem):
