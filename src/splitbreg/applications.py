@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from .asb import SplitProblem
 from .functionals import prox_indicator_point, prox_l1, prox_quadratic, prox_weighted_l21
+from .kernels import _block_norms
 from .linops import GridSpec, gradient_operator, interior_gradient_operator, spd_factor
 
 __all__ = [
@@ -175,7 +176,7 @@ def forward_model(grid: GridSpec, conductivity, boundary_data) -> LeastGradientI
     u_true = anchor_ext.copy()
     u_true[free] = u_free
     grads = L.apply(u_true).reshape(-1, grid.ndim)
-    j_mag = w_blocks * np.linalg.norm(grads, axis=1)
+    j_mag = w_blocks * _block_norms(grads)
     return LeastGradientInstance(grid=grid, conductivity=sigma,
                                  boundary_data=boundary_data,
                                  j_magnitude=j_mag, u_true=u_true)

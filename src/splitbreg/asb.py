@@ -89,8 +89,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .diagnostics import IterateRecord, RunTrace
-from .drs import ResolventPair, StoppingRule, _norm, _require_finite
+from .drs import ResolventPair, StoppingRule, _require_finite
 from .functionals import ErrorSchedule, ProxFunctional, dual_resolvent
+from .kernels import _norm
 from .linops import _MEMO_SIZE, LinearMap, _matvec, spd_factor
 
 __all__ = [
@@ -482,13 +483,13 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
       The input difference in ``delta_k`` is formed from the run's finite
       vectors.
 
-    Every norm here, and the stopping rule's ``||x_{k-1}||``, is
-    :func:`~splitbreg.drs._norm`: ``inf`` for an infinite entry, nan for
-    a nan, and finite for a finite vector even where its sum of squares
-    overflows (the ±1e300 lasso).  A finite iterate makes the sum
-    ``inf`` only through a scalar beyond the float range, such as an
-    energy that overflows; the scan then finds every vector finite and
-    the run goes on.
+    Every norm here, the stopping rule's ``||x_{k-1}||`` and every
+    certificate's norm is :func:`~splitbreg.kernels._norm`: ``inf`` for
+    an infinite entry, nan for a nan, and finite for a finite vector even
+    where its sum of squares overflows (the ±1e300 lasso).  A finite
+    iterate makes the sum ``inf`` only through a scalar beyond the float
+    range, such as an energy that overflows; the scan then finds every
+    vector finite and the run goes on.
     """
     stop = stop or StoppingRule()
     g_value, f_value, lam = run.problem.g.value, run.problem.f.value, run.lam

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from .functionals import dual_resolvent
+from .kernels import _norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .asb import SplitProblem
@@ -148,7 +149,7 @@ def dual_certificate(problem: "SplitProblem", b_hat: np.ndarray, d_hat: np.ndarr
     b_hat = np.asarray(b_hat, dtype=float)
     d_hat = np.asarray(d_hat, dtype=float)
     image = dual_resolvent(problem.f, lam * (d_hat + b_hat), lam)
-    defect = float(np.linalg.norm(image - lam * b_hat))
+    defect = _norm(image - lam * b_hat)
     return Certificate.from_defect("dual_optimal", defect, 1e-7,
                                    details="resolvent fixed-point residual of the dual iterate")
 
@@ -159,7 +160,7 @@ def primal_recovery_check(problem: "SplitProblem", u_hat: np.ndarray, d_hat: np.
     u_hat = np.asarray(u_hat, dtype=float)
     d_hat = np.asarray(d_hat, dtype=float)
     Lu = problem.L.apply(u_hat)
-    link = float(np.linalg.norm(Lu - d_hat))
+    link = _norm(Lu - d_hat)
     energy = problem.g.value(u_hat) + problem.f.value(Lu)
     energy_defect = abs(energy - v_star) / (1.0 + abs(v_star))
     defect = max(link, energy_defect)
@@ -182,8 +183,8 @@ def equivalence_report(asb_trace: RunTrace, drs_trace: RunTrace, lam: float) -> 
         )
     defect = 0.0
     for ra, rd in zip(asb_trace.iterates, drs_trace.iterates):
-        dx = float(np.linalg.norm(rd.x - lam * (ra.b + ra.d)))
-        dp = float(np.linalg.norm(rd.p - lam * ra.b))
+        dx = _norm(rd.x - lam * (ra.b + ra.d))
+        dp = _norm(rd.p - lam * ra.b)
         defect = max(defect, dx, dp)
     return _equivalence(defect, f"max mapped-sequence mismatch over "
                                 f"{len(asb_trace.iterates)} iterates")

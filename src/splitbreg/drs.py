@@ -11,7 +11,9 @@ This is the exact reference recursion: run over the resolvents that
 instrumented :func:`splitbreg.asb.run_drs` bit for bit.  The inexact
 algorithm's errors live in one place, the approximate ASB sweep
 (:func:`splitbreg.asb.asb_iterate_approx`), which Setzer's
-correspondence maps to an inexact DRS.
+correspondence maps to an inexact DRS.  Its norms, the increments and
+the inclusion defect, are :func:`splitbreg.kernels._norm`, finite for a
+finite vector even where its sum of squares overflows.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
+
+from .kernels import _norm
 
 __all__ = [
     "ResolventPair",
@@ -66,10 +70,11 @@ class StoppingRule:
     Fires when ``max(||x_{k+1}-x_k||, ||p_{k+1}-p_k||) <= tol*(1+||x_k||)``
     and both increments are finite: an increment with an infinite entry
     has norm ``inf`` and must not count.  ``fired`` takes ``||x_k||`` as
-    given; both drivers hand it :func:`_norm` of ``x_k``, which is finite
-    for every finite vector whose norm is below the float maximum
-    (``tol*(1+inf)`` would pass any finite increment), and take the
-    increments by the same norm.
+    given; both drivers hand it :func:`~splitbreg.kernels._norm` of
+    ``x_k``, the package's one vector norm, which is finite for every
+    finite vector whose norm is below the float maximum (``tol*(1+inf)``
+    would pass any finite increment), and take the increments by the
+    same norm.
     ``tol=None`` disables the residual test (run exactly ``max_iter``
     iterations), which fixed-length comparison experiments rely on; any
     other ``tol`` must be finite and nonnegative (a nan one would never
@@ -90,25 +95,6 @@ class StoppingRule:
         if self.tol is None or not (math.isfinite(x_inc) and math.isfinite(p_inc)):
             return False
         return max(x_inc, p_inc) <= self.tol * (1.0 + x_norm)
-
-
-def _norm(v: np.ndarray) -> float:
-    """``||v||`` of a 1-D float vector.
-
-    It is finite for every finite v whose norm is below the float maximum.
-    Where ``v.dot(v)`` is finite this is ``np.linalg.norm(v)`` bit for bit.
-    Only where the sum of squares overflows to ``inf`` is the norm taken as
-    ``m ||v/m||`` with ``m = max|v|``; an infinite entry still gives
-    ``inf``, and a nan entry nan.
-    """
-    n = math.sqrt(v.dot(v))
-    if n != math.inf:
-        return n
-    m = float(np.max(np.abs(v)))
-    if m == math.inf:  # an infinite entry: the norm is inf
-        return m
-    w = v / m
-    return m * math.sqrt(w.dot(w))
 
 
 def _require_finite(v: np.ndarray, k: int, what: str) -> None:
@@ -211,6 +197,6 @@ def inclusion_defect(pair: ResolventPair, x_hat: np.ndarray, p_hat: np.ndarray, 
     x_hat = np.asarray(x_hat, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
     q = (x_hat - p_hat) / lam
-    da = float(np.linalg.norm(pair.JA(p_hat - lam * q, lam) - p_hat))
-    db = float(np.linalg.norm(pair.JB(p_hat + lam * q, lam) - p_hat))
+    da = _norm(pair.JA(p_hat - lam * q, lam) - p_hat)
+    db = _norm(pair.JB(p_hat + lam * q, lam) - p_hat)
     return max(da, db)

@@ -207,12 +207,7 @@ def dual_resolvent(F: ProxFunctional, x: np.ndarray, lam: float) -> np.ndarray:
         return np.minimum(np.maximum(x, lower), upper)
     if F.label == "weighted_l21":
         blocks = x.reshape(-1, F.params["block_size"])
-        # w / nrm where nrm > w, else 1: fmin caps the quotient at 1, including
-        # the inf of a tiny nonzero norm, and takes 1 over the nan of 0/0 (a
-        # zero-weight block of norm 0) or of a nan norm
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scale = F.params["weights"] / kernels._block_norms(blocks)
-        return kernels._scale_rows(blocks, np.fmin(scale, 1.0, out=scale))
+        return kernels._scale_rows(blocks, kernels._ball_ratio(blocks, F.params["weights"]))
     if F.label == "zero":
         return np.zeros_like(x)
     return x - lam * F.prox(x / lam, 1.0 / lam)

@@ -1,11 +1,22 @@
-"""Hot numeric kernels: shrinkage and the taut-string walk.
+"""Hot numeric kernels: norms, shrinkage and the taut-string walk.
 
-Soft thresholding and block shrinkage are vectorized numpy; the
-taut-string walk is inherently sequential and runs as a plain loop
-over Python floats.  All kernels take and return C-contiguous float64
-arrays.  The finite-difference stencils are not kernels: they are
-sparse matrices assembled in :mod:`splitbreg.linops`.
+Every norm the package takes goes through this module: :func:`_norm`
+for a whole vector, :func:`_block_norms` for the rows of a block
+matrix.  Both give the bits of numpy's ``norm`` (of the vector, or
+along the rows) where the sum of squares is finite, except that
+:func:`_block_norms` also rescales a row whose sum underflows; where
+the sum overflows, both rescale by the largest magnitude.
+
+Soft thresholding and block shrinkage are vectorized numpy; block
+shrinkage and the weighted-l21 dual resolvent scale each block by one
+ball ratio, :func:`_ball_ratio`.  The taut-string walk is inherently
+sequential and runs as a plain loop over Python floats.  All kernels
+take and return C-contiguous float64 arrays.  The finite-difference
+stencils are not kernels: they are sparse matrices assembled in
+:mod:`splitbreg.linops`.
 """
+
+import math
 
 import numpy as np
 
@@ -27,12 +38,31 @@ def soft_threshold(x, thresh):
     return np.maximum(x - thresh, np.minimum(x + thresh, 0.0))
 
 
+def _norm(v: np.ndarray) -> float:
+    """``||v||`` of a 1-D float vector.
+
+    It is finite for every finite v whose norm is below the float maximum.
+    Where ``v.dot(v)`` is finite this is numpy's ``norm(v)`` bit for bit.
+    Only where the sum of squares overflows to ``inf`` is the norm taken as
+    ``m ||v/m||`` with ``m = max|v|``; an infinite entry still gives
+    ``inf``, and a nan entry nan.
+    """
+    n = math.sqrt(v.dot(v))
+    if n != math.inf:
+        return n
+    m = float(np.max(np.abs(v)))
+    if m == math.inf:  # an infinite entry: the norm is inf
+        return m
+    w = v / m
+    return m * math.sqrt(w.dot(w))
+
+
 _TINY = np.finfo(float).tiny
 
 
 def _squares(blocks):
     # Each row's squares summed column by column: the sum whose root
-    # np.linalg.norm(blocks, axis=1) takes, bit for bit, for rows of up to 7
+    # numpy's norm(blocks, axis=1) takes, bit for bit, for rows of up to 7
     # entries (numpy sums 8 or more pairwise), without its overhead.
     sq = blocks[:, 0] * blocks[:, 0]
     for j in range(1, blocks.shape[1]):
@@ -72,14 +102,19 @@ def _block_norms(blocks):
     return nrm
 
 
+def _ball_ratio(blocks, radius):
+    # radius / nrm where nrm > radius, else 1: fmin caps the quotient at 1,
+    # including the inf of a tiny nonzero norm, and takes 1 over the nan of
+    # 0/0 (a zero-radius block of norm 0) or of a nan norm
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = radius / _block_norms(blocks)
+    return np.fmin(ratio, 1.0, out=ratio)
+
+
 def block_shrink(y, thresh, block_size):
     blocks = y.reshape(-1, block_size)
-    nrm = _block_norms(blocks)
-    # the divisor is nrm wherever the quotient is kept, and 1 elsewhere, so a
-    # tiny nonzero norm below thresh cannot overflow the division
-    shrinks = nrm > thresh
-    scale = np.where(shrinks, 1.0 - thresh / np.where(shrinks, nrm, 1.0), 0.0)
-    return _scale_rows(blocks, scale)
+    ratio = _ball_ratio(blocks, thresh)
+    return _scale_rows(blocks, np.subtract(1.0, ratio, out=ratio))
 
 
 def taut_string_slopes(lo, hi):

@@ -193,7 +193,7 @@ def interior_stationarity_defect(problem: SplitProblem, u: np.ndarray) -> float:
     w = f.params["weights"]
     bs = f.params["block_size"]
     img = L.apply(u).reshape(-1, bs)
-    nrm = np.linalg.norm(img, axis=1)
+    nrm = kernels._block_norms(img)
     if np.any(nrm[w > 0] == 0.0):
         return np.inf
     q = img * (w / np.where(nrm > 0, nrm, 1.0))[:, None]

@@ -372,7 +372,8 @@ def test_overflowing_lasso_certifies_no_wrong_dual_point(tmp_path, solver, max_i
     # at y = +-1e300 the sweep's final b is [0, 0], while the dual optimum is
     # [1, -1]; a Moreau-form dual resolvent cancelled to 0 there and passed it.
     # Increments whose squares overflow still have finite norms, so the run
-    # stops at k = 30, or at max_iter 20 before that
+    # stops at k = 30, or at max_iter 20 before that.  The inclusion defect
+    # is such a norm too: it says by how much the check fails, not inf
     payload = {"problem": "lasso", "solver": solver,
                "params": {"y": [1e300, -1e300], "max_iter": max_iter}}
     cfg = _write_config(tmp_path, payload)
@@ -380,6 +381,7 @@ def test_overflowing_lasso_certifies_no_wrong_dual_point(tmp_path, solver, max_i
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     inclusion = [c for c in _certs(tmp_path / "out") if c["kind"] == "inclusion"]
     assert not inclusion[0]["passed"]
+    assert 1e290 < inclusion[0]["defect"] < math.inf
     assert f" iterations={iterations} " in (tmp_path / "out" / "summary.txt").read_text()
 
 

@@ -1,13 +1,15 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import splitbreg as sb
-from splitbreg.diagnostics import (Certificate, certificates_to_json, dual_certificate,
-                                   duality_gap, equivalence_report, primal_recovery_check,
-                                   summability_report, weak_duality_probe)
+from splitbreg.diagnostics import (Certificate, IterateRecord, certificates_to_json,
+                                   dual_certificate, duality_gap, equivalence_report,
+                                   primal_recovery_check, summability_report, weak_duality_probe)
+from splitbreg.drs import ResolventPair, inclusion_defect
 from splitbreg.functionals import ProxFunctional, prox_l1, prox_quadratic
 from splitbreg.linops import identity_operator
 from splitbreg.oracles import soft_threshold_optimum
@@ -89,6 +91,39 @@ def test_primal_recovery_fully_constrained_instance():
                            L=identity_operator(3), lam=1.0)
     cert = primal_recovery_check(prob, anchor, anchor, v_star=0.0)
     assert cert.passed and cert.defect == 0.0
+
+
+# a residual whose sum of squares overflows while its norm, 5.1e300, does not
+_HUGE = np.array([3e300, -4e300, 1e299])
+
+
+def _overflowing_defect(name):
+    # each check's residual is -_HUGE or _HUGE: f = 0 (its dual resolvent is
+    # 0) and g = ||u||^2 / 2 have value 0 at u = 0
+    prob = sb.SplitProblem(g=prox_quadratic(np.zeros(3), 1.0), f=prox_l1(0.0, dim=3),
+                           L=identity_operator(3), lam=1.0)
+    zero = np.zeros(3)
+    if name == "dual_certificate":
+        return dual_certificate(prob, _HUGE, -_HUGE).defect
+    if name == "primal_recovery_check":
+        return primal_recovery_check(prob, zero, _HUGE, v_star=0.0).defect
+    if name == "inclusion_defect":
+        identity = ResolventPair(JA=lambda x, lam: x, JB=lambda x, lam: x)
+        return inclusion_defect(identity, _HUGE, zero, 1.0)
+    asb, drs = ([IterateRecord(k=0, u=None, d=zero, b=zero, x=x, p=zero)] for x in (zero, _HUGE))
+    return equivalence_report(SimpleNamespace(iterates=asb), SimpleNamespace(iterates=drs),
+                              1.0).defect
+
+
+@pytest.mark.parametrize("name", ["dual_certificate", "primal_recovery_check",
+                                  "inclusion_defect", "equivalence_report"])
+def test_a_defect_whose_squares_overflow_is_its_true_size(name):
+    # the defect says by how much a check fails: m ||v / m|| with m = max |v|,
+    # not the inf of a plain norm
+    with np.errstate(over="ignore"):  # the plain sum of squares is tried first
+        defect = _overflowing_defect(name)
+    m = np.max(np.abs(_HUGE))
+    assert np.isfinite(defect) and defect == m * np.linalg.norm(_HUGE / m)
 
 
 def test_equivalence_report_paths(lasso_problem):

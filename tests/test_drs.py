@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import splitbreg as sb
-from splitbreg.drs import (DrsState, NonFiniteIterateError, ResolventPair, StoppingRule, _norm,
+from splitbreg.drs import (DrsState, NonFiniteIterateError, ResolventPair, StoppingRule,
                            drs_iterate, drs_step, fejer_check, inclusion_defect)
 from splitbreg.functionals import ErrorSchedule, prox_l1, prox_quadratic
 from splitbreg.oracles import soft_threshold_optimum
@@ -181,31 +179,6 @@ def test_stopping_rule_validation():
     rule = StoppingRule(tol=None, max_iter=10)
     assert not rule.fired(0.0, 0.0, 1.0)
     assert StoppingRule(tol=0.0).fired(0.0, 0.0, 1.0)
-
-
-# magnitudes from 1e-300 to 1e300, either sign, and zero
-_MAGNITUDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-300, 299))
-_FINITE = st.one_of(_MAGNITUDE, _MAGNITUDE.map(lambda v: -v), st.just(0.0))
-
-
-@settings(max_examples=400, deadline=None)
-@given(entries=st.lists(_FINITE, min_size=1, max_size=10),
-       special=st.sampled_from([None, math.inf, -math.inf, math.nan]), at=st.integers(0, 9))
-@example(entries=[1e300, -1e300], special=None, at=0)
-@example(entries=[1e-300, 1e300], special=math.inf, at=1)
-def test_norm_is_the_plain_norm_unless_its_squares_overflow(entries, special, at):
-    v = np.array(entries)
-    if special is not None:
-        v[at % v.size] = special
-    with np.errstate(over="ignore"):  # a sum of squares may overflow, as it may in a run
-        got, squares = _norm(v), v.dot(v)
-    if special is not None:  # inf for an infinite entry, nan for a nan
-        assert math.isnan(got) if math.isnan(special) else got == math.inf
-    elif math.isfinite(squares):
-        assert np.float64(got).tobytes() == np.linalg.norm(v).tobytes()
-    else:  # the squares overflow: finite, and the norm to rounding
-        assert math.isfinite(got)
-        assert got == pytest.approx(math.hypot(*entries), rel=1e-14)
 
 
 def test_stopping_rule_ignores_overflowed_increments():

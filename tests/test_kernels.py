@@ -9,12 +9,17 @@ former kernel names they are checked entry by entry against loop forms
 of the stencil and against the operator's own matrix.
 """
 
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitbreg import kernels
+from splitbreg.kernels import _norm
 from splitbreg.linops import GridSpec, gradient_operator, interior_gradient_operator
 
 
@@ -255,16 +260,20 @@ def test_soft_threshold_is_sign_times_shrunk_magnitude(pairs):
         assert np.array_equal(kernels.soft_threshold(x, t), reference, equal_nan=True)
 
 
-_SCALE_MAGNITUDE = st.sampled_from([0.0, 1e-170, 3e-170, 1.0, 1e200, 3e200])
+_SCALE_MAGNITUDE = st.sampled_from([0.0, 1e-170, 3e-170, 1.0, 1e200, 3e200, 1e300])
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), block_size=st.integers(1, 4), n_blocks=st.integers(1, 12))
 def test_block_shrink_scales_rows_as_the_broadcast_did(data, block_size, n_blocks):
-    # one strided multiply per block column gives blocks * scale[:, None]
-    # bit for bit: zero thresholds, zero-norm blocks, and entries near 1e-170
-    # (squares underflow) and 1e200 (squares overflow)
-    entry = st.tuples(_SCALE_MAGNITUDE, st.floats(-1.0, 1.0)).map(lambda p: p[0] * p[1])
+    # 1 minus the ball ratio the dual resolvent scales by, times each block,
+    # against the where-form shrink factor broadcast over the block: bit for
+    # bit at zero thresholds and radii up to 1e300, zero-norm blocks, entries
+    # near 1e-170 (squares underflow) and 1e200 (squares overflow), and
+    # infinite and nan entries
+    entry = st.one_of(
+        *[st.tuples(_SCALE_MAGNITUDE, st.floats(-1.0, 1.0)).map(lambda p: p[0] * p[1])] * 3,
+        st.sampled_from([np.inf, -np.inf, np.nan]))
     blocks = np.array(data.draw(st.lists(entry, min_size=n_blocks * block_size,
                                          max_size=n_blocks * block_size)))
     blocks = blocks.reshape(n_blocks, block_size)
@@ -274,9 +283,45 @@ def test_block_shrink_scales_rows_as_the_broadcast_did(data, block_size, n_block
     nrm = kernels._block_norms(blocks)
     shrinks = nrm > thresh
     scale = np.where(shrinks, 1.0 - thresh / np.where(shrinks, nrm, 1.0), 0.0)
-    expected = (blocks * scale[:, None]).reshape(-1)
-    got = kernels.block_shrink(blocks.reshape(-1), thresh, block_size)
-    assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+    with np.errstate(invalid="ignore"):  # inf * 0 in a block whose norm is nan
+        expected = (blocks * scale[:, None]).reshape(-1)
+        got = kernels.block_shrink(blocks.reshape(-1), thresh, block_size)
+    assert got.tobytes() == expected.tobytes()
+
+
+# magnitudes from 1e-300 to 1e300, either sign, and zero
+_FINITE = st.one_of(_MAGNITUDE, _MAGNITUDE.map(lambda v: -v), st.just(0.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(entries=st.lists(_FINITE, min_size=1, max_size=10),
+       special=st.sampled_from([None, math.inf, -math.inf, math.nan]), at=st.integers(0, 9))
+@example(entries=[1e300, -1e300], special=None, at=0)
+@example(entries=[1e-300, 1e300], special=math.inf, at=1)
+def test_norm_is_the_plain_norm_unless_its_squares_overflow(entries, special, at):
+    v = np.array(entries)
+    if special is not None:
+        v[at % v.size] = special
+    with np.errstate(over="ignore"):  # a sum of squares may overflow, as it may in a run
+        got, squares = _norm(v), v.dot(v)
+    if special is not None:  # inf for an infinite entry, nan for a nan
+        assert math.isnan(got) if math.isnan(special) else got == math.inf
+    elif math.isfinite(squares):
+        assert np.float64(got).tobytes() == np.linalg.norm(v).tobytes()
+    else:  # the squares overflow: finite, and the norm to rounding
+        assert math.isfinite(got)
+        assert got == pytest.approx(math.hypot(*entries), rel=1e-14)
+
+
+def test_every_norm_in_the_package_goes_through_kernels():
+    # a numpy norm elsewhere in src/ reads inf where a finite vector's squares
+    # overflow; kernels._norm and kernels._block_norms give its bits elsewhere
+    package = Path(kernels.__file__).resolve().parent
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and ast.unparse(node).endswith("linalg.norm")]
+    assert sites == []
 
 
 def test_grad_dirichlet_1d_stencil():
