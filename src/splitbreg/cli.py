@@ -13,13 +13,16 @@ once.  ``tol`` and ``max_iter`` default to :class:`StoppingRule`'s own,
 and an ``asb_approx`` run without a schedule, or a schedule without
 ``ratio`` or ``scale``, takes :class:`ErrorSchedule`'s.
 
-Every problem comes with an oracle for a minimizer, which returns
-None where no independent one exists (custom_matrix, an uncertified
-least-gradient ``u_true``, a tv2d dual solve whose gap did not reach its
-tolerance); the primal certificate then falls back to
-the weak-duality bound at the converged dual point.  The tv2d dual solve
-starts from the run's final dual point ``lam b``: its certificate is its
-own duality gap, which no start can bias.
+Every certificate is defined in :mod:`splitbreg.diagnostics`; this
+module only gathers their inputs: the run's final record, the oracle's
+answer and the resolvent pair.  Every problem comes with an oracle for a
+minimizer, which returns None where no independent one exists
+(custom_matrix, an uncertified least-gradient ``u_true``, a tv2d dual
+solve whose gap did not reach its tolerance); the primal certificate
+then falls back to the weak-duality bound at the converged dual point.
+That dual point is the final record's ``p``; the summary's
+``duality_gap`` is taken at it, and the tv2d dual solve starts from it:
+its certificate is its own duality gap, which no start can bias.
 
 The equivalence certificate of an exact run comes from the one-step
 checks the solver makes at its own points (see
@@ -37,7 +40,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -47,9 +50,9 @@ from .applications import (build_least_gradient_problem, build_tv_problem,
                            make_least_gradient_instance, make_tv_instance)
 from .asb import SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents, run_drs
 # equivalence_report is not called here; perfbench/tracing.py wraps this name
-from .diagnostics import (Certificate, RunTrace, certificates_to_json, dual_certificate,
-                          dual_value, duality_gap, equivalence_certificate,
-                          equivalence_report, primal_recovery_check)
+from .diagnostics import (RunTrace, certificates_to_json, dual_certificate, duality_gap,
+                          equivalence_certificate, equivalence_report, inclusion_certificate,
+                          primal_recovery_check)
 from .drs import StoppingRule, inclusion_defect
 from .functionals import (FUNCTIONAL_LABELS, ErrorSchedule, functional_from_label, prox_l1,
                           prox_quadratic)
@@ -284,7 +287,7 @@ def _build_problem(config: RunConfig):
     a least-gradient ``u_true`` that is not certified optimal, and a tv2d
     dual solve that stopped at its iteration cap).  ``final`` is the
     run's final snapshot; only the tv2d dual solve reads it, to start
-    from ``lam b``.
+    from its dual point ``p``.
     """
     p = config.params
     lam = float(p["lambda"])
@@ -318,7 +321,7 @@ def _build_problem(config: RunConfig):
                 return taut_string_denoise(inst.noisy_signal, mu_eff), ""
         else:
             def oracle(prob, final):
-                dual = tv_dual_solve(prob, gap_tol=1e-10, b0=prob.lam * final.b)
+                dual = tv_dual_solve(prob, gap_tol=1e-10, b0=final.p)
                 if not dual.certified:
                     return None
                 return dual.u, "dual solve warm-started, gap-certified; "
@@ -370,25 +373,10 @@ def write_trace_csv(path, trace: RunTrace) -> None:
 
 def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> list:
     final = trace.final
-    lam = problem.lam
-    certs = [dual_certificate(problem, final.b, final.d)]
-
-    reference = oracle(problem, final)
-    if reference is None:
-        v_star = dual_value(problem, lam * final.b)
-        details_src = "reference value: weak-duality bound at the converged dual point"
-    else:
-        u_star, note = reference
-        v_star = problem.g.value(u_star) + problem.f.value(problem.L.apply(u_star))
-        details_src = f"{note}reference value: independent oracle"
-    cert_primal = primal_recovery_check(problem, final.u, final.d, v_star)
-    certs.append(replace(cert_primal, details=f"{cert_primal.details}; {details_src}"))
-
-    pair = dual_resolvents(problem)
-    certs.append(Certificate.from_defect(
-        "inclusion", inclusion_defect(pair, final.x, final.p, lam), 1e-7,
-        details="resolvent residuals of the optimality inclusion at (x, p)"))
-
+    certs = [dual_certificate(problem, final.b, final.d),
+             primal_recovery_check(problem, final, oracle(problem, final)),
+             inclusion_certificate(inclusion_defect(dual_resolvents(problem), final.x, final.p,
+                                                   problem.lam))]
     if trace.setzer_bound is not None:  # exact runs; approximate runs check nothing
         certs.append(equivalence_certificate(trace))
     return certs
@@ -413,7 +401,7 @@ def run(config: RunConfig, out_dir) -> int:
 
     certs = _certificates_for_run(problem, trace, oracle)
     passed = sum(c.passed for c in certs)
-    gap = duality_gap(problem, trace.final.u, problem.lam * trace.final.b)
+    gap = duality_gap(problem, trace.final.u, trace.final.p)
     line = (f"instance={instance_id}_{config.solver} iterations={trace.n_iter} "
             f"final_residual={trace.residuals[-1]:.6e} final_energy={trace.energies[-1]:.12e} "
             f"duality_gap={gap:.6e} certificates={passed}/{len(certs)} wall_time={wall:.3f}s")

@@ -1,9 +1,11 @@
 """Run traces, certificates, and convergence reports.
 
 A :class:`RunTrace` stores per-iteration scalars (always dense) plus
-iterate snapshots (optionally thinned).  Certificates are pure functions
-of their inputs: identical inputs give bit-identical defects, and
-``passed`` is always ``defect <= tolerance``.
+iterate snapshots (optionally thinned).  This is the one module that
+says what each certificate checks, at what tolerance and with what
+details; callers only gather their inputs.  Certificates are pure
+functions of their inputs: identical inputs give bit-identical defects,
+and ``passed`` is always ``defect <= tolerance``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "duality_gap",
     "dual_certificate",
     "primal_recovery_check",
+    "inclusion_certificate",
     "equivalence_report",
     "equivalence_certificate",
     "summability_report",
@@ -84,7 +87,8 @@ class RunTrace:
     setzer_iterates: int = 0
 
     def __post_init__(self):
-        for name in ("residuals", "energies", "setzer_defects", "x_increments"):
+        for name in ("residuals", "energies", "setzer_defects", "x_increments",
+                     "alpha_injected"):
             series = getattr(self, name)
             if len(series) != self.n_iter:
                 raise ValueError(f"{name} must have one entry per iteration")
@@ -154,20 +158,41 @@ def dual_certificate(problem: "SplitProblem", b_hat: np.ndarray, d_hat: np.ndarr
                                    details="resolvent fixed-point residual of the dual iterate")
 
 
-def primal_recovery_check(problem: "SplitProblem", u_hat: np.ndarray, d_hat: np.ndarray,
-                          v_star: float) -> Certificate:
-    """Check ``L u_hat == d_hat`` and the energy against the oracle value, at 1e-6."""
-    u_hat = np.asarray(u_hat, dtype=float)
-    d_hat = np.asarray(d_hat, dtype=float)
-    Lu = problem.L.apply(u_hat)
-    link = _norm(Lu - d_hat)
-    energy = problem.g.value(u_hat) + problem.f.value(Lu)
+def primal_recovery_check(problem: "SplitProblem", final: IterateRecord,
+                          reference: Optional[tuple]) -> Certificate:
+    """Check ``L u == d`` at the run's final record and its energy, at 1e-6.
+
+    ``reference`` is an oracle's ``(minimizer, note)``, whose energy is
+    the reference value, or None; the reference value is then the
+    weak-duality bound at the run's dual point ``final.p``.
+    """
+    if reference is None:
+        v_star = dual_value(problem, final.p)
+        source = "reference value: weak-duality bound at the converged dual point"
+    else:
+        u_star, note = reference
+        v_star = problem.g.value(u_star) + problem.f.value(problem.L.apply(u_star))
+        source = f"{note}reference value: independent oracle"
+    Lu = problem.L.apply(final.u)
+    link = _norm(Lu - final.d)
+    energy = problem.g.value(final.u) + problem.f.value(Lu)
     energy_defect = abs(energy - v_star) / (1.0 + abs(v_star))
-    defect = max(link, energy_defect)
     return Certificate.from_defect(
-        "primal_optimal", defect, 1e-6,
-        details=f"image residual {link:.3e}, relative energy defect {energy_defect:.3e}",
+        "primal_optimal", max(link, energy_defect), 1e-6,
+        details=f"image residual {link:.3e}, relative energy defect {energy_defect:.3e}; "
+                f"{source}",
     )
+
+
+def inclusion_certificate(defect: float) -> Certificate:
+    """The optimality inclusion at a run's ``(x, p)``, from its resolvent residuals, at 1e-7.
+
+    ``defect`` is :func:`splitbreg.drs.inclusion_defect` at the run's
+    final record.
+    """
+    return Certificate.from_defect(
+        "inclusion", defect, 1e-7,
+        details="resolvent residuals of the optimality inclusion at (x, p)")
 
 
 def equivalence_report(asb_trace: RunTrace, drs_trace: RunTrace, lam: float) -> Certificate:

@@ -80,8 +80,8 @@ def taut_string_dirichlet(y: np.ndarray, mu: float) -> np.ndarray:
 
 def soft_threshold_optimum(y: np.ndarray, mu: float) -> np.ndarray:
     """Closed-form minimizer of ``0.5 ||u - y||^2 + mu ||u||_1``."""
-    y = np.ascontiguousarray(y, dtype=float)
-    return kernels.soft_threshold(y, np.full(y.shape[0], float(mu)))
+    y = np.asarray(y, dtype=float)
+    return np.sign(y) * np.maximum(np.abs(y) - float(mu), 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 import splitbreg as sb
 from splitbreg.diagnostics import (Certificate, IterateRecord, certificates_to_json,
                                    dual_certificate, duality_gap, equivalence_report,
-                                   primal_recovery_check, summability_report, weak_duality_probe)
+                                   inclusion_certificate, primal_recovery_check,
+                                   summability_report, weak_duality_probe)
 from splitbreg.drs import ResolventPair, inclusion_defect
 from splitbreg.functionals import ProxFunctional, prox_l1, prox_quadratic
 from splitbreg.linops import identity_operator
@@ -77,19 +80,45 @@ def test_primal_recovery_check(tv1d_problem, tv1d_instance):
     trace = sb.asb_iterate(tv1d_problem, stop=sb.StoppingRule(tol=1e-12, max_iter=20_000))
     h = tv1d_instance.grid.spacing[0]
     u_star = taut_string_dirichlet(tv1d_instance.noisy_signal, tv1d_instance.mu / h)
-    v_star = tv1d_problem.g.value(u_star) + tv1d_problem.f.value(tv1d_problem.L.apply(u_star))
-    good = primal_recovery_check(tv1d_problem, trace.final.u, trace.final.d, v_star)
+    good = primal_recovery_check(tv1d_problem, trace.final, (u_star, ""))
     assert good.passed
 
-    bad = primal_recovery_check(tv1d_problem, np.zeros(32), trace.final.d, v_star)
+    moved = dataclasses.replace(trace.final, u=np.zeros(32))
+    bad = primal_recovery_check(tv1d_problem, moved, (u_star, ""))
     assert not bad.passed
+
+
+def test_primal_recovery_reference_value_and_details(lasso_problem):
+    trace = sb.asb_iterate(lasso_problem, stop=sb.StoppingRule(tol=1e-12, max_iter=2000))
+    final = trace.final
+    y = lasso_problem.g.params["target"]
+    u_star = soft_threshold_optimum(y, float(lasso_problem.f.params["weights"][0]))
+    oracle = primal_recovery_check(lasso_problem, final, (u_star, "closed form; "))
+    assert oracle.passed
+    assert oracle.details.endswith("; closed form; reference value: independent oracle")
+    # no oracle: the weak-duality bound at the record's dual point p
+    bound = primal_recovery_check(lasso_problem, final, None)
+    assert bound.passed
+    assert bound.details.endswith(
+        "; reference value: weak-duality bound at the converged dual point")
+    # a feasible dual point off the optimum gives a lower bound, which fails
+    assert not primal_recovery_check(lasso_problem, dataclasses.replace(final, p=0.5 * final.p),
+                                     None).passed
+
+
+def test_inclusion_certificate_tolerance():
+    at = inclusion_certificate(1e-7)
+    assert at.kind == "inclusion" and at.passed and at.tolerance == 1e-7
+    assert at.details == "resolvent residuals of the optimality inclusion at (x, p)"
+    assert not inclusion_certificate(2e-7).passed
 
 
 def test_primal_recovery_fully_constrained_instance():
     anchor = np.array([1.0, -2.0, 0.5])
     prob = sb.SplitProblem(g=sb.prox_indicator_point(anchor), f=prox_l1(0.0, dim=3),
                            L=identity_operator(3), lam=1.0)
-    cert = primal_recovery_check(prob, anchor, anchor, v_star=0.0)
+    final = IterateRecord(k=0, u=anchor, d=anchor, b=np.zeros(3), x=anchor, p=np.zeros(3))
+    cert = primal_recovery_check(prob, final, (anchor, ""))
     assert cert.passed and cert.defect == 0.0
 
 
@@ -106,7 +135,8 @@ def _overflowing_defect(name):
     if name == "dual_certificate":
         return dual_certificate(prob, _HUGE, -_HUGE).defect
     if name == "primal_recovery_check":
-        return primal_recovery_check(prob, zero, _HUGE, v_star=0.0).defect
+        final = IterateRecord(k=0, u=zero, d=_HUGE, b=zero, x=zero, p=zero)
+        return primal_recovery_check(prob, final, (zero, "")).defect
     if name == "inclusion_defect":
         identity = ResolventPair(JA=lambda x, lam: x, JB=lambda x, lam: x)
         return inclusion_defect(identity, _HUGE, zero, 1.0)
@@ -182,6 +212,24 @@ def test_certificates_are_deterministic(lasso_problem):
     assert set(payload[0]) == {"kind", "defect", "tolerance", "passed", "details"}
 
 
+def _names_certificate(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "Certificate")
+            or (isinstance(node, ast.Attribute) and node.attr == "Certificate")
+            or (isinstance(node, ast.alias) and node.name == "Certificate"))
+
+
+def test_every_certificate_is_defined_in_diagnostics():
+    # what each certificate checks, at what tolerance and with what details is
+    # said in one module; __init__ only re-exports the class
+    package = Path(sb.__file__).resolve().parent
+    sites = {path.name: [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                         if _names_certificate(node)]
+             for path in sorted(package.glob("*.py"))}
+    assert sites["diagnostics.py"]  # the walk sees the definitions
+    assert {name: lines for name, lines in sites.items()
+            if lines and name not in ("diagnostics.py", "__init__.py")} == {}
+
+
 def test_certificate_passed_definition():
     cert = Certificate.from_defect("dual_optimal", 2e-7, 1e-7)
     assert not cert.passed
@@ -195,3 +243,5 @@ def test_run_trace_validates_lengths(lasso_problem):
                     residuals=trace.residuals[:-1], energies=trace.energies,
                     setzer_defects=trace.setzer_defects, x_increments=trace.x_increments,
                     alpha_injected=trace.alpha_injected, converged=False, n_iter=5)
+    with pytest.raises(ValueError, match="alpha_injected must have one entry per iteration"):
+        dataclasses.replace(trace, alpha_injected=trace.alpha_injected[:3])

@@ -5,6 +5,7 @@ import pytest
 
 import splitbreg as sb
 import splitbreg.oracles
+from splitbreg import kernels
 from splitbreg.functionals import dual_resolvent
 from splitbreg.linops import GridSpec, gradient_operator, interior_gradient_operator
 from splitbreg.oracles import (_opnorm_sq_bound, interior_stationarity_defect,
@@ -12,10 +13,17 @@ from splitbreg.oracles import (_opnorm_sq_bound, interior_stationarity_defect,
                                tv_dual_solve)
 
 
-def test_soft_threshold_optimum():
+def test_soft_threshold_optimum(monkeypatch):
     y = np.array([3.0, -0.5, 0.0, 1.5])
     u = soft_threshold_optimum(y, 1.0)
     assert np.array_equal(u, [2.0, 0.0, 0.0, 0.5])
+
+    # the oracle shares no code with prox_l1: it stands with the solvers' kernel gone
+    def refuse(*args):
+        raise AssertionError("the lasso oracle called the solvers' soft-threshold kernel")
+
+    monkeypatch.setattr(kernels, "soft_threshold", refuse)
+    assert np.array_equal(soft_threshold_optimum(y, 1.0), u)
 
 
 def test_taut_string_rejects_negative_mu():
