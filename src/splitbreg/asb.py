@@ -31,14 +31,15 @@ dual DRS step) is written once, as a ``_Form``: its point read from
 (x, p), its u-solve's input there, and the point an ``L u`` takes it to.
 One run class, ``_Run``, steps by its own form and checks the other,
 under one driver loop.  A run starts from the given ``init`` or else
-from b0 = d0 = 0, defaulted in one place, ``_Run``.  Exact runs check
-Setzer's correspondence at each of their first 200 iterations, with no
-second recursion: the other form's map is applied once at the run's own
-point, reusing the run's u-solve, and its one-step defect against the
-run's next point, plus the roundoff difference of the two forms'
-u-solve inputs, is the ``setzer_defects`` series (``nan`` past the
-window).  Their sum, which bounds how far a twin of the other form from
-the same start would drift (the argument is in ``_drive``), is
+from b0 = d0 = 0, defaulted in one place, ``_Run``.  Every run, exact or
+approximate, checks Setzer's correspondence at each of its first 200
+iterations, with no second recursion: the other form's map is applied
+once at the run's own point, reusing the run's u-solve, and its one-step
+defect against the run's next point, less the d-step error an
+approximate sweep injected, plus the roundoff difference of the two
+forms' u-solve inputs, is the ``setzer_defects`` series (``nan`` past
+the window).  Their sum, which bounds how far a twin of the other form
+from the same start would drift (the argument is in ``_drive``), is
 ``RunTrace.setzer_bound``, the correspondence's certificate.  The run's
 residual, energy and increment series are measured on the run alone.
 The residual ``||d_k - L u_{k+1}||`` is the x-increment over ``lam`` in
@@ -68,9 +69,13 @@ scheduled norm ``m_k``.  The u-step error is a feasible u whose image
 is off by ``m_k``: a random direction with g's pinned coordinates
 zeroed, scaled so that its image under L has norm ``m_k`` (none when no
 free direction is left).  Under Setzer's correspondence it is an inexact
-evaluation of the first DRS resolvent.  The d-step error is added to d
-directly.  With a zero schedule the code path is identical to the exact
-sweep, bit for bit.
+evaluation of the first DRS resolvent, which the check cannot see, since
+it reuses the run's perturbed ``L u``; ``alpha_injected`` records it.
+The d-step error is added to d directly.  It leaves ``x = lam (b + d)``
+as it was and moves ``p = lam b`` by ``-lam`` times itself, an inexact
+evaluation of the second resolvent; the step hands it to the check,
+which subtracts it.  With a zero schedule the code path is identical to
+the exact sweep, bit for bit, the check included.
 
 A joint variant that minimizes over (u, d) simultaneously predates the
 alternating sweep; it is deliberately not provided here, since the
@@ -245,7 +250,7 @@ def _unit_perturbation(rng: np.random.Generator, dim: int) -> np.ndarray:
     return w / n
 
 
-_CHECK_ITERATIONS = 200  # an exact run checks Setzer's correspondence at k = 1 .. 200
+_CHECK_ITERATIONS = 200  # every run checks Setzer's correspondence at k = 1 .. 200
 
 
 class _Form(NamedTuple):
@@ -337,20 +342,22 @@ class _Run:
     kept (b, d)), the u-solve at its input, ``L u`` and the move.  With
     a ``schedule`` whose ``m_k`` is positive, the approximate sweep
     perturbs u before the move and hands the move a d-step error.  It
-    returns ``(named, c, u, Lu, alpha)``.  Only the run measures it: its
-    energy is ``g(u) + f(Lu)``, and its residual ``||d - Lu||``, with the
-    d the u-step was paired with, is the driver's x-increment over
-    ``lam``, so a step need not return d.  ``c`` is the u-solve's input,
+    returns ``(named, c, u, Lu, alpha, d_error)``.  Only the run
+    measures it: its energy is ``g(u) + f(Lu)``, and its residual
+    ``||d - Lu||``, with the d the u-step was paired with, is the
+    driver's x-increment over ``lam``, so a step need not return d.
+    ``c`` is the u-solve's input,
     which the other form's is checked against; u and then the move's
     ``named`` vectors are scanned only when the iteration's scalar sum is
     not finite; ``alpha`` is ``||L u - L u_exact||``, 0 when nothing was
-    injected.
+    injected; ``d_error`` is the d-step error, None when none was drawn.
 
-    ``check(x, p, c, Lu)`` applies the other form once, at the run's
-    previous point (x, p) and with the step's own ``c`` and ``L u``, and
-    returns the one-step defect ``e`` against the point the step
-    reached, with the other move's named vectors and ``x~ - x``,
-    ``p~ - p`` for the finiteness scan (see :func:`_drive`).
+    ``check(x, p, c, Lu, d_error)`` applies the other form once, at the
+    run's previous point (x, p) and with the step's own ``c``, ``L u``
+    and ``d_error``, and returns the one-step defect ``e`` against the
+    point the step reached, with the other move's named vectors and
+    ``x~ - x``, ``p~ - p - lam d_error`` for the finiteness scan (see
+    :func:`_drive`).
     """
 
     def __init__(self, problem: SplitProblem, init: Optional[AsbState], form: _Form,
@@ -393,14 +400,17 @@ class _Run:
                 alpha = _norm(Lu - Lu_exact)
             d_error = _unit_perturbation(self.rng, Lu.size) * m_k
         self.x, self.p, self._bd, named = self._move(self, point, Lu, d_error)
-        return named, c, u, Lu, alpha
+        return named, c, u, Lu, alpha, d_error
 
-    def check(self, x: np.ndarray, p: np.ndarray, c: np.ndarray, Lu: np.ndarray) -> tuple:
+    def check(self, x: np.ndarray, p: np.ndarray, c: np.ndarray, Lu: np.ndarray,
+              d_error: Optional[np.ndarray]) -> tuple:
         point = self._other_point(self, x, p)
         delta = self.lam * _norm(c - self._other_input(self, point))
         x_other, p_other, _, named = self._other_move(self, point, Lu)
         x_other -= self.x
         p_other -= self.p
+        if d_error is not None:  # the sweep's p took -lam d_error, the DRS map's none
+            p_other -= self.lam * d_error
         return 2.0 * _norm(x_other) + _norm(p_other) + delta, (named, x_other, p_other)
 
 
@@ -409,8 +419,7 @@ def _record(run: _Run, k: int, u: Optional[np.ndarray]) -> IterateRecord:
     return IterateRecord(k=k, u=u, d=d, b=b, x=run.x, p=run.p)
 
 
-def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: str,
-           check: bool = False) -> RunTrace:
+def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: str) -> RunTrace:
     """The one iteration loop: series, snapshots, finiteness checks, stopping.
 
     The series (residual, energy, increments) are measured on ``run``.
@@ -420,20 +429,22 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
     and a DRS step makes ``x_k = p_{k-1} + lam L u_k``, which is the same
     under ``d = (x - p)/lam``.  The two agree to roundoff.
 
-    With ``check``, Setzer's correspondence is checked at each of the
-    first ``_CHECK_ITERATIONS`` iterations: ``run.check`` applies the
-    other form's map once, at (x_{k-1}, p_{k-1}) and with the run's own
+    Setzer's correspondence is checked at each of the first
+    ``_CHECK_ITERATIONS`` iterations: ``run.check`` applies the other
+    form's map once, at (x_{k-1}, p_{k-1}) and with the run's own
     ``L u_k``, giving (x~_k, p~_k), and its one-step defect
 
-        e_k = 2 ||x~_k - x_k|| + ||p~_k - p_k|| + delta_k,
+        e_k = 2 ||x~_k - x_k|| + ||p~_k - p_k - lam d_error_k|| + delta_k,
         delta_k = lam ||c_run - c_other||,
 
-    fills ``setzer_defects`` (``nan`` past the window and without a
-    check); ``setzer_bound`` is their sum.  ``delta_k`` compares the
-    u-solve inputs of the two forms at the same point (``b - d`` against
-    ``(2p - x)/lam``), which differ by roundoff: the check reuses the
-    run's solve, and ``I - JA`` is nonexpansive, so the other form's x
-    would move by at most ``delta_k`` with its own.  Why the sum bounds a
+    fills ``setzer_defects`` (``nan`` past the window); ``setzer_bound``
+    is their sum.  ``d_error_k`` is the d-step error an approximate sweep
+    injected, and 0 (no subtraction at all) for an exact run.
+    ``delta_k`` compares the u-solve inputs of the two forms at the same
+    point (``b - d`` against ``(2p - x)/lam``), which differ by
+    roundoff: the check reuses the run's solve, and ``I - JA`` is
+    nonexpansive, so the other form's x would move by at most
+    ``delta_k`` with its own.  Why the sum bounds a
     twin, for an ``asb`` run, whose map is the DRS step
     ``x~ = x + JA(2p - x) - p``, ``p~ = JB(x~)``: the step is
     ``(x + R_A(2p - x))/2`` with ``R_A = 2 JA - I`` nonexpansive, so from
@@ -447,7 +458,16 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
     is exact-arithmetic reasoning; a twin run in floating point adds its
     own rounding, which the sum does not hold.  For a ``drs`` run the map
     is the sweep, and the same sum bounds a sweep twin where the sweep is
-    nonexpansive, which is the correspondence being checked.
+    nonexpansive, which is the correspondence being checked.  For an
+    ``asb_approx`` run the map is the inexact DRS step of the paper's
+    second result: its first resolvent is evaluated at the run's
+    perturbed ``L u`` (an error of ``lam alpha_k``), and its second is
+    off by ``-lam d_error_k``.  Fixed additive errors leave each map
+    nonexpansive, so the sum bounds a DRS twin fed the same two errors.
+    The run's p is ``lam (z - prox(z) - d_error)`` at
+    ``z = b_{k-1} + L u_k``, and ``p~ = JB(lam z) = lam (z - prox(z))``,
+    so the subtraction is exact up to roundoff; a difference of norms in
+    its place would hide a small defect orthogonal to a large error.
 
     Finiteness is tested once per iteration, on one sum: the run's
     energy and two increments, plus e_k inside the window.  Only if the
@@ -474,10 +494,11 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
     - the ASB run's d or b reaches ``x = lam (b + d)``, and b reaches
       ``p = lam b``, so an increment.  The DRS run's x and p are the
       increments' own vectors.
-    - the check's vectors, once the run's are finite: an ``asb`` run's
+    - the check's vectors, once the run's are finite: a sweep run's
       check names the DRS move's x and p, which it turns in place into
-      ``x~ - x_k`` and ``p~ - p_k`` (so they are scanned twice), whose
-      norms are summands of e_k.  A ``drs`` run's check names the sweep
+      ``x~ - x_k`` and ``p~ - p_k - lam d_error_k`` (so they are scanned
+      twice), whose norms are summands of e_k; ``d_error_k`` is finite
+      once the run's d is.  A ``drs`` run's check names the sweep
       move's d and b, which reach its ``x~ = lam (b + d)`` and
       ``p~ = lam b`` as for the run, then ``x~ - x_k`` and ``p~ - p_k``.
       The input difference in ``delta_k`` is formed from the run's finite
@@ -495,23 +516,21 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
     g_value, f_value, lam = run.problem.g.value, run.problem.f.value, run.lam
     records = [_record(run, 0, None)]
     energies, defects, x_incs, alphas = ([] for _ in range(4))
-    # the check runs at k = 1 .. window, decided once
-    window = _CHECK_ITERATIONS if check else 0
-    bound = 0.0 if check else None
+    bound = 0.0
     converged = False
     k = 0
     u = None
 
     for k in range(1, stop.max_iter + 1):
         x_prev, p_prev = run.x, run.p
-        named, c, u, Lu, alpha = run.step(k)
+        named, c, u, Lu, alpha, d_error = run.step(k)
         energy = g_value(u) + f_value(Lu)
         x_inc = _norm(run.x - x_prev)
         p_inc = _norm(run.p - p_prev)
         total = energy + x_inc + p_inc
         checked, defect = None, np.nan
-        if k <= window:
-            defect, checked = run.check(x_prev, p_prev, c, Lu)
+        if k <= _CHECK_ITERATIONS:
+            defect, checked = run.check(x_prev, p_prev, c, Lu, d_error)
             total += defect
             bound += defect
         if not math.isfinite(total):
@@ -539,15 +558,14 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
         residuals=np.array(x_incs) / lam, energies=np.array(energies),
         setzer_defects=np.array(defects), x_increments=np.array(x_incs),
         alpha_injected=np.array(alphas), converged=converged, n_iter=k,
-        setzer_bound=bound,
-        setzer_iterates=min(k, window) + 1 if check else 0,
+        setzer_bound=bound, setzer_iterates=min(k, _CHECK_ITERATIONS) + 1,
     )
 
 
 def asb_iterate(problem: SplitProblem, init: Optional[AsbState] = None,
                 stop: Optional[StoppingRule] = None, record_stride: int = 1) -> RunTrace:
     """Run the exact three-step sweep until the rule fires, checking the DRS map at its points."""
-    return _drive(_Run(problem, init, _SWEEP), stop, record_stride, "asb", check=True)
+    return _drive(_Run(problem, init, _SWEEP), stop, record_stride, "asb")
 
 
 def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
@@ -565,7 +583,10 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     records ``||L u - L u_exact||`` (``m_k`` up to roundoff, or 0); a
     zero magnitude skips injection entirely, so a zero schedule
     reproduces the exact trace bit for bit.
-    Nothing is checked: the correspondence is an exact-mode property.
+    The DRS map is checked at each of the first 200 iterations, as for
+    :func:`asb_iterate`, less the injected d-step error (see
+    :func:`_drive`), so ``setzer_bound`` certifies that the run is the
+    inexact DRS recursion the paper's second result is about.
     """
     sweep = _Run(problem, init, _SWEEP, schedule, np.random.default_rng(seed))
     return _drive(sweep, stop, record_stride, "asb_approx")
@@ -611,4 +632,4 @@ def run_drs(problem: SplitProblem, init: Optional[AsbState] = None,
     first 200 iterations, at the run's own points; the one-step defects
     fill ``setzer_defects`` (see :func:`_drive`).
     """
-    return _drive(_Run(problem, init, _DRS), stop, record_stride, "drs", check=True)
+    return _drive(_Run(problem, init, _DRS), stop, record_stride, "drs")

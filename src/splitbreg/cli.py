@@ -24,12 +24,12 @@ That dual point is the final record's ``p``; the summary's
 ``duality_gap`` is taken at it, and the tv2d dual solve starts from it:
 its certificate is its own duality gap, which no start can bias.
 
-The equivalence certificate of an exact run comes from the one-step
-checks the solver makes at its own points (see
-:func:`splitbreg.asb.asb_iterate`), so no solver runs twice and no
-second recursion is advanced.  For both traces of one instance, run it
-once with ``--solver asb`` and once with ``--solver drs`` under
-``"tol": null``.
+Every run carries four certificates.  The equivalence certificate comes
+from the one-step checks every solver, ``asb_approx`` included, makes at
+its own points (see :func:`splitbreg.asb._drive`), so no solver runs
+twice and no second recursion is advanced.  For both traces of one
+instance, run it once with ``--solver asb`` and once with
+``--solver drs`` under ``"tol": null``.
 """
 
 from __future__ import annotations
@@ -373,13 +373,11 @@ def write_trace_csv(path, trace: RunTrace) -> None:
 
 def _certificates_for_run(problem: SplitProblem, trace: RunTrace, oracle) -> list:
     final = trace.final
-    certs = [dual_certificate(problem, final.b, final.d),
-             primal_recovery_check(problem, final, oracle(problem, final)),
-             inclusion_certificate(inclusion_defect(dual_resolvents(problem), final.x, final.p,
-                                                   problem.lam))]
-    if trace.setzer_bound is not None:  # exact runs; approximate runs check nothing
-        certs.append(equivalence_certificate(trace))
-    return certs
+    return [dual_certificate(problem, final.b, final.d),
+            primal_recovery_check(problem, final, oracle(problem, final)),
+            inclusion_certificate(inclusion_defect(dual_resolvents(problem), final.x, final.p,
+                                                  problem.lam)),
+            equivalence_certificate(trace)]
 
 
 def run(config: RunConfig, out_dir) -> int:

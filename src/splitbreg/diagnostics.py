@@ -3,7 +3,10 @@
 A :class:`RunTrace` stores per-iteration scalars (always dense) plus
 iterate snapshots (optionally thinned).  This is the one module that
 says what each certificate checks, at what tolerance and with what
-details; callers only gather their inputs.  Certificates are pure
+details; callers only gather their inputs.  Every run, ``asb``,
+``drs`` or ``asb_approx``, gets the same four: ``dual_optimal``,
+``primal_optimal``, ``inclusion`` and ``equivalence``, the last from
+the one-step checks every trace carries.  Certificates are pure
 functions of their inputs: identical inputs give bit-identical defects,
 and ``passed`` is always ``defect <= tolerance``.
 """
@@ -64,14 +67,14 @@ class RunTrace:
     primal residual ``||L u^{j+1} - d^{j+1}||`` is the p-increment over
     ``lam``.  ``iterates``
     holds the k=0 initialization plus the snapshots the run asked for
-    (always the final one).  Exact runs check Setzer's correspondence
+    (always the final one).  Every run checks Setzer's correspondence
     over ``setzer_iterates`` iterates (k = 0 included): ``setzer_defects[j]``
     is the one-step defect of the other solver form's map applied at
     iterate ``j`` with the run's own u-solve, against iterate ``j+1``
-    under ``x = lam (b + d)``, ``p = lam b`` (``nan`` past the window
-    and for approximate runs), and ``setzer_bound`` their sum, which in
-    exact arithmetic bounds the drift of a twin of the other form (see
-    ``asb._drive``).
+    under ``x = lam (b + d)``, ``p = lam b``, less an approximate run's
+    injected d-step error (``nan`` past the window), and
+    ``setzer_bound`` their sum, which in exact arithmetic bounds the
+    drift of a twin of the other form (see ``asb._drive``).
     """
 
     kind: str
@@ -83,8 +86,8 @@ class RunTrace:
     alpha_injected: np.ndarray
     converged: bool
     n_iter: int
-    setzer_bound: Optional[float] = None
-    setzer_iterates: int = 0
+    setzer_bound: float
+    setzer_iterates: int
 
     def __post_init__(self):
         for name in ("residuals", "energies", "setzer_defects", "x_increments",
@@ -216,19 +219,20 @@ def equivalence_report(asb_trace: RunTrace, drs_trace: RunTrace, lam: float) -> 
 
 
 def equivalence_certificate(trace: RunTrace) -> Certificate:
-    """The equivalence certificate of an exact run, from its one-step checks.
+    """The equivalence certificate of a run, from its one-step checks.
 
     The defect is the run's ``setzer_bound``, the sum of its one-step
     defects.  In exact arithmetic it bounds :func:`equivalence_report` on
     the run and a separate run of the other solver form over the same
-    iterates (for a ``drs`` run, where the sweep is nonexpansive); a
+    iterates (for a ``drs`` run, where the sweep is nonexpansive; for an
+    ``asb_approx`` run, a DRS run fed the same resolvent errors); a
     separate run in floating point adds its own rounding.  The details
     name which map was checked at whose points.
     """
-    if trace.setzer_bound is None:
-        raise ValueError(f"a {trace.kind!r} trace carries no equivalence check")
     checked = {"asb": "the DRS map at the asb run's points",
-               "drs": "the ASB sweep at the drs run's points"}[trace.kind]
+               "drs": "the ASB sweep at the drs run's points",
+               "asb_approx": "the DRS map, less the injected d-step error, at the "
+                             "asb_approx run's points"}[trace.kind]
     return _equivalence(trace.setzer_bound,
                         f"sum of one-step defects of {checked} over {trace.setzer_iterates} "
                         "iterates; in exact arithmetic it bounds a twin's mapped-sequence "

@@ -397,8 +397,13 @@ def test_setzer_column_is_the_one_step_defect(tv1d_problem, lg_linear_problem):
             # the certificate is the column's sum over the window, in order
             assert trace.setzer_bound == sum(window.tolist())
             assert equivalence_certificate(trace).defect == trace.setzer_bound
+        # an approximate run checks the same window, less its injected d-step
+        # errors (its column is recomputed in the lean-path test's reference)
         approx = sb.asb_iterate_approx(prob, ErrorSchedule("geometric", ratio=0.5), stop=stop)
-        assert np.all(np.isnan(approx.setzer_defects))
+        window, past = approx.setzer_defects[:200], approx.setzer_defects[200:]
+        assert np.all(np.isfinite(window)) and window.max() <= 1e-9
+        assert len(past) == 100 and np.all(np.isnan(past))
+        assert approx.setzer_bound == sum(window.tolist()) and approx.setzer_iterates == 201
 
 
 def test_fejer_monotone_setzer_distances(tv1d_problem):
@@ -430,6 +435,8 @@ def test_approx_zero_schedule_is_bit_identical(tv1d_problem):
                                    stop=stop, seed=99)
     assert np.array_equal(exact.residuals, approx.residuals)
     assert np.array_equal(exact.energies, approx.energies)
+    assert np.array_equal(exact.setzer_defects, approx.setzer_defects)
+    assert exact.setzer_bound == approx.setzer_bound
     for ra, rb in zip(exact.iterates, approx.iterates):
         assert np.array_equal(ra.b, rb.b)
         assert np.array_equal(ra.d, rb.d)
@@ -801,12 +808,15 @@ def test_scalar_first_checks_flag_each_vector_where_the_scan_did(
     assert err.value.iteration == _K
 
 
-def test_approximate_run_carries_no_check(tv1d_problem):
-    trace = sb.asb_iterate_approx(tv1d_problem, ErrorSchedule("geometric", scale=0.0),
+def test_approximate_run_certifies_the_inexact_correspondence(tv1d_problem):
+    trace = sb.asb_iterate_approx(tv1d_problem, ErrorSchedule("geometric", ratio=0.5),
                                   stop=sb.StoppingRule(tol=None, max_iter=5))
-    assert trace.setzer_bound is None and trace.setzer_iterates == 0
-    with pytest.raises(ValueError, match="no equivalence check"):
-        equivalence_certificate(trace)
+    assert trace.setzer_iterates == 6 and np.all(np.isfinite(trace.setzer_defects))
+    cert = equivalence_certificate(trace)
+    assert (cert.kind, cert.tolerance, cert.passed) == ("equivalence", 1e-9, True)
+    assert cert.defect == trace.setzer_bound
+    assert cert.details.startswith("sum of one-step defects of the DRS map, less the injected "
+                                   "d-step error, at the asb_approx run's points over 6 ")
 
 
 def _wrong_sign_move(run, point, Lu, d_error=None):
@@ -818,11 +828,17 @@ def _wrong_sign_move(run, point, Lu, d_error=None):
     return x, run.lam * b, (b, d), (("d", d), ("b", b))
 
 
+def _check_without_d_error(exact):
+    return lambda run, x, p, c, Lu, d_error: exact(run, x, p, c, Lu, None)
+
+
 # Each mutation is a wrong correspondence between the two forms, injected
 # where the code computes it: the sweep form's u-solve input and move (its
 # d-step's prox and b-update), which a sweep run's steps and a DRS run's
 # checks share, and the DRS move's dual resolvent.  A site "_SWEEP.<field>"
-# replaces that function of the sweep's form.
+# replaces that function of the sweep's form, and "_Run.check" the run's
+# check.  The last mutation drops the approximate sweep's d-step error from
+# its check; an exact run injects none, so it passes under that one.
 _MUTATIONS = {
     "b_update_sign": ("_SWEEP.move", lambda exact: _wrong_sign_move),
     "lam_for_inverse_lam": ("prox", lambda exact: lambda z, t: exact(z, 1.0 / t)),
@@ -831,15 +847,19 @@ _MUTATIONS = {
                          lambda exact: lambda run, point: exact(run, point) + point[0]),
     "dual_resolvent_plus_1e-6": ("dual_resolvent",
                                  lambda exact: lambda F, x, lam: exact(F, x, lam) + 1e-6),
+    "check_ignores_d_error": ("_Run.check", _check_without_d_error),
 }
 
 
-@pytest.mark.parametrize("solver", ["asb_iterate", "run_drs"])
+@pytest.mark.parametrize("solver", ["asb_iterate", "run_drs", "asb_iterate_approx"])
 @pytest.mark.parametrize("name", ["lasso_problem", "tv1d_problem", "lg_two_phase_problem"])
 @pytest.mark.parametrize("mutation", [None, *_MUTATIONS])
 def test_equivalence_fails_under_each_mutation(request, monkeypatch, mutation, name, solver):
     # lam = 0.5, so that lam and 1/lam differ; the unmutated row passes
     problem = dataclasses.replace(request.getfixturevalue(name), lam=0.5)
+    schedule = ({"schedule": ErrorSchedule("geometric", ratio=0.5)}
+                if solver == "asb_iterate_approx" else {})
+    unseen = mutation is None or (mutation == "check_ignores_d_error" and not schedule)
     if mutation is not None:
         site, make = _MUTATIONS[mutation]
         if site == "prox":
@@ -850,12 +870,14 @@ def test_equivalence_fails_under_each_mutation(request, monkeypatch, mutation, n
             form = sb.asb._SWEEP
             monkeypatch.setattr(sb.asb, "_SWEEP",
                                 form._replace(**{field: make(getattr(form, field))}))
+        elif site == "_Run.check":
+            monkeypatch.setattr(sb.asb._Run, "check", make(sb.asb._Run.check))
         else:
             monkeypatch.setattr(sb.asb, site, make(getattr(sb.asb, site)))
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = getattr(sb, solver)(problem, stop=sb.StoppingRule(tol=None, max_iter=60),
-                                    record_stride=0)
-    assert equivalence_certificate(trace).passed is (mutation is None)
+        trace = getattr(sb, solver)(problem, **schedule,
+                                    stop=sb.StoppingRule(tol=None, max_iter=60), record_stride=0)
+    assert equivalence_certificate(trace).passed is unseen
 
 
 # The u-step, both steps and the driver loop as they were before each run
@@ -934,12 +956,14 @@ class _ReferenceAsb(_ReferenceRecursion):
                 alpha = float(np.linalg.norm(Lu - Lu_exact))
         z = b + Lu
         d_new = _reference_prox(f, z, 1.0 / lam)
+        d_error = None
         if m_k > 0.0:
-            d_new = d_new + sb.asb._unit_perturbation(self.rng, f.dim) * m_k
+            d_error = sb.asb._unit_perturbation(self.rng, f.dim) * m_k
+            d_new = d_new + d_error
         b_new = z - d_new
         self._bd = (b_new, d_new)
         self.x, self.p = lam * (b_new + d_new), lam * b_new
-        return c, u, Lu, alpha
+        return c, u, Lu, alpha, d_error
 
 
 class _ReferenceDrs(_ReferenceRecursion):
@@ -955,15 +979,16 @@ class _ReferenceDrs(_ReferenceRecursion):
         x_new += x
         x_new -= p
         self.x, self.p, self._bd = x_new, _reference_resolvent(f, x_new, lam), None
-        return c, u, Lu, 0.0
+        return c, u, Lu, 0.0, None
 
 
 def _reference_norm(v):
     return float(np.sqrt(v.dot(v)))
 
 
-def _reference_check(kind, problem, x, p, c, Lu, x_new, p_new):
-    # the other form's map at (x, p) with the run's L u, against (x_new, p_new)
+def _reference_check(kind, problem, x, p, c, Lu, x_new, p_new, d_error=None):
+    # the other form's map at (x, p) with the run's L u, against (x_new, p_new);
+    # an approximate sweep's p_new took -lam d_error, which the DRS step's has not
     lam, f = problem.lam, problem.f
     if kind == "asb":  # the DRS step from (x, p)
         y = 2.0 * p - x
@@ -978,7 +1003,10 @@ def _reference_check(kind, problem, x, p, c, Lu, x_new, p_new):
         d_other = _reference_prox(f, z, 1.0 / lam)
         b_other = z - d_other
         x_other, p_other = lam * (b_other + d_other), lam * b_other
-    return 2.0 * _reference_norm(x_other - x_new) + _reference_norm(p_other - p_new) + delta
+    dp = p_other - p_new
+    if d_error is not None:
+        dp -= lam * d_error
+    return 2.0 * _reference_norm(x_other - x_new) + _reference_norm(dp) + delta
 
 
 def _run_input(kind, rec, lam):
@@ -986,19 +1014,20 @@ def _run_input(kind, rec, lam):
     return rec.b - rec.d if kind == "asb" else (2.0 * rec.p - rec.x) / lam
 
 
-def _reference_drive(run, check, stop):
+def _reference_drive(run, kind, stop):
     g, f, lam = run.problem.g, run.problem.f, run.problem.lam
     series = {name: [] for name in ("residuals", "energies", "setzer_defects", "x_increments",
                                     "alpha_injected")}
-    bound = 0.0 if check else None
+    bound = 0.0
     converged, k, u = False, 0, None
     for k in range(1, stop.max_iter + 1):
         x_prev, p_prev = run.x, run.p
-        c, u, Lu, alpha = run.step(k)
+        c, u, Lu, alpha, d_error = run.step(k)
         x_inc, p_inc = _reference_norm(run.x - x_prev), _reference_norm(run.p - p_prev)
         defect = np.nan
-        if check and k <= 200:
-            defect = _reference_check(check, run.problem, x_prev, p_prev, c, Lu, run.x, run.p)
+        if k <= 200:
+            defect = _reference_check(kind, run.problem, x_prev, p_prev, c, Lu, run.x, run.p,
+                                      d_error)
             bound += defect
         for name, value in zip(series, (x_inc / lam, g.value(u) + f.value(Lu), defect, x_inc,
                                         alpha)):
@@ -1044,15 +1073,14 @@ def test_lean_path_reproduces_the_reference_loop_bit_for_bit(name, solver):
     usolver = _ReferenceUStep(ref_problem)
     if solver == "asb":
         trace = sb.asb_iterate(prob, stop=stop, record_stride=0)
-        run, check = _ReferenceAsb(ref_problem, usolver), "asb"
+        run, kind = _ReferenceAsb(ref_problem, usolver), "asb"
     elif solver == "drs":
         trace = sb.run_drs(prob, stop=stop, record_stride=0)
-        run, check = _ReferenceDrs(ref_problem, usolver), "drs"
+        run, kind = _ReferenceDrs(ref_problem, usolver), "drs"
     else:
         trace = sb.asb_iterate_approx(prob, schedule, stop=stop, seed=8, record_stride=0)
-        run = _ReferenceAsb(ref_problem, usolver, schedule, np.random.default_rng(8))
-        check = None
-    series, converged, n_iter, bound, final = _reference_drive(run, check, stop)
+        run, kind = _ReferenceAsb(ref_problem, usolver, schedule, np.random.default_rng(8)), "asb"
+    series, converged, n_iter, bound, final = _reference_drive(run, kind, stop)
     assert (trace.n_iter, trace.converged, trace.setzer_bound) == (n_iter, converged, bound)
     for field, values in series.items():
         assert np.array_equal(getattr(trace, field), np.array(values), equal_nan=True), field
@@ -1091,7 +1119,7 @@ def test_step_results_never_alias(name, form):
     saved = [a.copy() for a in buffers]
     prev = [rec.x, rec.p, *rec.bd()]
     for k in range(1, 21):
-        _, _, u, Lu, _ = rec.step(k)
+        _, _, u, Lu, _, _ = rec.step(k)
         new = [u, Lu, rec.x, rec.p, *rec.bd()]
         for i, a in enumerate(new):
             for other in new[i + 1:] + prev + buffers:

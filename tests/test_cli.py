@@ -125,7 +125,8 @@ def test_write_trace_csv_matches_the_row_loop(tmp_path):
     trace = RunTrace(
         kind="asb", iterates=[], residuals=columns[0], energies=columns[1],
         setzer_defects=columns[2], x_increments=columns[3],
-        alpha_injected=np.zeros(n), converged=False, n_iter=n)
+        alpha_injected=np.zeros(n), converged=False, n_iter=n, setzer_bound=math.nan,
+        setzer_iterates=n + 1)
     splitbreg.cli.write_trace_csv(tmp_path / "fast.csv", trace)
     _write_trace_csv_loop(tmp_path / "loop.csv", trace)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
@@ -280,8 +281,50 @@ def test_asb_approx_solver_via_cli(tmp_path):
     code = run(parse_config(payload), tmp_path / "out")
     assert code == 0
     certs = _certs(tmp_path / "out")
-    # equivalence is an exact-mode property; approx runs carry 3 certificates
-    assert len(certs) == 3 and all(c["passed"] for c in certs)
+    # an approximate run certifies the inexact correspondence too
+    assert len(certs) == 4 and all(c["passed"] for c in certs)
+    assert certs[-1]["kind"] == "equivalence" and "asb_approx" in certs[-1]["details"]
+
+
+@pytest.mark.parametrize("problem,params", [
+    ("lasso", {}),
+    ("tv1d", {"grid_shape": [64], "seed": 3}),
+], ids=["lasso", "tv1d"])
+def test_nonsummable_errors_fail_convergence_not_the_correspondence(tmp_path, problem, params):
+    # a harmonic schedule keeps the sweep an inexact DRS recursion, which the
+    # equivalence certificate checks, but one whose errors never die out, so
+    # the run does not converge and inclusion fails; the default geometric
+    # schedule certifies both
+    codes = {}
+    for name, schedule in (("harmonic", {"schedule": {"type": "harmonic", "scale": 1.0},
+                                         "allow_nonsummable": True}),
+                           ("geometric", {})):
+        payload = {"problem": problem, "solver": "asb_approx",
+                   "params": {**params, **schedule, "max_iter": 3000}}
+        codes[name] = run(parse_config(payload), tmp_path / name)
+        certs = {c["kind"]: c for c in _certs(tmp_path / name)}
+        assert len(certs) == 4 and certs["equivalence"]["passed"]
+        assert certs["inclusion"]["passed"] is (name == "geometric")
+    assert codes == {"harmonic": 1, "geometric": 0}
+
+
+@pytest.mark.parametrize("payload", [
+    {"problem": "lasso", "params": {}},
+    {"problem": "tv1d", "params": {"grid_shape": [64], "seed": 3}},
+    {"problem": "least_gradient", "params": {"grid_shape": [12, 9],
+                                             "conductivity": "two_phase", "lambda": 0.3}},
+], ids=["lasso", "tv1d", "least_gradient"])
+def test_zero_schedule_writes_the_exact_trace(tmp_path, payload):
+    # a zero schedule injects nothing, so the approximate run, its one-step
+    # checks included, is the exact sweep byte for byte
+    traces = {}
+    for solver, schedule in (("asb", None), ("asb_approx", {"type": "zero"})):
+        config = parse_config({**payload, "solver": solver,
+                               "params": {**payload["params"], "schedule": schedule}})
+        run(config, tmp_path / solver)
+        traces[solver] = (tmp_path / solver / "trace.csv").read_bytes()
+    assert traces["asb_approx"] == traces["asb"]
+    assert b",nan," not in traces["asb"].splitlines()[1]
 
 
 @pytest.mark.parametrize("params", [{}, {"schedule": None},
@@ -359,7 +402,7 @@ def test_approx_run_keeps_pinned_coordinates(tmp_path, capsys):
     payload["solver"] = "asb_approx"
     cfg = _write_config(tmp_path, payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert "certificates=3/3" in capsys.readouterr().out
+    assert "certificates=4/4" in capsys.readouterr().out
     energies = [float(row.split(",")[2])
                 for row in (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]]
     assert energies and all(math.isfinite(e) for e in energies)
