@@ -12,10 +12,9 @@ from .applications import (LeastGradientInstance, TvInstance, build_least_gradie
 from .asb import (AsbState, SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents,
                   initial_state, run_drs)
 from .diagnostics import (Certificate, RunTrace, dual_certificate, duality_gap,
-                          equivalence_report, primal_recovery_check, summability_report,
-                          weak_duality_probe)
-from .drs import (DrsState, ResolventPair, StoppingRule, drs_iterate, drs_step, fejer_check,
-                  inclusion_defect)
+                          equivalence_report, inclusion_defect, primal_recovery_check,
+                          summability_report, weak_duality_probe)
+from .drs import DrsState, ResolventPair, StoppingRule, drs_iterate, drs_step, fejer_check
 from .functionals import (ErrorSchedule, ProxFunctional, dual_resolvent, prox_indicator_point,
                           prox_l1, prox_quadratic, prox_weighted_l21, zero_functional)
 from .linops import (GridSpec, LinearMap, check_adjoint, gradient_operator, identity_operator,

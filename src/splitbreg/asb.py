@@ -38,10 +38,11 @@ once at the run's own point, reusing the run's u-solve, and its one-step
 defect against the run's next point, less the d-step error an
 approximate sweep injected, plus the roundoff difference of the two
 forms' u-solve inputs, is the ``setzer_defects`` series (``nan`` past
-the window).  Their sum, which bounds how far a twin of the other form
-from the same start would drift (the argument is in ``_drive``), is
-``RunTrace.setzer_bound``, the correspondence's certificate.  The run's
-residual, energy and increment series are measured on the run alone.
+the window).  Their sum bounds how far a twin of the other form from
+the same start would drift (the argument is in ``_drive``); the loop
+keeps no sum, and :func:`splitbreg.diagnostics.equivalence_certificate`
+takes it from the series.  The run's residual, energy and increment
+series are measured on the run alone.
 The residual ``||d_k - L u_{k+1}||`` is the x-increment over ``lam`` in
 every form (``x_{k+1} - x_k = lam (L u_{k+1} - d_k)``), so it is
 recorded as that quotient; a DRS run maps (x, p) back to (b, d) only
@@ -437,9 +438,11 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
         e_k = 2 ||x~_k - x_k|| + ||p~_k - p_k - lam d_error_k|| + delta_k,
         delta_k = lam ||c_run - c_other||,
 
-    fills ``setzer_defects`` (``nan`` past the window); ``setzer_bound``
-    is their sum.  ``d_error_k`` is the d-step error an approximate sweep
-    injected, and 0 (no subtraction at all) for an exact run.
+    fills ``setzer_defects`` (``nan`` past the window); their sum, which
+    :func:`~splitbreg.diagnostics.equivalence_certificate` takes from the
+    series, is the correspondence's certificate.  ``d_error_k`` is the
+    d-step error an approximate sweep injected, and 0 (no subtraction at
+    all) for an exact run.
     ``delta_k`` compares the u-solve inputs of the two forms at the same
     point (``b - d`` against ``(2p - x)/lam``), which differ by
     roundoff: the check reuses the run's solve, and ``I - JA`` is
@@ -516,7 +519,6 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
     g_value, f_value, lam = run.problem.g.value, run.problem.f.value, run.lam
     records = [_record(run, 0, None)]
     energies, defects, x_incs, alphas = ([] for _ in range(4))
-    bound = 0.0
     converged = False
     k = 0
     u = None
@@ -532,7 +534,6 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
         if k <= _CHECK_ITERATIONS:
             defect, checked = run.check(x_prev, p_prev, c, Lu, d_error)
             total += defect
-            bound += defect
         if not math.isfinite(total):
             scan = (("u", u),) + named
             if checked is not None:
@@ -558,7 +559,6 @@ def _drive(run: _Run, stop: Optional[StoppingRule], record_stride: int, kind: st
         residuals=np.array(x_incs) / lam, energies=np.array(energies),
         setzer_defects=np.array(defects), x_increments=np.array(x_incs),
         alpha_injected=np.array(alphas), converged=converged, n_iter=k,
-        setzer_bound=bound, setzer_iterates=min(k, _CHECK_ITERATIONS) + 1,
     )
 
 
@@ -585,8 +585,10 @@ def asb_iterate_approx(problem: SplitProblem, schedule: ErrorSchedule,
     reproduces the exact trace bit for bit.
     The DRS map is checked at each of the first 200 iterations, as for
     :func:`asb_iterate`, less the injected d-step error (see
-    :func:`_drive`), so ``setzer_bound`` certifies that the run is the
-    inexact DRS recursion the paper's second result is about.
+    :func:`_drive`), so the sum of its ``setzer_defects``, the run's
+    :func:`~splitbreg.diagnostics.equivalence_certificate`, certifies
+    that the run is the inexact DRS recursion the paper's second result
+    is about.
     """
     sweep = _Run(problem, init, _SWEEP, schedule, np.random.default_rng(seed))
     return _drive(sweep, stop, record_stride, "asb_approx")

@@ -52,8 +52,8 @@ from .asb import SplitProblem, asb_iterate, asb_iterate_approx, dual_resolvents,
 # equivalence_report is not called here; perfbench/tracing.py wraps this name
 from .diagnostics import (RunTrace, certificates_to_json, dual_certificate, duality_gap,
                           equivalence_certificate, equivalence_report, inclusion_certificate,
-                          primal_recovery_check)
-from .drs import StoppingRule, inclusion_defect
+                          inclusion_defect, primal_recovery_check)
+from .drs import StoppingRule
 from .functionals import (FUNCTIONAL_LABELS, ErrorSchedule, functional_from_label, prox_l1,
                           prox_quadratic)
 from .linops import identity_operator, load_matrix_csv, matrix_operator

@@ -2,13 +2,14 @@
 
 A :class:`RunTrace` stores per-iteration scalars (always dense) plus
 iterate snapshots (optionally thinned).  This is the one module that
-says what each certificate checks, at what tolerance and with what
-details; callers only gather their inputs.  Every run, ``asb``,
-``drs`` or ``asb_approx``, gets the same four: ``dual_optimal``,
-``primal_optimal``, ``inclusion`` and ``equivalence``, the last from
-the one-step checks every trace carries.  Certificates are pure
-functions of their inputs: identical inputs give bit-identical defects,
-and ``passed`` is always ``defect <= tolerance``.
+says what each certificate checks, computes its defect, and sets its
+tolerance and details; callers only gather their inputs.  Every run,
+``asb``, ``drs`` or ``asb_approx``, gets the same four:
+``dual_optimal``, ``primal_optimal``, ``inclusion``, from the
+resolvent residuals of :func:`inclusion_defect`, and ``equivalence``,
+the sum of the one-step defects every trace records.  Certificates
+are pure functions of their inputs: identical inputs give
+bit-identical defects, and ``passed`` is always ``defect <= tolerance``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .kernels import _norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .asb import SplitProblem
+    from .drs import ResolventPair
 
 __all__ = [
     "IterateRecord",
@@ -34,6 +36,7 @@ __all__ = [
     "duality_gap",
     "dual_certificate",
     "primal_recovery_check",
+    "inclusion_defect",
     "inclusion_certificate",
     "equivalence_report",
     "equivalence_certificate",
@@ -68,13 +71,13 @@ class RunTrace:
     ``lam``.  ``iterates``
     holds the k=0 initialization plus the snapshots the run asked for
     (always the final one).  Every run checks Setzer's correspondence
-    over ``setzer_iterates`` iterates (k = 0 included): ``setzer_defects[j]``
-    is the one-step defect of the other solver form's map applied at
-    iterate ``j`` with the run's own u-solve, against iterate ``j+1``
-    under ``x = lam (b + d)``, ``p = lam b``, less an approximate run's
-    injected d-step error (``nan`` past the window), and
-    ``setzer_bound`` their sum, which in exact arithmetic bounds the
-    drift of a twin of the other form (see ``asb._drive``).
+    over a window of its first iterations: ``setzer_defects[j]`` is the
+    one-step defect of the other solver form's map applied at iterate
+    ``j`` with the run's own u-solve, against iterate ``j+1`` under
+    ``x = lam (b + d)``, ``p = lam b``, less an approximate run's
+    injected d-step error, and ``nan`` past the window.  That series is
+    the run's only record of the window: :func:`equivalence_certificate`
+    reads the window, and sums it, from the series alone.
     """
 
     kind: str
@@ -86,8 +89,6 @@ class RunTrace:
     alpha_injected: np.ndarray
     converged: bool
     n_iter: int
-    setzer_bound: float
-    setzer_iterates: int
 
     def __post_init__(self):
         for name in ("residuals", "energies", "setzer_defects", "x_increments",
@@ -187,11 +188,29 @@ def primal_recovery_check(problem: "SplitProblem", final: IterateRecord,
     )
 
 
+def inclusion_defect(pair: "ResolventPair", x_hat: np.ndarray, p_hat: np.ndarray,
+                     lam: float) -> float:
+    """Residual of the optimality inclusion at a converged pair.
+
+    With ``q = (x_hat - p_hat)/lam``, the shadow relation ``p = JB(x)``
+    puts ``q`` in ``B(p_hat)`` and the fixed-point equation puts ``-q``
+    in ``A(p_hat)``, so ``0 in A(p_hat) + B(p_hat)``.  Both memberships
+    are checked through their resolvent identities
+    ``JB(p_hat + lam q) == p_hat`` and ``JA(p_hat - lam q) == p_hat``;
+    the defect is the larger residual norm.
+    """
+    x_hat = np.asarray(x_hat, dtype=float)
+    p_hat = np.asarray(p_hat, dtype=float)
+    q = (x_hat - p_hat) / lam
+    da = _norm(pair.JA(p_hat - lam * q, lam) - p_hat)
+    db = _norm(pair.JB(p_hat + lam * q, lam) - p_hat)
+    return max(da, db)
+
+
 def inclusion_certificate(defect: float) -> Certificate:
     """The optimality inclusion at a run's ``(x, p)``, from its resolvent residuals, at 1e-7.
 
-    ``defect`` is :func:`splitbreg.drs.inclusion_defect` at the run's
-    final record.
+    ``defect`` is :func:`inclusion_defect` at the run's final record.
     """
     return Certificate.from_defect(
         "inclusion", defect, 1e-7,
@@ -221,8 +240,13 @@ def equivalence_report(asb_trace: RunTrace, drs_trace: RunTrace, lam: float) -> 
 def equivalence_certificate(trace: RunTrace) -> Certificate:
     """The equivalence certificate of a run, from its one-step checks.
 
-    The defect is the run's ``setzer_bound``, the sum of its one-step
-    defects.  In exact arithmetic it bounds :func:`equivalence_report` on
+    The checked one-step defects are the non-nan entries of
+    ``setzer_defects``, over their steps' points and the last one's
+    successor (k = 0 included).  The defect is their sum, added one term
+    at a time in iteration order from 0.0 (``np.add.accumulate``), so it
+    is the running sum ``s += e_k`` bit for bit; ``np.sum`` would add
+    pairwise and builtin ``sum`` with compensation (from Python 3.12).
+    In exact arithmetic it bounds :func:`equivalence_report` on
     the run and a separate run of the other solver form over the same
     iterates (for a ``drs`` run, where the sweep is nonexpansive; for an
     ``asb_approx`` run, a DRS run fed the same resolvent errors); a
@@ -233,8 +257,10 @@ def equivalence_certificate(trace: RunTrace) -> Certificate:
                "drs": "the ASB sweep at the drs run's points",
                "asb_approx": "the DRS map, less the injected d-step error, at the "
                              "asb_approx run's points"}[trace.kind]
-    return _equivalence(trace.setzer_bound,
-                        f"sum of one-step defects of {checked} over {trace.setzer_iterates} "
+    window = trace.setzer_defects[~np.isnan(trace.setzer_defects)]
+    defect = np.add.accumulate(np.concatenate(([0.0], window)))[-1]
+    return _equivalence(defect,
+                        f"sum of one-step defects of {checked} over {window.size + 1} "
                         "iterates; in exact arithmetic it bounds a twin's mapped-sequence "
                         "mismatch, and a floating-point twin adds its own rounding")
 

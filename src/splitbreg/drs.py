@@ -8,12 +8,16 @@ built from the two resolvents and tracks the shadow point ``p = JB(x)``:
 
 This is the exact reference recursion: run over the resolvents that
 :func:`splitbreg.asb.dual_resolvents` builds, it reproduces the
-instrumented :func:`splitbreg.asb.run_drs` bit for bit.  The inexact
-algorithm's errors live in one place, the approximate ASB sweep
+instrumented :func:`splitbreg.asb.run_drs` bit for bit.  The module
+holds that recursion, the stopping rule both solvers share, the
+non-finite iterate error and the Fejer monotonicity report; every
+certificate, the inclusion defect included, is defined in
+:mod:`splitbreg.diagnostics`.  The inexact algorithm's errors live in
+one place, the approximate ASB sweep
 (:func:`splitbreg.asb.asb_iterate_approx`), which Setzer's
-correspondence maps to an inexact DRS.  Its norms, the increments and
-the inclusion defect, are :func:`splitbreg.kernels._norm`, finite for a
-finite vector even where its sum of squares overflows.
+correspondence maps to an inexact DRS.  Its increments' norm is
+:func:`splitbreg.kernels._norm`, finite for a finite vector even where
+its sum of squares overflows.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "DrsRun",
     "fejer_check",
     "FejerReport",
-    "inclusion_defect",
 ]
 
 
@@ -183,20 +186,3 @@ def fejer_check(trace: Sequence, x_hat: np.ndarray) -> FejerReport:
             violations += 1
     return FejerReport(violations=violations, max_violation=worst)
 
-
-def inclusion_defect(pair: ResolventPair, x_hat: np.ndarray, p_hat: np.ndarray, lam: float) -> float:
-    """Residual of the optimality inclusion at a converged pair.
-
-    With ``q = (x_hat - p_hat)/lam``, the shadow relation ``p = JB(x)``
-    puts ``q`` in ``B(p_hat)`` and the fixed-point equation puts ``-q``
-    in ``A(p_hat)``, so ``0 in A(p_hat) + B(p_hat)``.  Both memberships
-    are checked through their resolvent identities
-    ``JB(p_hat + lam q) == p_hat`` and ``JA(p_hat - lam q) == p_hat``;
-    the defect is the larger residual norm.
-    """
-    x_hat = np.asarray(x_hat, dtype=float)
-    p_hat = np.asarray(p_hat, dtype=float)
-    q = (x_hat - p_hat) / lam
-    da = _norm(pair.JA(p_hat - lam * q, lam) - p_hat)
-    db = _norm(pair.JB(p_hat + lam * q, lam) - p_hat)
-    return max(da, db)

@@ -13,7 +13,8 @@ import splitbreg.asb
 import splitbreg.cli
 import splitbreg.linops
 import splitbreg.oracles
-from splitbreg.cli import _PARAMS, PROBLEMS, ConfigError, main, parse_config, run
+from splitbreg.applications import build_least_gradient_problem, make_least_gradient_instance
+from splitbreg.cli import _PARAMS, PROBLEMS, SOLVERS, ConfigError, main, parse_config, run
 from splitbreg.diagnostics import RunTrace
 from splitbreg.drs import StoppingRule
 from splitbreg.functionals import ErrorSchedule
@@ -125,8 +126,7 @@ def test_write_trace_csv_matches_the_row_loop(tmp_path):
     trace = RunTrace(
         kind="asb", iterates=[], residuals=columns[0], energies=columns[1],
         setzer_defects=columns[2], x_increments=columns[3],
-        alpha_injected=np.zeros(n), converged=False, n_iter=n, setzer_bound=math.nan,
-        setzer_iterates=n + 1)
+        alpha_injected=np.zeros(n), converged=False, n_iter=n)
     splitbreg.cli.write_trace_csv(tmp_path / "fast.csv", trace)
     _write_trace_csv_loop(tmp_path / "loop.csv", trace)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
@@ -486,6 +486,22 @@ def test_least_gradient_via_cli(tmp_path):
     assert sum(c["passed"] for c in _certs(tmp_path / "out")) == 4
 
 
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("shape, conductivity", [([2, 2], "linear"), ([2, 2], "two_phase"),
+                                                 ([2], "linear")])
+def test_least_gradient_with_no_free_node_certifies(tmp_path, shape, conductivity, solver):
+    # every node is on the boundary: g pins every coordinate, the u-step
+    # system is empty, and the stationarity oracle has no free node to check
+    inst = make_least_gradient_instance(tuple(shape), kind=conductivity)
+    problem = build_least_gradient_problem(inst)
+    assert problem.g.params["mask"].all()
+    assert splitbreg.oracles.interior_stationarity_defect(problem, inst.u_true) == 0.0
+    payload = {"problem": "least_gradient", "solver": solver,
+               "params": {"grid_shape": shape, "conductivity": conductivity}}
+    assert run(parse_config(payload), tmp_path / "out") == 0
+    assert " certificates=4/4 " in (tmp_path / "out" / "summary.txt").read_text()
+
+
 @pytest.mark.parametrize("payload", [
     {"problem": "tv2d", "params": {"grid_shape": [6, 6], "tol": 1e-11}},
     {"problem": "tv1d", "params": {"grid_shape": [64], "boundary": "free"}},
@@ -692,6 +708,8 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
     _custom(g={"label": "indicator_point", "anchor": [1.0, 2.0], "mask": [1, 0]}),
     {"problem": "lasso", "params": {"max_iter": 10**400}},
     {"problem": "tv1d", "params": {"grid_shape": [10**400]}},
+    _custom(csv="1,0\n0,nan\n1,1\n"),
+    _custom(csv="1,0\n0,1\n-inf,1\n"),
 ], ids=["max_iter_str", "lambda_str", "top_level_list", "missing_matrix_csv", "grid_1_node",
         "tv1d_2d_grid", "grid_str", "max_iter_float", "tol_negative", "y_empty", "params_str",
         "two_phase_1d", "axis_out_of_range", "label_list", "ratio_out_of_range",
@@ -704,7 +722,7 @@ def _custom(csv="1,0\n0,1\n1,1\n", matrix_csv=None, **specs):
         "zero_schedule_with_scale_and_ratio",
         "harmonic_schedule_with_ratio", "spacing_per_axis_length", "boundary_unknown",
         "conductivity_unknown", "mask_not_boolean", "max_iter_beyond_float",
-        "grid_shape_beyond_float"])
+        "grid_shape_beyond_float", "csv_nan", "csv_inf"])
 def test_main_rejects_malformed_config(tmp_path, capsys, payload):
     if callable(payload):
         payload = payload(tmp_path)
@@ -712,6 +730,15 @@ def test_main_rejects_malformed_config(tmp_path, capsys, payload):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_a_non_finite_matrix_entry_is_named_in_the_config_error(tmp_path, capsys, entry):
+    # the CSV parses, and load_matrix_csv refuses it before any operator is built
+    cfg = _write_config(tmp_path, _custom(csv=f"1,0\n0,{entry}\n1,1\n")(tmp_path))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: custom_matrix: non-finite entries in {tmp_path / 'm.csv'}\n")
 
 
 _JSON = st.recursive(

@@ -10,9 +10,10 @@ import pytest
 import splitbreg as sb
 from splitbreg.diagnostics import (Certificate, IterateRecord, certificates_to_json,
                                    dual_certificate, duality_gap, equivalence_report,
-                                   inclusion_certificate, primal_recovery_check,
-                                   summability_report, weak_duality_probe)
-from splitbreg.drs import ResolventPair, inclusion_defect
+                                   inclusion_certificate, inclusion_defect,
+                                   primal_recovery_check, summability_report,
+                                   weak_duality_probe)
+from splitbreg.drs import ResolventPair
 from splitbreg.functionals import ProxFunctional, prox_l1, prox_quadratic
 from splitbreg.linops import identity_operator
 from splitbreg.oracles import soft_threshold_optimum

@@ -5,7 +5,8 @@ import pytest
 
 import splitbreg as sb
 from splitbreg.drs import (DrsState, NonFiniteIterateError, ResolventPair, StoppingRule,
-                           drs_iterate, drs_step, fejer_check, inclusion_defect)
+                           drs_iterate, drs_step, fejer_check)
+from splitbreg.diagnostics import inclusion_defect
 from splitbreg.functionals import ErrorSchedule, prox_l1, prox_quadratic
 from splitbreg.oracles import soft_threshold_optimum
 
