@@ -66,7 +66,7 @@ KINDS = ("dual_optimal", "primal_optimal", "inclusion", "equivalence")  # the CL
 LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=len(RUNS))
 def _solved(name):
     """The run's problem, oracle and trace, solved once for the whole module."""
     config = parse_config(RUNS[name])
