@@ -120,8 +120,11 @@ def certificates_to_json(certs) -> str:
     return json.dumps([asdict(c) for c in certs], indent=2)
 
 
-def duality_gap(problem: "SplitProblem", u: np.ndarray, b: np.ndarray) -> float:
-    """Primal value at u minus dual value at b.
+def duality_gap(problem: "SplitProblem", u: np.ndarray, beta: np.ndarray) -> float:
+    """Primal value at u minus :func:`dual_value` at the dual point ``beta``.
+
+    For a run, ``beta`` is its dual point ``p = lam b``, not its Bregman
+    variable b.
 
     Nonnegative up to roundoff for any pair (weak duality) and zero at a
     primal-dual optimal pair under strong duality.  Conjugate values
@@ -130,7 +133,7 @@ def duality_gap(problem: "SplitProblem", u: np.ndarray, b: np.ndarray) -> float:
     dual iterate sitting on the domain boundary up to roundoff still
     evaluates finite.
     """
-    dual = dual_value(problem, b)
+    dual = dual_value(problem, beta)
     u = np.asarray(u, dtype=float)
     primal = problem.g.value(u) + problem.f.value(problem.L.apply(u))
     return float(primal - dual)

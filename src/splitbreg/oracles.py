@@ -3,9 +3,12 @@
 None of these share iteration machinery with the splitting solvers:
 the 1-D total-variation optimum comes from an exact taut-string
 construction, separable shrinkage problems from their closed form,
-quadratic-fidelity TV problems from a gap-certified projected gradient
+quadratic-fidelity TV problems from an accelerated projected gradient
 method on the dual, and fixed-boundary weighted-gradient problems from
-an explicit dual-field stationarity certificate.
+an explicit dual-field stationarity certificate.  The dual method's
+step shares the solvers' projection onto the domain of ``f*``; its
+answer counts only when its duality gap, ``f*(b)`` included, certifies
+it, and no step can bias that gap.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import numpy as np
 
 from . import kernels
 from .asb import SplitProblem
+from .diagnostics import dual_value
+from .functionals import dual_resolvent
 from .linops import LinearMap
 
 __all__ = [
@@ -94,25 +99,6 @@ class DualSolveResult:
     certified: bool  # gap <= gap_tol * (1 + |primal_value|), the stopping test
 
 
-def _project_dual(f, b: np.ndarray) -> np.ndarray:
-    """Project onto the domain of f* for the shrinkage-type catalogue."""
-    if f.label == "l1":
-        w = f.params["weights"]
-        return np.clip(b, -w, w)
-    if f.label == "weighted_l21":
-        w = f.params["weights"]
-        bs = f.params["block_size"]
-        blocks = b.reshape(-1, bs)
-        # the scaled sum of squares where a square would overflow or underflow,
-        # so a far start lands on its ball's boundary, not at 0
-        nrm = kernels._block_norms(blocks)
-        scale = np.ones_like(nrm)
-        over = nrm > w
-        scale[over] = w[over] / nrm[over]
-        return (blocks * scale[:, None]).reshape(-1)
-    raise ValueError(f"no dual projection for functional {f.label!r}")
-
-
 def _opnorm_sq_bound(L: LinearMap) -> float:
     """Gershgorin bound on ``||L||^2``: the largest absolute row sum of ``L^T L``."""
     return float(np.max(abs(L.matrix.T @ L.matrix).sum(axis=1)))
@@ -125,46 +111,51 @@ def tv_dual_solve(problem: SplitProblem, gap_tol: float = 1e-10,
                   b0: Optional[np.ndarray] = None) -> DualSolveResult:
     """Gap-certified optimum for quadratic-fidelity shrinkage problems.
 
-    Requires ``g`` quadratic and ``f`` of l1 / weighted-l21 type.  Runs
-    an accelerated projected gradient iteration on the dual (a smooth
-    quadratic over a product of boxes or balls) with step ``rho / B``:
-    ``B``, the largest absolute row sum of ``L^T L``, bounds ``||L||^2``
-    from above (Gershgorin), so the step is at most the inverse of the
-    dual gradient's Lipschitz constant ``||L||^2 / rho``.  The primal
-    candidate comes from the dual gradient.  The iteration stops when the
-    measured duality gap falls below ``gap_tol * (1 + |primal|)``, which
-    certifies ``primal_value`` to that accuracy by weak duality, or after
-    200 000 iterations, returning the gap it reached; ``certified`` says
-    which.  The gap is measured at the start and every 25 iterations.  The
+    Requires ``g`` quadratic and ``f`` of l1 / weighted-l21 type, whose
+    conjugate is the indicator of a box or a product of balls.  Runs an
+    accelerated projected gradient iteration on the dual (a smooth
+    quadratic over that set) with step ``rho / B``: ``B``, the largest
+    absolute row sum of ``L^T L``, bounds ``||L||^2`` from above
+    (Gershgorin), so the step is at most the inverse of the dual
+    gradient's Lipschitz constant ``||L||^2 / rho``.  Each step projects
+    with the solvers' own ``dual_resolvent``.  The primal candidate comes
+    from the dual gradient.  The iteration stops when the duality gap,
+    the primal value minus ``diagnostics.dual_value`` (``f*(b)``
+    included, so an iterate off the domain of ``f*`` has an infinite
+    gap), falls below ``gap_tol * (1 + |primal|)``, which certifies
+    ``primal_value`` to that accuracy by weak duality, or after 200 000
+    iterations, returning the gap it reached; ``certified`` says which.
+    The gap is measured at the start and every 25 iterations.  The
     iteration starts from ``b0``, projected onto the domain of ``f*``, or
-    from 0; a start already certified returns with ``iterations`` 0.  Any
-    start keeps the certificate independent: it rests on the gap alone,
-    which weak duality bounds whatever the start.
+    from 0; a start already certified returns with ``iterations`` 0.  The
+    answer rests on the gap alone, which weak duality bounds whatever the
+    start and whatever the step.
     """
     if problem.g.label != "quadratic":
         raise ValueError("dual solve needs a quadratic fidelity term")
     L, f = problem.L, problem.f
+    if f.label not in ("l1", "weighted_l21"):
+        raise ValueError(f"dual solve needs an l1 or weighted_l21 f, not {f.label!r}")
     y = problem.g.params["target"]
     rho = problem.g.params["scale"]
 
     lip = _opnorm_sq_bound(L) / rho
     step = 1.0 / lip if lip > 0 else 1.0
+    ly = L.apply(y)
 
     def primal_pair(b):
-        ltb = L.adjoint_apply(b)
-        u = y - ltb / rho
+        u = y - L.adjoint_apply(b) / rho
         primal = problem.g.value(u) + f.value(L.apply(u))
-        dual = -(float(np.dot(ltb, ltb)) / (2.0 * rho) - float(np.dot(ltb, y)))
-        gap = primal - dual
+        gap = primal - dual_value(problem, b)
         return u, primal, gap, gap <= gap_tol * (1.0 + abs(primal))
 
-    b = np.zeros(f.dim) if b0 is None else _project_dual(f, np.asarray(b0, dtype=float))
+    b = np.zeros(f.dim) if b0 is None else dual_resolvent(f, b0, 1.0)
     z = b.copy()
     t_acc = 1.0
     for k in range(_DUAL_MAX_ITER + 1):
         if k:  # k = 0 tests the start itself
-            grad = L.apply(L.adjoint_apply(z)) / rho - L.apply(y)
-            b_new = _project_dual(f, z - step * grad)
+            grad = L.apply(L.adjoint_apply(z)) / rho - ly
+            b_new = dual_resolvent(f, z - step * grad, 1.0)
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
             z = b_new + ((t_acc - 1.0) / t_new) * (b_new - b)
             b, t_acc = b_new, t_new

@@ -55,6 +55,9 @@ def test_parse_config_validation():
                   "params": {"schedule": {"type": "harmonic"}, "allow_nonsummable": True}})
     with pytest.raises(ConfigError, match="unknown schedule"):
         parse_config({"problem": "lasso", "params": {"schedule": {"type": "geometric", "rate": 0.5}}})
+    for spec in ({"ratio": 0.5}, "geometric"):
+        with pytest.raises(ConfigError, match="^key 'schedule' must be an object with a 'type'$"):
+            parse_config({"problem": "lasso", "params": {"schedule": spec}})
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config({"problem": "lasso", "outputs": ["plots"]})
     with pytest.raises(ConfigError, match="'n' must equal len"):

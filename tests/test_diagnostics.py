@@ -201,6 +201,11 @@ def test_summability_report_shapes():
     z = sb.asb_iterate(zero_prob, stop=sb.StoppingRule(tol=None, max_iter=20))
     assert np.all(summability_report(z).partial_sums == 0.0)
 
+    # a run of no iterations has nothing to sum
+    none = sb.asb_iterate(prob, stop=sb.StoppingRule(tol=None, max_iter=0))
+    with pytest.raises(ValueError, match="trace has no residuals"):
+        summability_report(none)
+
 
 def test_certificates_are_deterministic(lasso_problem):
     trace = sb.asb_iterate(lasso_problem, stop=sb.StoppingRule(tol=1e-12, max_iter=2000))

@@ -40,6 +40,8 @@ def test_l1_examples():
         prox_l1(-0.5, dim=2)
     with pytest.raises(ValueError):
         prox_l1(1.0)  # scalar weight needs an explicit dim
+    with pytest.raises(ValueError, match="dim does not match the number of weights"):
+        prox_l1([1.0, 2.0], dim=3)
 
 
 def test_weighted_l21_examples():
@@ -53,6 +55,8 @@ def test_weighted_l21_examples():
     assert f.value(np.array([3.0, 4.0])) == 5.0
     with pytest.raises(ValueError):
         prox_weighted_l21(np.array([-1.0]), block_size=2)
+    with pytest.raises(ValueError, match="block_size must be positive"):
+        prox_weighted_l21(np.array([1.0]), block_size=0)
 
 
 def test_quadratic_examples():

@@ -80,6 +80,11 @@ def test_check_adjoint_validates_trials():
         check_adjoint(identity_operator(2), trials=0)
 
 
+def test_identity_operator_rejects_an_empty_space():
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        identity_operator(0)
+
+
 def test_dirichlet_gradient_is_injective_on_small_grids():
     for grid in (GridSpec((4,)), GridSpec((3, 5))):
         L = gradient_operator(grid)

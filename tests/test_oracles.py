@@ -6,8 +6,9 @@ import pytest
 import splitbreg as sb
 import splitbreg.oracles
 from splitbreg import kernels
-from splitbreg.functionals import dual_resolvent
-from splitbreg.linops import GridSpec, gradient_operator, interior_gradient_operator
+from splitbreg.functionals import dual_resolvent, prox_quadratic
+from splitbreg.linops import (GridSpec, gradient_operator, interior_gradient_operator,
+                              matrix_operator)
 from splitbreg.oracles import (_opnorm_sq_bound, interior_stationarity_defect,
                                soft_threshold_optimum, taut_string_denoise, taut_string_dirichlet,
                                tv_dual_solve)
@@ -104,6 +105,21 @@ def test_tv_dual_solve_certifies_only_a_gap_below_its_tolerance(monkeypatch):
     assert not capped.certified and capped.gap > 1e-10 * (1.0 + abs(capped.primal_value))
 
 
+def test_tv_dual_solve_certifies_no_step_off_the_domain(monkeypatch):
+    # the gap includes f*(b), +inf off the domain of f*: with the step's
+    # projection replaced by the identity the iterate leaves the balls, and
+    # the capped solve must not certify it, however low its primal value
+    inst = sb.make_tv_instance((6, 6), mu=0.15, seed=0)
+    prob = sb.build_tv_problem(inst, lam=1.0)
+    monkeypatch.setattr(splitbreg.oracles, "dual_resolvent",
+                        lambda f, x, lam: np.asarray(x, dtype=float))
+    monkeypatch.setattr(splitbreg.oracles, "_DUAL_MAX_ITER", 25)
+    res = tv_dual_solve(prob, gap_tol=1e-10)
+    assert res.iterations == 25
+    assert res.certified is False
+    assert res.gap == np.inf
+
+
 def test_tv_dual_solve_returns_a_certified_start_as_it_is():
     # the start's gap is tested before any step: restarted from a certified
     # dual point, the solve takes no step and returns that point's u
@@ -160,9 +176,9 @@ def test_dual_projection_of_a_far_start_lands_on_its_balls(shape, boundary):
     plain = (blocks * np.where(nrm > w, w / nrm, 1.0)[:, None]).reshape(-1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(splitbreg.oracles._project_dual(prob.f, moderate), plain)
+        assert np.array_equal(dual_resolvent(prob.f, moderate, 1.0), plain)
         far = 1e200 * moderate
-        projected = splitbreg.oracles._project_dual(prob.f, far)
+        projected = dual_resolvent(prob.f, far, 1.0)
         assert np.array_equal(projected, dual_resolvent(prob.f, far, prob.lam))
         np.testing.assert_allclose(np.linalg.norm(projected.reshape(-1, 2), axis=1), w,
                                    rtol=4 * np.finfo(float).eps)
@@ -173,6 +189,18 @@ def test_dual_projection_of_a_far_start_lands_on_its_balls(shape, boundary):
 def test_tv_dual_solve_requires_quadratic_fidelity(lg_linear_problem):
     with pytest.raises(ValueError, match="quadratic"):
         tv_dual_solve(lg_linear_problem)
+    # a quadratic f has no projection for its second resolvent: refused by label
+    a = np.random.default_rng(0).standard_normal((3, 2))
+    prob = sb.SplitProblem(g=prox_quadratic(np.ones(2), 1.0), f=prox_quadratic(np.zeros(3), 1.0),
+                           L=matrix_operator(a), lam=1.0)
+    with pytest.raises(ValueError, match="not 'quadratic'"):
+        tv_dual_solve(prob)
+
+
+def test_stationarity_certificate_refuses_other_problems():
+    prob = sb.build_tv_problem(sb.make_tv_instance((6, 6), seed=0), lam=1.0)
+    with pytest.raises(ValueError, match="fixed-boundary weighted-gradient"):
+        interior_stationarity_defect(prob, np.zeros(prob.g.dim))
 
 
 def test_stationarity_certificate_linear_instance(lg_linear_instance, lg_linear_problem):
