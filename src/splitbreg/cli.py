@@ -27,9 +27,12 @@ its certificate is its own duality gap, which no start can bias.
 Every run carries four certificates.  The equivalence certificate comes
 from the one-step checks every solver, ``asb_approx`` included, makes at
 its own points (see :func:`splitbreg.asb._drive`), so no solver runs
-twice and no second recursion is advanced.  For both traces of one
-instance, run it once with ``--solver asb`` and once with
-``--solver drs`` under ``"tol": null``.
+twice and no second recursion is advanced.
+
+The config file is the one statement of a run: :func:`main` takes only
+``--config`` and ``--out``, and hands the file's document to
+:func:`parse_config` as it stands, so the CLI runs the same
+``run(parse_config(document), out)`` path as any in-process caller.
 """
 
 from __future__ import annotations
@@ -417,23 +420,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--solver", choices=SOLVERS, help="override config solver")
-    parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--max-iter", type=int, help="override config max_iter")
-    parser.add_argument("--tol", type=float, help="override config tol")
     args = parser.parse_args(argv)
 
     try:
-        payload = json.loads(Path(args.config).read_text())
-        # overrides apply to an object; parse_config rejects anything else
-        if isinstance(payload, dict) and isinstance(payload.setdefault("params", {}), dict):
-            if args.solver:
-                payload["solver"] = args.solver
-            for key, value in (("seed", args.seed), ("max_iter", args.max_iter),
-                               ("tol", args.tol)):
-                if value is not None:
-                    payload["params"][key] = value
-        config = parse_config(payload)
+        config = parse_config(json.loads(Path(args.config).read_text()))
     except (OSError, ValueError) as exc:  # ConfigError, JSON and decoding errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -273,10 +273,11 @@ class _TridiagonalFactor:
         self._d, self._e = d, e
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dpttrs(self._d, self._e, rhs)
-        if info != 0:
-            raise ValueError(f"dpttrs rejected argument {-info}")
-        return x
+        # dpttrs would pass a longer rhs's tail through unsolved
+        if len(rhs) != len(self._d):
+            raise ValueError(f"right-hand side has length {len(rhs)}, "
+                             f"system has order {len(self._d)}")
+        return dpttrs(self._d, self._e, rhs)[0]
 
 
 def _pivot_check(pivots: np.ndarray, what: str, kind: str = "pivot") -> None:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -233,22 +234,47 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "lambda" in capsys.readouterr().err
-    good = _write_config(tmp_path, LASSO_Y3, name="good.json")
-    assert main(["--config", str(good), "--max-iter", "0", "--out", str(tmp_path / "out")]) == 2
+    zero = _write_config(tmp_path, {**LASSO_Y3, "params": {**LASSO_Y3["params"], "max_iter": 0}},
+                         name="max_iter_0.json")
+    assert main(["--config", str(zero), "--out", str(tmp_path / "out")]) == 2
     assert "config error: key 'max_iter' must be >= 1" in capsys.readouterr().err
 
 
-def test_main_runs_and_applies_overrides(tmp_path, capsys):
-    cfg = _write_config(tmp_path, LASSO_Y3)
-    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--max-iter", "4000", "--tol", "1e-12", "--seed", "5", "--solver", "drs"])
+def test_main_runs_the_config_as_stated(tmp_path, capsys):
+    params = {**LASSO_Y3["params"], "seed": 5, "max_iter": 4000, "tol": 1e-12}
+    cfg = _write_config(tmp_path, {**LASSO_Y3, "solver": "drs", "params": params})
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 0
     out = capsys.readouterr().out
     assert "certificates=4/4" in out
-    assert "seed5" in out  # --seed override reached the instance
-    # --solver replaced the config's asb, and the summary names the solver that ran
+    # the seed reached the instance, and the summary names the solver that ran
     assert out.split()[0] == "instance=lasso_n1_seed5_drs"
     assert (tmp_path / "out" / "summary.txt").read_text() == out
+
+
+def test_main_hands_the_file_document_to_parse_config_unchanged(tmp_path, monkeypatch):
+    document = {"problem": "tv1d", "solver": "asb_approx",
+                "params": {"grid_shape": [8], "seed": 3, "tol": None, "max_iter": 7}}
+    cfg = _write_config(tmp_path, document)
+    parsed, runs = [], []
+
+    def parse(payload):
+        parsed.append(copy.deepcopy(payload))
+        return parse_config(payload)
+
+    monkeypatch.setattr(splitbreg.cli, "parse_config", parse)
+    monkeypatch.setattr(splitbreg.cli, "run", lambda config, out: runs.append((config, out)) or 0)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert parsed == [document]
+    assert runs == [(parse_config(document), str(tmp_path / "out"))]
+
+
+def test_help_lists_only_config_and_out(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config",
+                                                                     "--out"}
 
 
 @pytest.mark.parametrize("field,value", [("scale", -1), ("ratio", -0.5), ("scale", "x")])

@@ -32,14 +32,16 @@ _CSVS = {
 }
 
 
-def _cli(tmp_path, name, payload, **env):
-    """Run one config through the CLI in a new interpreter; returns the finished process."""
+def _cli(tmp_path, name, payload, *flags, **env):
+    """Run one config through the CLI in a new interpreter; returns the finished process.
+
+    ``flags`` follow ``--config`` and ``--out`` on the command line."""
     for csv, text in _CSVS.items():
         (tmp_path / csv).write_text(text)
     (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     return subprocess.run(
         [sys.executable, "-W", "default", "-m", "splitbreg.cli",
-         "--config", f"{name}.json", "--out", name],
+         "--config", f"{name}.json", "--out", name, *flags],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": _SRC, **env},
         capture_output=True, text=True, timeout=120)
 
@@ -68,6 +70,19 @@ def test_a_config_error_exits_2_with_no_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[0].startswith("config error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [("--solver", "drs"), ("--tol", "1e-9")],
+                         ids=["solver", "tol"])
+def test_a_removed_override_flag_exits_2_with_a_usage_error(tmp_path, flags):
+    # the config file is the one statement of a run: no flag restates its
+    # solver, seed, max_iter or tol, and argparse refuses one before any work
+    proc = _cli(tmp_path, "o", {"problem": "lasso"}, *flags)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: splitbreg ")
+    assert f"error: unrecognized arguments: {' '.join(flags)}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_a_refused_normal_system_exits_3_without_a_warning(tmp_path):

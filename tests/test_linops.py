@@ -521,3 +521,22 @@ def test_apply_and_adjoint_match_the_matrix_product_bitwise(tmp_path):
             L.apply(np.zeros(L.domain_dim + 1))
         with pytest.raises(ValueError):
             L.adjoint_apply(np.zeros(L.codomain_dim - 1))
+
+
+@pytest.mark.parametrize("kind,factor_type", [
+    ("tridiagonal", linops._TridiagonalFactor), ("kronecker_sum", linops._KroneckerSumFactor),
+    ("splu", SuperLU)])
+@pytest.mark.parametrize("extra", [1, -1], ids=["n_plus_1", "n_minus_1"])
+def test_each_factor_refuses_a_right_hand_side_of_another_length(kind, factor_type, extra, capfd):
+    # dpttrs would solve the first n entries of a longer rhs and pass the
+    # rest through, and print LAPACK's illegal-argument line for a shorter one
+    system = _spd_of_each_kind(kind)
+    factor = spd_factor(system)
+    assert isinstance(factor, factor_type)
+    with pytest.raises(ValueError):
+        factor.solve(np.ones(system.shape[0] + extra))
+    if kind == "tridiagonal":
+        assert capfd.readouterr() == ("", "")
+        with pytest.raises(ValueError, match=rf"^right-hand side has length {9 + extra}, "
+                                             r"system has order 9$"):
+            factor.solve(np.ones(9 + extra))
